@@ -8,9 +8,11 @@ The package covers the full chain from sampling to universality checks:
 - ``orthopoly``: Jacobi polynomials in overflow-safe scaled arithmetic
 - ``cdkernel``: the Christoffel-Darboux kernel and its bulk/edge rescalings
 - ``limits``: limiting densities and the sine, Airy, and Bessel kernels
+  (Airy and Bessel functions from ``scipy.special``)
 - ``fredholm``: gap probabilities det(I - K) by Nystrom quadrature
 - ``empirics``: Monte Carlo harness and convergence reports
 - ``cli``: the ``jrmt`` command-line tool
+- ``errors``: the exception types, which the CLI maps to its exit codes
 """
 
 __version__ = "0.1.0"
@@ -76,7 +78,6 @@ from .orthopoly import (
     chi,
     chi_prime,
     gamma_n,
-    interior_asymptotic,
     jacobi_deriv,
     jacobi_eval,
     weight,

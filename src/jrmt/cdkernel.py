@@ -10,15 +10,14 @@ kernel value stays moderate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericError, ParameterError, RegimeError
-from .limits import edge_profile, limit_density
+from .limits import DIAG_TOL, edge_profile, limit_density
 from .orthopoly import (
     ScaledValue,
-    chi_numerator,
     chi_prime,
+    chi_zeros,
     gamma_n,
     jacobi_pair,
     log_sq_norm,
@@ -40,12 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Ensemble parameters (n, a, b) plus the diagonal switch tolerance."""
+    """Ensemble parameters (n, a, b)."""
 
     n: int
     a: float
     b: float
-    diag_switch_tol: float = 1e-6
 
     def __post_init__(self):
         if self.n < 1:
@@ -92,7 +90,7 @@ def kernel(spec: KernelSpec, x: float, y: float) -> float:
 
     Away from the diagonal this is the Christoffel-Darboux ratio
     gamma_n sqrt(w(x) w(y)) (P_n(x) P_{n-1}(y) - P_{n-1}(x) P_n(y)) / (x-y);
-    within ``diag_switch_tol`` (relative to max(1, |x|, |y|)) the ratio is
+    within ``DIAG_TOL`` (relative to max(1, |x|, |y|)) the ratio is
     0/0 with catastrophic cancellation, so the confluent Wronskian form
     extended by a first-order Taylor term in (y - x) is used instead.
     """
@@ -103,7 +101,7 @@ def kernel(spec: KernelSpec, x: float, y: float) -> float:
     gam = gamma_n(n, a, b)
     whx = _weight_half(a, b, x)
     why = _weight_half(a, b, y)
-    cut = spec.diag_switch_tol * max(1.0, abs(x), abs(y))
+    cut = DIAG_TOL * max(1.0, abs(x), abs(y))
     if abs(x - y) >= cut:
         pm_x, pn_x = jacobi_pair(n, a, b, x)
         pm_y, pn_y = jacobi_pair(n, a, b, y)
@@ -145,23 +143,11 @@ def soft_edge(spec: KernelSpec) -> tuple[float, float]:
     """Soft-edge location and scale (s_n, h_n).
 
     s_n is the largest zero of chi in (-1, 1) and h_n = (-chi'(s_n))^{1/3}.
-    chi's zeros are the roots of its quadratic numerator, so they come from
-    the closed formula (stable variant) rather than iteration; a Newton
-    residual check with the analytic derivative guards the arithmetic.
+    chi's zeros come in closed form from :func:`chi_zeros`; the sign of the
+    analytic derivative there guards the arithmetic.
     """
     n, a, b = spec.n, spec.a, spec.b
-    c2, c1, c0 = chi_numerator(n, a, b)
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc <= 0.0:
-        raise NumericError("chi has no real zeros; no soft edge for these parameters")
-    # stable quadratic roots: q = -(c1 + sign(c1) sqrt(disc))/2
-    sq = math.sqrt(disc)
-    qq = -0.5 * (c1 + math.copysign(sq, c1))
-    if qq == 0.0:  # c0 == 0: the roots are 0 and -c1/c2
-        roots = sorted([0.0, -c1 / c2])
-    else:
-        roots = sorted([qq / c2, c0 / qq])
-    inside = [r for r in roots if -1.0 < r < 1.0]
+    inside = [r for r in chi_zeros(n, a, b) if -1.0 < r < 1.0]
     if not inside:
         raise RegimeError(
             f"soft edge needs the turning point inside (-1,1); a={a}, b={b} too small"

@@ -40,6 +40,7 @@ from .randgen import SeededStream, random_isometry
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
+MAX_QUAD = 2048  # the Nystrom matrix is quad x quad, built from quad^2 kernel calls
 
 
 def _fmt(v: float) -> str:
@@ -89,11 +90,27 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ParameterError(f"--trials must be >= 1, got {trials}")
+
+
+def _check_quad(quad: int) -> None:
+    if quad > MAX_QUAD:
+        raise ParameterError(f"--quad must be <= {MAX_QUAD}, got {quad}")
+
+
+def _check_out(path: str | None) -> None:
+    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ParameterError(f"--out directory does not exist: {path}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_sample(args) -> None:
+    _check_trials(args.trials)
     plan = reduce_ranks(args.n, args.q, args.qtilde)
     config = {
         "command": "sample",
@@ -198,6 +215,7 @@ def cmd_kernel(args) -> None:
 
 
 def cmd_gap(args) -> None:
+    _check_quad(args.quad)
     spec = KernelSpec(args.n, args.a, args.b)
     value = largest_eval_cdf(spec, args.x, m=args.quad)
     config = {
@@ -212,12 +230,14 @@ def cmd_gap(args) -> None:
 
 
 def cmd_tw(args) -> None:
+    _check_quad(args.quad)
     value = tracy_widom_cdf(args.t, m=args.quad, tail=args.tail)
     config = {"command": "tw", "t": args.t, "quad": args.quad, "tail": args.tail}
     _emit(args.out, _json_text(config, {"tw_cdf": value}))
 
 
 def cmd_angles(args) -> None:
+    _check_trials(args.trials)
     if not (1 <= args.q <= args.n and 1 <= args.qprime <= args.n):
         raise ParameterError("need 1 <= q, qprime <= n")
     alpha = args.q / args.n
@@ -324,6 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:
+        _check_out(args.out)
         args.func(args)
     except (NumericError, SingularMatrixError) as e:
         print(f"jrmt: numeric failure: {e}", file=sys.stderr)

@@ -119,8 +119,7 @@ class ExperimentSpec:
     the a/n, b/n ratios (for 'hard', ``bessel_order`` is the constant b and
     beta is ignored).  Grids: x-grid offsets for 'onepoint' are generated
     from margins inside the support; 'bulk'/'soft'/'hard' use a square
-    (u, v) grid.  ``seed`` is carried for provenance; the kernel-vs-limit
-    errors themselves are deterministic.
+    (u, v) grid.  The kernel-vs-limit errors are deterministic.
     """
 
     regime: str
@@ -131,7 +130,6 @@ class ExperimentSpec:
     x_margin: float = 0.1
     x_points: int = 41
     u_grid: tuple[float, ...] = ()
-    seed: int = 0
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ class GapQuery:
     kernel: Callable
     interval: tuple[float, float]
     quad_points: int = 64
-    tail_truncation: float = 12.0
 
     def __post_init__(self):
         lo, hi = self.interval

@@ -1,10 +1,8 @@
 """Limiting objects: spectral densities, edge profiles, sine/Airy/Bessel kernels.
 
-The Airy and Bessel evaluators are self-contained (Maclaurin series plus
-standard asymptotic expansions) and vectorized over numpy arrays; reference
-values in the tests pin them against an independent arbitrary-precision
-oracle.  All limit kernels expose a confluent diagonal with the same 1e-6
-switch tolerance as the finite-n kernel.
+Airy and Bessel values come from ``scipy.special`` and accept scalars or
+numpy arrays.  All limit kernels expose a confluent diagonal, switched on
+at the same tolerance ``DIAG_TOL`` as the finite-n kernel.
 """
 
 from __future__ import annotations
@@ -14,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.special
 
 from .errors import DomainError, ParameterError, RegimeError
 
@@ -35,15 +34,9 @@ __all__ = [
     "banach_angle",
 ]
 
-_DIAG_TOL = 1e-6
-
-# Airy seeds: Ai(0) = 3^{-2/3}/Gamma(2/3), Ai'(0) = -3^{-1/3}/Gamma(1/3)
-_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
-_BI0 = 3.0 ** (-1.0 / 6.0) / math.gamma(2.0 / 3.0)
-_BIP0 = 3.0 ** (1.0 / 6.0) / math.gamma(1.0 / 3.0)
-
-_SERIES_CUT = 6.5  # |x| above which the asymptotic expansions take over
+# |x - y| (scaled by max(1, |x|, |y|) in the finite-n kernel) below which
+# kernels switch from the difference quotient to the confluent diagonal
+DIAG_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -193,151 +186,19 @@ def wishart_ratio_density(alpha: float, beta: float) -> tuple[FreeDensity, float
 # Airy functions
 
 
-def _airy_series(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Maclaurin sums f, g, f', g' of the two basis solutions of y'' = x y.
-
-    f has f(0)=1, f'(0)=0; g has g(0)=0, g'(0)=1.  Term recurrences:
-    tf_k = tf_{k-1} x^3/((3k)(3k-1)) and the derivative terms follow from
-    tf_{k-1} x^2/(3k-1), avoiding any division by x.  Convergence is
-    factorial, so 60 terms cover |x| <= 6.5 far below double rounding.
-    """
-    x2 = x * x
-    x3 = x2 * x
-    tf = np.ones_like(x)
-    tg = x.copy()
-    f = tf.copy()
-    g = tg.copy()
-    fp = np.zeros_like(x)
-    gp = np.ones_like(x)
-    for k in range(1, 60):
-        fp += tf * x2 / (3 * k - 1)
-        gp += tg * x2 / (3 * k)
-        tf = tf * x3 / ((3 * k) * (3 * k - 1))
-        tg = tg * x3 / ((3 * k + 1) * (3 * k))
-        f += tf
-        g += tg
-        if max(np.abs(tf).max(), np.abs(tg).max()) < 1e-18 * max(1.0, np.abs(f).max()):
-            break
-    return f, g, fp, gp
-
-
-def _airy_uv_terms(zeta: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Partial sums of the u_k / v_k asymptotic series at optimal truncation.
-
-    u_0 = v_0 = 1, u_k = u_{k-1} (6k-5)(6k-3)(6k-1) / (216 k (2k-1)),
-    v_k = -u_k (6k+1)/(6k-1).  Entries freeze individually once their terms
-    stop shrinking (optimal truncation of a divergent asymptotic series).
-    Returns the alternating full sums plus the even/odd parity splits used
-    in the oscillatory regime.
-    """
-    shape = zeta.shape
-    su_alt = np.ones(shape)
-    sv_alt = np.ones(shape)
-    su_even = np.ones(shape)
-    su_odd = np.zeros(shape)
-    sv_even = np.ones(shape)
-    sv_odd = np.zeros(shape)
-    uk = 1.0
-    term_prev = np.full(shape, np.inf)
-    active = np.ones(shape, dtype=bool)
-    powz = np.ones(shape)
-    for k in range(1, 40):
-        uk = uk * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        vk = -uk * (6 * k + 1) / (6 * k - 1)
-        powz = powz / zeta
-        term = uk * powz
-        active &= np.abs(term) < np.abs(term_prev)
-        if not active.any():
-            break
-        term_prev = np.where(active, term, term_prev)
-        sign = -1.0 if k % 2 else 1.0
-        su_alt += np.where(active, sign * term, 0.0)
-        sv_alt += np.where(active, sign * vk * powz, 0.0)
-        half = (-1.0) ** (k // 2)
-        if k % 2 == 0:
-            su_even += np.where(active, half * term, 0.0)
-            sv_even += np.where(active, half * vk * powz, 0.0)
-        else:
-            su_odd += np.where(active, half * term, 0.0)
-            sv_odd += np.where(active, half * vk * powz, 0.0)
-    return su_alt, sv_alt, su_even, su_odd, sv_even, sv_odd
-
-
-def _airy_all(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).astype(float)
-    ai = np.empty_like(x)
-    aip = np.empty_like(x)
-    bi_v = np.empty_like(x)
-
-    core = np.abs(x) <= _SERIES_CUT
-    if core.any():
-        xs = x[core]
-        f, g, fp, gp = _airy_series(xs)
-        ai[core] = _AI0 * f + _AIP0 * g
-        aip[core] = _AI0 * fp + _AIP0 * gp
-        bi_v[core] = _BI0 * f + _BIP0 * g
-
-    pos = x > _SERIES_CUT
-    if pos.any():
-        z = x[pos]
-        zeta = 2.0 / 3.0 * z ** 1.5
-        su, sv, *_ = _airy_uv_terms(zeta)
-        q = np.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-        ai[pos] = q * su / z ** 0.25
-        aip[pos] = -q * sv * z ** 0.25
-        bi_v[pos] = np.exp(zeta) / (math.sqrt(math.pi) * z ** 0.25) * _airy_u_plain(zeta)
-
-    neg = x < -_SERIES_CUT
-    if neg.any():
-        z = -x[neg]
-        zeta = 2.0 / 3.0 * z ** 1.5
-        _, _, su_e, su_o, sv_e, sv_o = _airy_uv_terms(zeta)
-        co = np.cos(zeta - math.pi / 4.0)
-        si = np.sin(zeta - math.pi / 4.0)
-        rq = 1.0 / (math.sqrt(math.pi) * z ** 0.25)
-        ai[neg] = rq * (co * su_e + si * su_o)
-        aip[neg] = z ** 0.25 / math.sqrt(math.pi) * (si * sv_e - co * sv_o)
-        bi_v[neg] = rq * (-si * su_e + co * su_o)
-
-    if scalar:
-        return ai[0], aip[0], bi_v[0]
-    return ai, aip, bi_v
-
-
-def _airy_u_plain(zeta: np.ndarray) -> np.ndarray:
-    # non-alternating u-sum for the exponentially growing solution
-    s = np.ones_like(zeta)
-    uk = 1.0
-    powz = np.ones_like(zeta)
-    prev = np.full_like(zeta, np.inf)
-    active = np.ones(zeta.shape, dtype=bool)
-    for k in range(1, 40):
-        uk = uk * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        powz = powz / zeta
-        term = uk * powz
-        active &= np.abs(term) < np.abs(prev)
-        if not active.any():
-            break
-        prev = np.where(active, term, prev)
-        s += np.where(active, term, 0.0)
-    return s
-
-
 def airy(x):
-    """Airy function Ai, accurate to 1e-10 absolute on [-15, 15]."""
-    return _airy_all(x)[0]
+    """Airy function Ai."""
+    return scipy.special.airy(x)[0]
 
 
 def airy_prime(x):
     """Derivative Ai'."""
-    return _airy_all(x)[1]
+    return scipy.special.airy(x)[1]
 
 
 def bi(x):
     """Companion solution Bi of y'' = x y."""
-    return _airy_all(x)[2]
+    return scipy.special.airy(x)[2]
 
 
 def airy_kernel(u, v):
@@ -353,15 +214,15 @@ def airy_kernel(u, v):
     u = np.atleast_1d(u)
     v = np.atleast_1d(v)
     out = np.empty_like(u)
-    near = np.abs(u - v) < _DIAG_TOL
+    near = np.abs(u - v) < DIAG_TOL
     if near.any():
         m = 0.5 * (u[near] + v[near])
-        ai, aip, _ = _airy_all(m)
+        ai, aip, _, _ = scipy.special.airy(m)
         out[near] = aip * aip - m * ai * ai
     far = ~near
     if far.any():
-        ai_u, aip_u, _ = _airy_all(u[far])
-        ai_v, aip_v, _ = _airy_all(v[far])
+        ai_u, aip_u, _, _ = scipy.special.airy(u[far])
+        ai_v, aip_v, _, _ = scipy.special.airy(v[far])
         out[far] = (ai_u * aip_v - ai_v * aip_u) / (u[far] - v[far])
     return out[0] if scalar else out
 
@@ -370,82 +231,19 @@ def airy_kernel(u, v):
 # Bessel functions of the first kind, nonnegative integer order
 
 
-def _bessel_series(b: int, z: np.ndarray) -> np.ndarray:
-    # J_b(z) = (z/2)^b sum (-1)^m (z/2)^{2m} / (m! (m+b)!)
-    half = 0.5 * z
-    with np.errstate(divide="ignore"):
-        log_pref = b * np.where(z > 0, np.log(np.where(z > 0, half, 1.0)), 0.0)
-    pref = np.where(z > 0, np.exp(log_pref - math.lgamma(b + 1.0)), 1.0 if b == 0 else 0.0)
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    hh = half * half
-    for m in range(1, 200):
-        term = -term * hh / (m * (m + b))
-        total += term
-        if np.abs(term).max() <= 1e-17 * max(np.abs(total).max(), 1e-300):
-            break
-    return pref * total
-
-
-def _bessel_hankel(b: int, z: np.ndarray) -> np.ndarray:
-    # large-argument expansion: J_b = sqrt(2/(pi z)) (cos w * P - sin w * Q)
-    omega = z - 0.5 * b * math.pi - 0.25 * math.pi
-    p = np.ones_like(z)
-    q = np.zeros_like(z)
-    ak = 1.0
-    powz = np.ones_like(z)
-    prev = np.full_like(z, np.inf)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(1, 60):
-        ak = ak * (4.0 * b * b - (2 * k - 1) ** 2) / (k * 8.0)
-        powz = powz / z
-        term = ak * powz
-        active &= np.abs(term) < np.abs(prev)
-        prev = np.where(active, term, prev)
-        contrib = np.where(active, term, 0.0)
-        half_sign = (-1.0) ** (k // 2)
-        if k % 2 == 0:
-            p += half_sign * contrib
-        else:
-            q += half_sign * contrib
-        if not active.any():
-            break
-    return np.sqrt(2.0 / (math.pi * z)) * (np.cos(omega) * p - np.sin(omega) * q)
+def _check_order(b) -> int:
+    if b < 0 or b != int(b):
+        raise ParameterError(f"order must be a nonnegative integer, got {b}")
+    return int(b)
 
 
 def bessel_j(b: int, z):
-    """Bessel function J_b for integer b >= 0, accurate to 1e-10 on [0, 60].
-
-    Series below z = 16 (any order); beyond that the large-argument
-    expansion, applied directly when b^2 <= z and otherwise reached through
-    the upward order recurrence from J_0, J_1 (stable while b < z).
-    """
-    if b < 0 or b != int(b):
-        raise ParameterError(f"order must be a nonnegative integer, got {b}")
-    b = int(b)
+    """Bessel function J_b for integer b >= 0 and z >= 0."""
+    b = _check_order(b)
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z).astype(float)
     if (z < 0).any():
         raise DomainError("negative argument")
-    out = np.empty_like(z)
-    small = z <= 16.0
-    if small.any():
-        out[small] = _bessel_series(b, z[small])
-    big = ~small
-    if big.any():
-        zb = z[big]
-        if b * b <= zb.min():
-            out[big] = _bessel_hankel(b, zb)
-        else:
-            jm, jc = _bessel_hankel(0, zb), _bessel_hankel(1, zb)
-            if b == 0:
-                out[big] = jm
-            else:
-                for m in range(1, b):
-                    jm, jc = jc, (2.0 * m / zb) * jc - jm
-                out[big] = jc
-    return out[0] if scalar else out
+    return scipy.special.jv(b, z)
 
 
 def bessel_j_prime(b: int, z):
@@ -467,18 +265,17 @@ def bessel_kernel(b: int, u, v):
     J_{b+1}(sv)) / (2(u-v)) used off the diagonal.  The confluent diagonal
     (|u-v| < 1e-6) is (J_b'(s)^2 + (1 - b^2/u) J_b(s)^2) / 4 at the midpoint.
     """
-    if b < 0 or b != int(b):
-        raise ParameterError(f"order must be a nonnegative integer, got {b}")
+    b = _check_order(b)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     u, v = np.broadcast_arrays(u, v)
     scalar = u.ndim == 0
-    u = np.atleast_1d(u).copy()
-    v = np.atleast_1d(v).copy()
+    u = np.atleast_1d(u)
+    v = np.atleast_1d(v)
     if (u <= 0).any() or (v <= 0).any():
         raise DomainError("hard-edge kernel needs u, v > 0")
     out = np.empty_like(u)
-    near = np.abs(u - v) < _DIAG_TOL
+    near = np.abs(u - v) < DIAG_TOL
     if near.any():
         m = 0.5 * (u[near] + v[near])
         s = np.sqrt(m)

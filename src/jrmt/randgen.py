@@ -42,8 +42,16 @@ class SeededStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        """Fresh PCG64 generator deterministically keyed by (seed, stream_id)."""
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+        """Fresh PCG64 generator deterministically keyed by (seed, stream_id).
+
+        A negative seed or stream_id raises ParameterError.
+        """
+        try:
+            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+        except ValueError as e:
+            raise ParameterError(
+                f"seed and stream_id must be >= 0, got {self.seed}, {self.stream_id}"
+            ) from e
         return np.random.Generator(np.random.PCG64(ss))
 
     def child(self, stream_id: int) -> "SeededStream":

@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from jrmt.cdkernel import KernelSpec, finite_profile, kernel, soft_edge
 from jrmt.empirics import (
@@ -130,6 +131,7 @@ def test_criterion_06_gap_consistency():
     _verdict(6, "gap probability vs Monte Carlo", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_07_rescaled_largest_eigenvalue_law():
     n = 400
     spec = KernelSpec(n, float(n // 2), float(n // 2))  # ultraspherical a = b = n/2

@@ -16,7 +16,7 @@ from jrmt.cdkernel import (
 )
 from jrmt.errors import DomainError, ParameterError
 from jrmt.fredholm import gauss_legendre
-from jrmt.limits import airy_kernel, airy_prime, bessel_kernel, sine_kernel
+from jrmt.limits import DIAG_TOL, airy_kernel, airy_prime, bessel_kernel, sine_kernel
 
 
 def test_rank_one_kernel_is_constant_half():
@@ -39,7 +39,7 @@ def test_kernel_diagonal_positive():
 def test_kernel_continuity_at_diagonal_switch():
     spec = KernelSpec(10, 3.0, 1.5)
     x = 0.2
-    gap = spec.diag_switch_tol * max(1.0, abs(x))
+    gap = DIAG_TOL * max(1.0, abs(x))
     cd_form = kernel(spec, x, x + 1.0000001 * gap)
     confluent = kernel(spec, x, x + 0.9999999 * gap)
     assert cd_form == pytest.approx(confluent, rel=1e-8)

@@ -137,6 +137,26 @@ def test_angles_rejects_bad_ranks():
     assert main(["angles", "--n", "10", "--q", "11", "--qprime", "2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "48", "--q", "12", "--qtilde", "18", "--seed", "-1"],
+        ["sample", "--n", "48", "--q", "12", "--qtilde", "18", "--trials", "-2"],
+        ["angles", "--n", "200", "--q", "50", "--qprime", "60", "--trials", "0"],
+        ["sample", "--n", "48", "--q", "12", "--qtilde", "18", "--out", "{missing}/s.csv"],
+        ["gap", "--n", "12", "--a", "6", "--b", "3", "--x", "0.9", "--quad", "100000"],
+        ["tw", "--t", "0", "--quad", "2049"],
+    ],
+)
+def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "no-such-dir") for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jrmt: ")
+    assert "Traceback" not in captured.err
+
+
 def test_usage_error_exit_code():
     assert main(["sample", "--n", "10"]) == 2  # missing required flags
 

@@ -22,7 +22,9 @@ from jrmt.limits import (
 )
 
 # Frozen 40-digit reference values from an independent arbitrary-precision
-# series evaluation (tests/make_special_refs.py regenerates them).
+# series evaluation (tests/make_special_refs.py regenerates them).  The
+# *_DECAY_* rows sit where Ai decays and are held to relative accuracy; the
+# *_WIDE_* rows take large arguments and an order above the argument.
 AI_REFERENCE = [
     (-14.5, "-0.03059741893955142282119372095576273753855"),
     (-11.0, "-0.008759589255702381289966088468981292377435"),
@@ -60,6 +62,35 @@ BESSEL_REFERENCE = [
     (2, 12.0, "-0.08493049487860480535176130853547866490899"),
     (3, 24.0, "0.161270359972276637712085609851152965489"),
     (5, 40.0, "0.1225734659771177869886303652650421252197"),
+]
+
+AI_DECAY_REFERENCE = [
+    (4.0, "0.0009515638512048018736214999689001287600277"),
+    (5.0, "0.0001083444281360744173498650250334598047958"),
+    (6.0, "0.000009947694360252889570238847668828779047343"),
+    (6.5, "0.000002795882343204913585459995748810918799174"),
+    (8.0, "0.00000004692207616099231625649081703488224455253"),
+    (12.0, "1.393184688875360839049034503195532280649e-13"),
+    (20.0, "1.69167286867054031355356021250935132237e-27"),
+]
+
+AIP_DECAY_REFERENCE = [
+    (4.0, "-0.001958640950204178900138140918409032580845"),
+    (5.0, "-0.0002474138908684624760002361720630506056558"),
+    (6.0, "-0.00002476520039703495475418182538698540387637"),
+    (6.5, "-0.000007231931466601792559814248837755005414552"),
+    (8.0, "-0.000000134143929790678657429115370793202424157"),
+    (12.0, "-4.854736554985308462993653997695480545773e-13"),
+    (20.0, "-7.586391625748354960515371705912807505817e-27"),
+]
+
+BESSEL_WIDE_REFERENCE = [
+    (0, 100.0, "0.01998585030422312242422839095084899068063"),
+    (2, 80.0, "0.0683407330953172084020087207251145247863"),
+    (20, 17.0, "0.03618536310859174681044563885376263307151"),
+    (5, 250.0, "-0.04446943851215875468279442650992545157893"),
+    (40, 30.0, "0.0003612023608896585308901516542636420208819"),
+    (60, 40.0, "0.0000001309267138298198860009467479974075797935"),
 ]
 
 
@@ -218,6 +249,13 @@ def test_airy_reference_values():
         assert abs(airy_prime(x) - float(ref)) < 1e-10, f"Ai'({x})"
 
 
+def test_airy_relative_accuracy_where_ai_decays():
+    for x, ref in AI_DECAY_REFERENCE:
+        assert abs(airy(x) / float(ref) - 1.0) < 1e-12, f"Ai({x})"
+    for x, ref in AIP_DECAY_REFERENCE:
+        assert abs(airy_prime(x) / float(ref) - 1.0) < 1e-12, f"Ai'({x})"
+
+
 def test_airy_zero_value_closed_form():
     assert airy(0.0) == pytest.approx(9.0 ** (-1.0 / 3.0) / math.gamma(2.0 / 3.0), rel=1e-14)
 
@@ -262,6 +300,11 @@ def test_airy_kernel_confluent_continuity():
 def test_bessel_reference_values():
     for b, z, ref in BESSEL_REFERENCE:
         assert abs(bessel_j(b, z) - float(ref)) < 1e-10, f"J_{b}({z})"
+
+
+def test_bessel_wide_reference_values():
+    for b, z, ref in BESSEL_WIDE_REFERENCE:
+        assert abs(bessel_j(b, z) - float(ref)) < 1e-12, f"J_{b}({z})"
 
 
 def test_bessel_at_zero():

@@ -11,16 +11,15 @@ from jrmt.orthopoly import (
     chi,
     chi_numerator,
     chi_prime,
+    chi_zeros,
     g_n,
     gamma_n,
-    gamma_n_stirling,
-    interior_asymptotic,
     jacobi_deriv,
     jacobi_eval,
     jacobi_pair,
-    oscillation_angles,
     weight,
 )
+from tests.wkb_oracle import gamma_n_stirling, interior_asymptotic, oscillation_angles
 
 # ---------------------------------------------------------------------------
 # scaled arithmetic
@@ -262,6 +261,14 @@ def test_chi_numerator_matches_chi():
     for x in (-0.7, 0.0, 0.5):
         quad = (c2 * x * x + c1 * x + c0) / (4 * (1 - x * x) ** 2)
         assert quad == pytest.approx(chi(n, a, b, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,a,b", [(12, 6.0, 3.0), (400, 200.0, 200.0), (50, 0.0, 40.0)])
+def test_chi_zeros_are_roots_of_numerator(n, a, b):
+    c2, c1, c0 = chi_numerator(n, a, b)
+    r, s = chi_zeros(n, a, b)
+    assert r < s
+    assert (r, s) == pytest.approx(sorted(np.roots([c2, c1, c0]).real), rel=1e-12, abs=1e-15)
 
 
 def test_weighted_polynomial_solves_ode():
