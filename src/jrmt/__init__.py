@@ -3,9 +3,9 @@
 The package covers the full chain from sampling to universality checks:
 
 - ``randgen``: seeded complex Gaussians, Haar unitaries, random projectors
-- ``matalg``: Hermitian eigendecomposition, inverse square roots, principal angles
+- ``matalg``: Hermitian eigendecomposition and principal angles
 - ``ensembles``: the projector-compression and Wishart-ratio constructions
-- ``orthopoly``: Jacobi polynomials in overflow-safe scaled arithmetic
+- ``orthopoly``: Jacobi polynomials by an array recurrence rescaled in powers of two
 - ``cdkernel``: the Christoffel-Darboux kernel and its bulk/edge rescalings
 - ``limits``: limiting densities and the sine, Airy, and Bessel kernels
   (Airy and Bessel functions from ``scipy.special``)
@@ -39,7 +39,6 @@ from .empirics import (
 from .ensembles import (
     ProjectorPair,
     ReductionPlan,
-    jacobi_wishart,
     projector_product,
     reduce_ranks,
     sample_largest,
@@ -72,7 +71,7 @@ from .limits import (
     sine_kernel,
     wishart_ratio_density,
 )
-from .matalg import eig_hermitian, inv_sqrt_psd, principal_cosines
+from .matalg import eig_hermitian, principal_cosines
 from .orthopoly import (
     ScaledValue,
     chi,

@@ -1,28 +1,25 @@
 """Finite-n Christoffel-Darboux kernel of the Jacobi weight and its rescalings.
 
 The kernel is the rank-n projection kernel in L^2(dx) on [-1, 1] built from
-the orthonormalized Jacobi polynomials.  All internal products (the
-normalization constant, the weight halves, the polynomial values) are
-assembled in log scale and exponentiated only at the end: each factor alone
+the orthonormalized Jacobi polynomials.  Each factor of a kernel value (the
+normalization constant, the weight halves, the polynomial values) alone
 overflows or underflows doubles once a, b grow like n, while the assembled
-kernel value stays moderate.
+value stays moderate.  So the polynomials come from the array recurrence
+:func:`~jrmt.orthopoly.jacobi_pair_scaled` as mantissas times exact powers
+of two, the other factors as logs, and the two meet in one ``np.ldexp`` per
+value.  Every function here accepts scalars or numpy arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NumericError, ParameterError, RegimeError
-from .limits import DIAG_TOL, edge_profile, limit_density
-from .orthopoly import (
-    ScaledValue,
-    chi_prime,
-    chi_zeros,
-    gamma_n,
-    jacobi_pair,
-    log_sq_norm,
-    weight,
-)
+from .limits import _integrable_kernel, edge_profile, limit_density
+from .orthopoly import chi_prime, chi_zeros, jacobi_pair_scaled, log_gamma_n
 
 __all__ = [
     "KernelSpec",
@@ -35,6 +32,8 @@ __all__ = [
     "rescaled_soft",
     "rescaled_hard",
 ]
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -52,86 +51,65 @@ class KernelSpec:
             raise ParameterError(f"need a, b >= 0, got a={self.a}, b={self.b}")
 
 
-def _check_open_interval(*xs: float) -> None:
+def _check_open_interval(*xs) -> None:
     for x in xs:
-        if not -1.0 < x < 1.0:
-            raise DomainError(f"argument {x} outside (-1, 1)")
+        x = np.asarray(x, dtype=float)
+        bad = ~((-1.0 < x) & (x < 1.0))
+        if bad.any():
+            raise DomainError(f"argument {x[bad][0]} outside (-1, 1)")
 
 
-def _weight_half(a: float, b: float, x: float) -> ScaledValue:
-    return weight(a / 2.0, b / 2.0, x)
+def _log_weight_half(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
+    # log of (1-x)^{a/2} (1+x)^{b/2}
+    return 0.5 * (spec.a * np.log1p(-x) + spec.b * np.log1p(x))
 
 
-def _wronskian_terms(spec: KernelSpec, x: float) -> tuple[ScaledValue, ScaledValue]:
-    """(D0, D1) with D0 = P_{n-1} P_n' - P_n P_{n-1}' and D1 its primed analogue.
-
-    Derivatives come from the parameter-shift ladder: P_n' is a multiple of
-    the degree n-1 polynomial at (a+1, b+1) and P_n'' of degree n-2 at
-    (a+2, b+2).
-    """
-    n, a, b = spec.n, spec.a, spec.b
-    pnm1, pn = jacobi_pair(n, a, b, x)
-    q_nm2, q_nm1 = jacobi_pair(n - 1, a + 1.0, b + 1.0, x)
-    dpn = 0.5 * (n + a + b + 1.0) * q_nm1
-    dpnm1 = 0.5 * (n + a + b) * q_nm2
-    d0 = pnm1 * dpn - pn * dpnm1
-    if n >= 2:
-        r_nm3, r_nm2 = jacobi_pair(n - 2, a + 2.0, b + 2.0, x)
-        ddpn = 0.25 * (n + a + b + 1.0) * (n + a + b + 2.0) * r_nm2
-        ddpnm1 = 0.25 * (n + a + b) * (n + a + b + 1.0) * r_nm3
-        d1 = pnm1 * ddpn - pn * ddpnm1
-    else:
-        d1 = ScaledValue.from_float(0.0)
-    return d0, d1
+def _scaled(m: np.ndarray, log_c: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """m * exp(log_c) * 2**e; the integer part of log_c / ln 2 joins the exponent."""
+    k = np.rint(log_c / _LN2)
+    return np.ldexp(m * np.exp(log_c - k * _LN2), e + k.astype(int))
 
 
-def kernel(spec: KernelSpec, x: float, y: float) -> float:
-    """K_n^{a,b}(x, y) for x, y in (-1, 1).
+def kernel(spec: KernelSpec, x, y):
+    """K_n^{a,b}(x, y) for x, y in (-1, 1), on scalars or arrays that broadcast.
 
     Away from the diagonal this is the Christoffel-Darboux ratio
-    gamma_n sqrt(w(x) w(y)) (P_n(x) P_{n-1}(y) - P_{n-1}(x) P_n(y)) / (x-y);
-    within ``DIAG_TOL`` (relative to max(1, |x|, |y|)) the ratio is
-    0/0 with catastrophic cancellation, so the confluent Wronskian form
-    extended by a first-order Taylor term in (y - x) is used instead.
+    (f(x) g(y) - g(x) f(y)) / (x - y) with f, g = sqrt(gamma_n w) (P_n, P_{n-1}).
+    Within ``DIAG_TOL`` the ratio is 0/0 with catastrophic cancellation, so
+    the confluent Wronskian form at x <= y, extended by a first-order Taylor
+    term in (y - x), is used instead.
     """
     _check_open_interval(x, y)
-    if x > y:
-        x, y = y, x  # kernel is symmetric; canonical order makes that exact
     n, a, b = spec.n, spec.a, spec.b
-    gam = gamma_n(n, a, b)
-    whx = _weight_half(a, b, x)
-    why = _weight_half(a, b, y)
-    cut = DIAG_TOL * max(1.0, abs(x), abs(y))
-    if abs(x - y) >= cut:
-        pm_x, pn_x = jacobi_pair(n, a, b, x)
-        pm_y, pn_y = jacobi_pair(n, a, b, y)
-        num = pn_x * pm_y - pm_x * pn_y
-        return (gam * whx * why * num).value() / (x - y)
-    d0, d1 = _wronskian_terms(spec, x)
-    series = d0 + (0.5 * (y - x)) * d1
-    return (gam * whx * why * series).value()
+    log_gam = log_gamma_n(n, a, b)
+
+    def nodes(z):
+        pm, p, e = jacobi_pair_scaled(n, a, b, z)
+        log_c = 0.5 * log_gam + _log_weight_half(spec, z)
+        return _scaled(p, log_c, e), _scaled(pm, log_c, e)
+
+    def near(x, y):
+        # d = D0 + (y - x)/2 D1 with D0 = P_{n-1} P_n' - P_n P_{n-1}' and D1
+        # its primed analogue; derivatives come from the parameter-shift
+        # ladder: P_n' is a multiple of the degree n-1 polynomial at
+        # (a+1, b+1) and P_n'' of degree n-2 at (a+2, b+2)
+        pm, p, e0 = jacobi_pair_scaled(n, a, b, x)
+        q0, q1, e1 = jacobi_pair_scaled(n - 1, a + 1.0, b + 1.0, x)
+        d = pm * (0.5 * (n + a + b + 1.0) * q1) - p * (0.5 * (n + a + b) * q0)
+        if n >= 2 and (y != x).any():  # the Taylor term vanishes on the diagonal
+            r0, r1, e2 = jacobi_pair_scaled(n - 2, a + 2.0, b + 2.0, x)
+            ddpn = 0.25 * (n + a + b + 1.0) * (n + a + b + 2.0) * r1
+            ddpnm1 = 0.25 * (n + a + b) * (n + a + b + 1.0) * r0
+            d = d + (0.5 * (y - x)) * np.ldexp(pm * ddpn - p * ddpnm1, e2 - e1)
+        log_c = log_gam + _log_weight_half(spec, x) + _log_weight_half(spec, y)
+        return _scaled(d, log_c, e0 + e1)
+
+    return _integrable_kernel(x, y, nodes, near)
 
 
-def one_point_density(spec: KernelSpec, x: float) -> float:
-    """Expected normalized eigenvalue density n^{-1} K_n(x, x).
-
-    Uses the parameter-shift product form
-    gamma_n w(x) [ (n+a+b)/2 (P_{n-1} Q_{n-1} - P_n Q_{n-2}) + P_{n-1} Q_{n-1}/2 ]
-    with Q the (a+1, b+1) family; for n = 1 it falls back to the
-    sum-of-squares definition (a single orthonormal polynomial).
-    """
-    _check_open_interval(x)
-    n, a, b = spec.n, spec.a, spec.b
-    w_full = weight(a, b, x)
-    if n == 1:
-        # K_1(x,x) = w(x) / ||1||^2 with the norm under the bare weight
-        log_norm = log_sq_norm(0, a, b)
-        return (w_full * ScaledValue.from_log(-log_norm)).value()
-    pnm1, pn = jacobi_pair(n, a, b, x)
-    q_nm2, q_nm1 = jacobi_pair(n - 1, a + 1.0, b + 1.0, x)
-    core = (0.5 * (n + a + b)) * (pnm1 * q_nm1 - pn * q_nm2) + 0.5 * (pnm1 * q_nm1)
-    val = (gamma_n(n, a, b) * w_full * core).value()
-    return val / n
+def one_point_density(spec: KernelSpec, x):
+    """Expected normalized eigenvalue density n^{-1} K_n(x, x)."""
+    return kernel(spec, x, x) / spec.n
 
 
 def finite_profile(spec: KernelSpec):
@@ -164,7 +142,7 @@ def hard_edge_scale(spec: KernelSpec) -> float:
     return 2.0 * spec.n * spec.n * (1.0 + spec.a / spec.n)
 
 
-def rescaled_bulk(spec: KernelSpec, x: float, u: float, v: float) -> float:
+def rescaled_bulk(spec: KernelSpec, x: float, u, v):
     """Bulk-rescaled kernel K_n(x + u/(n f_n), x + v/(n f_n)) / (n f_n).
 
     Converges to the sine kernel sin(pi(u-v))/(pi(u-v)) for x strictly
@@ -177,26 +155,20 @@ def rescaled_bulk(spec: KernelSpec, x: float, u: float, v: float) -> float:
     if not fx > 0.0:
         raise DomainError(f"density vanishes at x={x}")
     scale = spec.n * fx
-    xu = x + u / scale
-    xv = x + v / scale
-    _check_open_interval(xu, xv)
-    return kernel(spec, xu, xv) / scale
+    return kernel(spec, x + np.asarray(u) / scale, x + np.asarray(v) / scale) / scale
 
 
-def rescaled_soft(spec: KernelSpec, u: float, v: float) -> float:
+def rescaled_soft(spec: KernelSpec, u, v):
     """Soft-edge-rescaled kernel K_n(s_n + u/h_n, s_n + v/h_n) / h_n.
 
     Converges to the Airy kernel; needs a/n bounded away from zero so the
     upper edge is of square-root type.
     """
     s, h = soft_edge(spec)
-    xu = s + u / h
-    xv = s + v / h
-    _check_open_interval(xu, xv)
-    return kernel(spec, xu, xv) / h
+    return kernel(spec, s + np.asarray(u) / h, s + np.asarray(v) / h) / h
 
 
-def rescaled_hard(spec: KernelSpec, u: float, v: float) -> float:
+def rescaled_hard(spec: KernelSpec, u, v):
     """Hard-edge-rescaled kernel at -1 with scale c_n = 2 n^2 (1 + a/n).
 
     Converges to the order-b Bessel kernel; the order must be a constant
@@ -204,11 +176,7 @@ def rescaled_hard(spec: KernelSpec, u: float, v: float) -> float:
     """
     if spec.b != int(spec.b):
         raise ParameterError(f"hard edge needs integer b, got {spec.b}")
-    if u <= 0 or v <= 0:
+    if (np.asarray(u) <= 0).any() or (np.asarray(v) <= 0).any():
         raise DomainError("hard-edge coordinates must be positive")
     c = hard_edge_scale(spec)
-    xu = -1.0 + u / c
-    xv = -1.0 + v / c
-    _check_open_interval(xu, xv)
-    return kernel(spec, xu, xv) / c
-
+    return kernel(spec, -1.0 + np.asarray(u) / c, -1.0 + np.asarray(v) / c) / c

@@ -40,7 +40,7 @@ from .randgen import SeededStream, random_isometry
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
-MAX_QUAD = 2048  # the Nystrom matrix is quad x quad, built from quad^2 kernel calls
+MAX_QUAD = 2048  # the Nystrom matrix is quad x quad: quad^2 kernel entries, an O(quad^3) det
 
 
 def _fmt(v: float) -> str:
@@ -161,10 +161,7 @@ def cmd_density(args) -> None:
         "grid": args.grid,
         "support": [prof.r, prof.s],
     }
-    rows = [
-        [float(x), one_point_density(spec, float(x)), float(limit_density(prof, float(x)))]
-        for x in xs
-    ]
+    rows = np.column_stack([xs, one_point_density(spec, xs), limit_density(prof, xs)])
     _emit(args.out, _csv_text(config, ["x", "finite_n_density", "limit_f"], rows))
 
 
@@ -181,36 +178,25 @@ def cmd_kernel(args) -> None:
         "ugrid": args.ugrid,
         "vgrid": args.vgrid or args.ugrid,
     }
+    u, v = (g.ravel() for g in np.meshgrid(us, vs, indexing="ij"))
     if args.regime == "bulk":
         prof = finite_profile(spec)
         x0 = 0.5 * (prof.r + prof.s) if args.x is None else args.x
         config["x"] = x0
-        rows = [
-            [u, v, rescaled_bulk(spec, x0, float(u), float(v)), float(sine_kernel(u, v))]
-            for u in us
-            for v in vs
-        ]
+        values = rescaled_bulk(spec, x0, u, v), sine_kernel(u, v)
     elif args.regime == "soft":
         s, h = soft_edge(spec)
         config["edge"] = s
         config["scale"] = h
-        rows = [
-            [u, v, rescaled_soft(spec, float(u), float(v)), float(airy_kernel(u, v))]
-            for u in us
-            for v in vs
-        ]
+        values = rescaled_soft(spec, u, v), airy_kernel(u, v)
     elif args.regime == "hard":
         if args.b != int(args.b):
             raise ParameterError(f"hard regime needs integer b, got {args.b}")
         config["scale"] = hard_edge_scale(spec)
-        bo = int(args.b)
-        rows = [
-            [u, v, rescaled_hard(spec, float(u), float(v)), float(bessel_kernel(bo, u, v))]
-            for u in us
-            for v in vs
-        ]
+        values = rescaled_hard(spec, u, v), bessel_kernel(int(args.b), u, v)
     else:
         raise ParameterError(f"unknown regime {args.regime!r}")
+    rows = np.column_stack([u, v, *values])
     _emit(args.out, _csv_text(config, ["u", "v", "rescaled_kernel", "limit_kernel"], rows))
 
 

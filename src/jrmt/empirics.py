@@ -146,34 +146,28 @@ def _sup_error_onepoint(spec: ExperimentSpec, n: int) -> float:
     prof = edge_profile(spec.alpha, spec.beta)
     xs = np.linspace(prof.r + spec.x_margin, prof.s - spec.x_margin, spec.x_points)
     ks = KernelSpec(n, spec.alpha * n, spec.beta * n)
-    errs = [abs(one_point_density(ks, float(x)) - limit_density(prof, float(x))) for x in xs]
-    return max(errs)
+    return float(np.abs(one_point_density(ks, xs) - limit_density(prof, xs)).max())
 
 
 def _sup_error_grid(spec: ExperimentSpec, n: int) -> float:
     grid = np.asarray(spec.u_grid, dtype=float)
     if grid.size == 0:
         raise ParameterError("grid regimes need a nonempty u_grid")
+    u, v = np.meshgrid(grid, grid, indexing="ij")
     if spec.regime == "bulk":
         ks = KernelSpec(n, spec.alpha * n, spec.beta * n)
         prof = edge_profile(spec.alpha, spec.beta)
         x0 = 0.5 * (prof.r + prof.s)
-        pairs = [
-            (abs(rescaled_bulk(ks, x0, u, v) - sine_kernel(u, v))) for u in grid for v in grid
-        ]
-        return max(pairs)
-    if spec.regime == "soft":
+        err = rescaled_bulk(ks, x0, u, v) - sine_kernel(u, v)
+    elif spec.regime == "soft":
         ks = KernelSpec(n, spec.alpha * n, spec.beta * n)
-        return max(
-            abs(rescaled_soft(ks, u, v) - airy_kernel(u, v)) for u in grid for v in grid
-        )
-    if spec.regime == "hard":
+        err = rescaled_soft(ks, u, v) - airy_kernel(u, v)
+    elif spec.regime == "hard":
         ks = KernelSpec(n, spec.alpha * n, float(spec.bessel_order))
-        bo = spec.bessel_order
-        return max(
-            abs(rescaled_hard(ks, u, v) - bessel_kernel(bo, u, v)) for u in grid for v in grid
-        )
-    raise ParameterError(f"unknown regime {spec.regime!r}")
+        err = rescaled_hard(ks, u, v) - bessel_kernel(spec.bessel_order, u, v)
+    else:
+        raise ParameterError(f"unknown regime {spec.regime!r}")
+    return float(np.abs(err).max())
 
 
 def run_experiment(spec: ExperimentSpec) -> ConvergenceReport:

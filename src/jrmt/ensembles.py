@@ -21,14 +21,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ParameterError
-from .matalg import eig_hermitian, inv_sqrt_psd
+from .matalg import eig_hermitian
 from .randgen import SeededStream, _ginibre, _haar
 
 __all__ = [
     "ProjectorPair",
     "ReductionPlan",
     "wishart",
-    "jacobi_wishart",
     "projector_product",
     "reduce_ranks",
     "sample_spectrum",
@@ -78,20 +77,6 @@ def _check_canonical(n: int, q: int, q_tilde: int) -> None:
         raise ParameterError(
             f"need q <= q_tilde and q + q_tilde <= n, got n={n}, q={q}, q_tilde={q_tilde}"
         )
-
-
-def jacobi_wishart(stream: SeededStream, n: int, q: int, q_tilde: int) -> np.ndarray:
-    """Wishart-route sample: (X+X')^{-1/2} X (X+X')^{-1/2}, q x q.
-
-    X = wishart(q, q_tilde, 1/q), X' = wishart(q, n - q_tilde, 1/q).  All
-    eigenvalues lie in [0, 1] up to rounding.  A numerically singular X + X'
-    (an almost-sure impossibility) raises; retrying is the caller's call.
-    """
-    _check_canonical(n, q, q_tilde)
-    x, xp = _wishart_pair(stream.generator(), n, q, q_tilde)
-    r = inv_sqrt_psd(x + xp)
-    j = r @ x @ r
-    return 0.5 * (j + j.conj().T)
 
 
 def projector_product(stream: SeededStream, pair: ProjectorPair) -> np.ndarray:

@@ -3,9 +3,12 @@
 The integral operator is discretized at Gauss-Legendre nodes with the
 symmetric square-root weighting W^{1/2} K W^{1/2}, which keeps the
 discretized operator symmetric, and the determinant comes from a pivoted
-dense LU factorization.  The alternating Fredholm series expansion is kept
-out of production (it converges too slowly); the test suite uses a short
-truncation of it as an independent oracle on low-rank toy kernels.
+dense LU factorization.  Kernels are callables that broadcast over numpy
+arrays, so the m x m matrix comes from one call; the kernels of this package
+evaluate their node values once per distinct node.  The alternating
+Fredholm series expansion is kept out of production (it converges too
+slowly); the test suite uses a short truncation of it as an independent
+oracle on low-rank toy kernels.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ __all__ = ["GapQuery", "gauss_legendre", "gap_probability", "largest_eval_cdf", 
 
 @dataclass
 class GapQuery:
-    """A det(I - K) evaluation request on [lo, hi] with m quadrature nodes."""
+    """A det(I - K) evaluation request on [lo, hi] with m quadrature nodes.
+
+    ``kernel(x, y)`` must broadcast over numpy arrays: the Nystrom matrix is
+    one call on the m x m node grid, and a result of any other shape raises
+    ``ParameterError``.
+    """
 
     kernel: Callable
     interval: tuple[float, float]
@@ -46,19 +54,11 @@ def gauss_legendre(m: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _kernel_matrix(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate fn on the node grid, vectorized when the callable allows it."""
-    try:
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        k = np.asarray(fn(xx, yy), dtype=float)
-        if k.shape == xx.shape:
-            return k
-    except Exception:
-        pass
-    m = len(x)
-    k = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            k[i, j] = k[j, i] = fn(x[i], x[j])
+    """The kernel on the node grid, from one broadcasting call."""
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    k = np.asarray(fn(xx, yy), dtype=float)
+    if k.shape != xx.shape:
+        raise ParameterError(f"kernel gave shape {k.shape} on the {xx.shape} grid; it must broadcast")
     return k
 
 

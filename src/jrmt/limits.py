@@ -1,8 +1,10 @@
 """Limiting objects: spectral densities, edge profiles, sine/Airy/Bessel kernels.
 
 Airy and Bessel values come from ``scipy.special`` and accept scalars or
-numpy arrays.  All limit kernels expose a confluent diagonal, switched on
-at the same tolerance ``DIAG_TOL`` as the finite-n kernel.
+numpy arrays.  The Airy, Bessel and finite-n kernels all have the integrable
+form (f(x) g(y) - g(x) f(y)) / (x - y); :func:`_integrable_kernel` evaluates
+any of them on broadcast arrays from the node values f, g, with one
+near-diagonal switch at ``DIAG_TOL``.
 """
 
 from __future__ import annotations
@@ -34,9 +36,38 @@ __all__ = [
     "banach_angle",
 ]
 
-# |x - y| (scaled by max(1, |x|, |y|) in the finite-n kernel) below which
-# kernels switch from the difference quotient to the confluent diagonal
+# |x - y| below which integrable kernels switch from the difference quotient
+# to their confluent near-diagonal rule
 DIAG_TOL = 1e-6
+
+
+def _integrable_kernel(x, y, nodes: Callable, near: Callable):
+    """(f(x) g(y) - g(x) f(y)) / (x - y) on broadcast x, y.
+
+    ``nodes(z)`` returns the arrays (f(z), g(z)) at a 1-d array z of distinct
+    abscissae; it is called once, on every distinct abscissa of the pairs off
+    the diagonal.  ``near(x, y)`` gives the kernel on the pairs with
+    |x - y| < ``DIAG_TOL``, where the quotient cancels catastrophically.
+    Every pair is evaluated in the order x <= y with elementwise arithmetic
+    only, so K(x, y) and K(y, x) are bitwise equal, and an entry does not
+    depend on the other entries asked for with it.  Scalar in, scalar out.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    shape = x.shape
+    lo = np.minimum(x, y).ravel()
+    hi = np.maximum(x, y).ravel()
+    out = np.empty(lo.shape)
+    close = hi - lo < DIAG_TOL
+    if close.any():
+        out[close] = near(lo[close], hi[close])
+    far = ~close
+    if far.any():
+        lo, hi = lo[far], hi[far]
+        z, idx = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+        f, g = nodes(z)
+        i, j = idx[: lo.size], idx[lo.size :]
+        out[far] = (f[i] * g[j] - g[i] * f[j]) / (lo - hi)
+    return out.reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -201,30 +232,20 @@ def bi(x):
     return scipy.special.airy(x)[2]
 
 
+def _airy_near(u, v):
+    # midpoint confluent form; its error at |u - v| < DIAG_TOL is O((u-v)^2)
+    m = 0.5 * (u + v)
+    ai, aip, _, _ = scipy.special.airy(m)
+    return aip * aip - m * ai * ai
+
+
 def airy_kernel(u, v):
     """(Ai(u) Ai'(v) - Ai(v) Ai'(u)) / (u - v), confluent on the diagonal.
 
-    Near the diagonal (|u-v| < 1e-6) the midpoint confluent form
-    Ai'(m)^2 - m Ai(m)^2 is used; its error there is O((u-v)^2).
+    Near the diagonal the midpoint confluent form Ai'(m)^2 - m Ai(m)^2 is
+    used.  Accepts scalars or arrays that broadcast.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u, v = np.broadcast_arrays(u, v)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    v = np.atleast_1d(v)
-    out = np.empty_like(u)
-    near = np.abs(u - v) < DIAG_TOL
-    if near.any():
-        m = 0.5 * (u[near] + v[near])
-        ai, aip, _, _ = scipy.special.airy(m)
-        out[near] = aip * aip - m * ai * ai
-    far = ~near
-    if far.any():
-        ai_u, aip_u, _, _ = scipy.special.airy(u[far])
-        ai_v, aip_v, _, _ = scipy.special.airy(v[far])
-        out[far] = (ai_u * aip_v - ai_v * aip_u) / (u[far] - v[far])
-    return out[0] if scalar else out
+    return _integrable_kernel(u, v, lambda z: scipy.special.airy(z)[:2], _airy_near)
 
 
 # ---------------------------------------------------------------------------
@@ -261,36 +282,27 @@ def bessel_kernel(b: int, u, v):
 
     F_b(u,v) = (J_b(su) sv J_b'(sv) - J_b(sv) su J_b'(su)) / (2(u-v)) with
     su = sqrt(u), sv = sqrt(v); expanding J' through the order recurrence
-    gives the equivalent form (J_b(sv) su J_{b+1}(su) - J_b(su) sv
-    J_{b+1}(sv)) / (2(u-v)) used off the diagonal.  The confluent diagonal
-    (|u-v| < 1e-6) is (J_b'(s)^2 + (1 - b^2/u) J_b(s)^2) / 4 at the midpoint.
+    gives the integrable form with node values f(u) = su J_{b+1}(su) / 2 and
+    g(u) = J_b(su) used off the diagonal.  The confluent diagonal is
+    (J_b'(s)^2 + (1 - b^2/m) J_b(s)^2) / 4 at the midpoint m, s = sqrt(m).
+    Accepts scalars or arrays that broadcast.
     """
     b = _check_order(b)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u, v = np.broadcast_arrays(u, v)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    v = np.atleast_1d(v)
-    if (u <= 0).any() or (v <= 0).any():
+    if (np.asarray(u) <= 0).any() or (np.asarray(v) <= 0).any():
         raise DomainError("hard-edge kernel needs u, v > 0")
-    out = np.empty_like(u)
-    near = np.abs(u - v) < DIAG_TOL
-    if near.any():
-        m = 0.5 * (u[near] + v[near])
+
+    def nodes(z):
+        s = np.sqrt(z)
+        return 0.5 * s * bessel_j(b + 1, s), bessel_j(b, s)
+
+    def near(u, v):
+        m = 0.5 * (u + v)
         s = np.sqrt(m)
         jb = bessel_j(b, s)
         jp = bessel_j_prime(b, s)
-        out[near] = (jp * jp + (1.0 - b * b / m) * jb * jb) / 4.0
-    far = ~near
-    if far.any():
-        su = np.sqrt(u[far])
-        sv = np.sqrt(v[far])
-        num = bessel_j(b, sv) * su * bessel_j(b + 1, su) - bessel_j(b, su) * sv * bessel_j(
-            b + 1, sv
-        )
-        out[far] = num / (2.0 * (u[far] - v[far]))
-    return out[0] if scalar else out
+        return (jp * jp + (1.0 - b * b / m) * jb * jb) / 4.0
+
+    return _integrable_kernel(u, v, nodes, near)
 
 
 def sine_kernel(u, v):

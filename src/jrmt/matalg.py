@@ -1,12 +1,12 @@
-"""Dense Hermitian helpers: eigendecomposition, inverse square root, principal angles."""
+"""Dense Hermitian helpers: eigendecomposition and principal angles."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import ValidationError
 
-__all__ = ["check_hermitian", "eig_hermitian", "inv_sqrt_psd", "principal_cosines"]
+__all__ = ["check_hermitian", "eig_hermitian", "principal_cosines"]
 
 _HERM_TOL = 1e-12
 
@@ -35,25 +35,6 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = check_hermitian(m)
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def inv_sqrt_psd(m: np.ndarray, eps: float | None = None) -> np.ndarray:
-    """Inverse square root M^{-1/2} of a positive definite Hermitian matrix.
-
-    ``eps`` is the smallest acceptable eigenvalue (default 1e-12 * lambda_max);
-    hitting it means a matrix that should be invertible almost surely was
-    numerically singular, which is reported rather than regularized away.
-    """
-    m = check_hermitian(m)
-    vals, vecs = np.linalg.eigh(m)
-    if eps is None:
-        eps = 1e-12 * max(vals[-1], 0.0)
-    if vals[0] <= eps:
-        raise SingularMatrixError(
-            f"smallest eigenvalue {vals[0]:.3e} <= eps {eps:.3e}; matrix effectively singular"
-        )
-    r = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return 0.5 * (r + r.conj().T)
 
 
 def principal_cosines(b1: np.ndarray, b2: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Jacobi polynomials with overflow-safe scaled arithmetic.
 
-Evaluation uses the three-term recurrence carried in :class:`ScaledValue`
-numbers ``mantissa * exp(log_scale)``.  With parameters a, b comparable to
-the degree n, raw polynomial values overflow doubles past n of a few hundred
-while the quantities that matter downstream (kernel values) stay moderate,
-so every product here is assembled in log scale and exponentiated last.
+With parameters a, b comparable to the degree n, raw polynomial values
+overflow doubles past n of a few hundred while the quantities that matter
+downstream (kernel values) stay moderate.  :func:`jacobi_pair_scaled` runs
+the three-term recurrence once over a numpy array of abscissae and after
+every step divides each node's two running values by the same exact power of
+two (``np.frexp``/``np.ldexp``), so it returns mantissas plus an integer
+exponent per node and the rescaling itself never rounds.  The scalar API
+(:func:`jacobi_pair`, :func:`jacobi_eval`, ...) is its face in
+:class:`ScaledValue` numbers ``mantissa * exp(log_scale)``.
 
 Polynomial normalization: P_n(1) equals the binomial coefficient C(n+a, n).
 """
@@ -14,15 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, NumericError, ParameterError
 
 __all__ = [
     "ScaledValue",
     "jacobi_eval",
     "jacobi_pair",
+    "jacobi_pair_scaled",
     "jacobi_deriv",
     "weight",
     "gamma_n",
+    "log_gamma_n",
     "log_sq_norm",
     "chi",
     "chi_prime",
@@ -32,6 +40,10 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# steps of the array recurrence between rescalings: one step grows
+# max(|P_{k-1}|, |P_k|) by at most about (a + b)/2 + 3, so four steps stay
+# far from overflow
+_RESCALE_EVERY = 4
 
 
 @dataclass
@@ -137,25 +149,45 @@ def _log_binom(top: float, k: int) -> float:
     return math.lgamma(top + 1.0) - math.lgamma(top - k + 1.0) - math.lgamma(k + 1.0)
 
 
-def jacobi_pair(n: int, a: float, b: float, x: float) -> tuple[ScaledValue, ScaledValue]:
-    """(P_{n-1}, P_n) at x by the forward three-term recurrence.
+def jacobi_pair_scaled(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P_{n-1}, P_n) at every abscissa of x by the forward three-term recurrence.
 
-    One pass gives the two consecutive degrees every kernel formula needs.
-    P_{-1} is 0 by convention.  The recurrence coefficients stay O(1) even
-    for a, b of order n, so only the values themselves need rescaling.
+    Returns mantissa arrays pm, p and an integer exponent array e with
+    P_{n-1} = pm * 2**e and P_n = p * 2**e; P_{-1} is 0 by convention.  The
+    recurrence coefficients stay below (a + b)/2 + 3, so only the values
+    need rescaling.  Every operation is elementwise, so a node's result does
+    not depend on the other nodes in x.
     """
     _validate_params(n, a, b)
+    x = np.asarray(x, dtype=float)
+    e = np.zeros(x.shape, dtype=int)
     if n == 0:
-        return ScaledValue.from_float(0.0), ScaledValue.from_float(1.0)
-    pm = ScaledValue.from_float(1.0)
-    p = ScaledValue.from_float((a + b + 2.0) * x / 2.0 + (a - b) / 2.0)
-    for k in range(2, n + 1):
-        t = 2.0 * k + a + b
-        c1 = 2.0 * k * (k + a + b) * (t - 2.0)
-        c2 = (t - 1.0) * (t * (t - 2.0) * x + a * a - b * b)
-        c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * t
-        pm, p = p, (c2 / c1) * p - (c3 / c1) * pm
-    return pm, p
+        return np.zeros_like(x), np.ones_like(x), e
+    k = np.arange(2.0, n + 1.0)
+    t = 2.0 * k + a + b
+    c1 = 2.0 * k * (k + a + b) * (t - 2.0)
+    # P_k = (slope x + offset) P_{k-1} - drag P_{k-2}
+    slope = ((t - 1.0) * t * (t - 2.0) / c1).tolist()
+    offset = ((t - 1.0) * (a * a - b * b) / c1).tolist()
+    drag = (2.0 * (k + a - 1.0) * (k + b - 1.0) * t / c1).tolist()
+    pm = np.ones_like(x)
+    p = (a + b + 2.0) * x / 2.0 + (a - b) / 2.0
+    for j, (sl, of, dr) in enumerate(zip(slope, offset, drag)):
+        pm, p = p, (sl * x + of) * p - dr * pm
+        if j % _RESCALE_EVERY == 0:
+            # a zero p leaves its exponent at 0; otherwise |pm/p| stays far
+            # from overflow, since a nonzero difference of doubles is not far
+            # below them
+            step = np.frexp(p)[1]
+            pm, p, e = np.ldexp(pm, -step), np.ldexp(p, -step), e + step
+    return pm, p, e
+
+
+def jacobi_pair(n: int, a: float, b: float, x: float) -> tuple[ScaledValue, ScaledValue]:
+    """(P_{n-1}, P_n) at a scalar x: the scalar face of :func:`jacobi_pair_scaled`."""
+    pm, p, e = jacobi_pair_scaled(n, a, b, x)
+    log_scale = int(e) * _LN2
+    return ScaledValue(float(pm), log_scale), ScaledValue(float(p), log_scale)
 
 
 def jacobi_eval(n: int, a: float, b: float, x: float) -> ScaledValue:
@@ -193,8 +225,8 @@ def weight(a: float, b: float, x: float) -> ScaledValue:
     return ScaledValue.from_log(log_w)
 
 
-def gamma_n(n: int, a: float, b: float) -> ScaledValue:
-    """Christoffel-Darboux normalization constant of the degree-n kernel.
+def log_gamma_n(n: int, a: float, b: float) -> float:
+    """log of the Christoffel-Darboux normalization constant of the degree-n kernel.
 
     gamma_n = 2^{-a-b}/(2n+a+b) * Gamma(n+1)Gamma(n+a+b+1) /
     (Gamma(n+a)Gamma(n+b)), evaluated through log-Gamma.  Needs n >= 1:
@@ -203,7 +235,7 @@ def gamma_n(n: int, a: float, b: float) -> ScaledValue:
     if n < 1:
         raise ParameterError(f"gamma_n needs n >= 1, got {n}")
     _validate_params(n, a, b)
-    log_g = (
+    return (
         -(a + b) * _LN2
         - math.log(2.0 * n + a + b)
         + math.lgamma(n + 1.0)
@@ -211,7 +243,11 @@ def gamma_n(n: int, a: float, b: float) -> ScaledValue:
         - math.lgamma(n + a)
         - math.lgamma(n + b)
     )
-    return ScaledValue.from_log(log_g)
+
+
+def gamma_n(n: int, a: float, b: float) -> ScaledValue:
+    """gamma_n of :func:`log_gamma_n` in scaled form."""
+    return ScaledValue.from_log(log_gamma_n(n, a, b))
 
 
 def log_sq_norm(n: int, a: float, b: float) -> float:

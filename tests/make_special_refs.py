@@ -1,8 +1,8 @@
-"""Regenerate the frozen special-function reference tables in test_limits.py.
+"""Regenerate the frozen reference tables in test_limits.py and test_cdkernel.py.
 
-Independent arbitrary-precision series evaluation (mpmath, 40 significant
-digits); run manually when a spot-point list changes, and paste the output
-over the tables:
+Independent arbitrary-precision evaluation (mpmath: 40 significant digits
+for the special functions, 60 for the finite-n kernel); run manually when a
+spot-point list changes, and paste the output over the tables:
 
     python tests/make_special_refs.py
 """
@@ -36,6 +36,68 @@ def _bessel_table(name, points):
     print("]\n")
 
 
+# finite-n kernel cases (n, a, b); the (400, 200, 2) case has its hard edge near -1
+CD_CASES = [(10, 3.0, 1.5), (100, 50.0, 50.0), (400, 200.0, 100.0), (400, 200.0, 2.0)]
+CD_DIAG_TOL = 1e-6  # jrmt.limits.DIAG_TOL
+
+
+def _band(n, a, b):
+    """Band midpoint and upper edge of the limit density at (a/n, b/n), to 3 decimals."""
+    al, be = a / n, b / n
+    aa, bb = al / (2 + al + be), be / (2 + al + be)
+    d = mp.sqrt((1 + aa + bb) * (1 - aa - bb) * (1 - aa + bb) * (1 + aa - bb))
+    r, s = bb * bb - aa * aa - d, bb * bb - aa * aa + d
+    return round(float((r + s) / 2), 3), round(float(s), 3)
+
+
+def _cd_pairs(n, a, b):
+    """(class, x, y): off-diagonal, diagonal and just-inside-DIAG_TOL pairs
+    in the bulk, at the soft edge and near x = -1."""
+    mid, edge = _band(n, a, b)
+    pairs = []
+    for x, step in ((mid, 0.01), (edge, -0.01), (-0.999, 0.002)):
+        pairs += [("off", x, x + step), ("diag", x, x), ("near", x, x + 0.9 * CD_DIAG_TOL)]
+    return pairs
+
+
+def _cd_kernel(n, a, b, x, y):
+    """Christoffel-Darboux formula for K_n^{a,b}(x, y), confluent form at x == y."""
+    a, b, x, y = mp.mpf(a), mp.mpf(b), mp.mpf(x), mp.mpf(y)
+    gam = (
+        2 ** (-a - b) / (2 * n + a + b)
+        * mp.gamma(n + 1) * mp.gamma(n + a + b + 1) / (mp.gamma(n + a) * mp.gamma(n + b))
+    )
+
+    def jac(k, al, be, t):
+        if t == 0 and al == be and k % 2:
+            return mp.mpf(0)  # odd degree of a symmetric weight; hypsum cannot converge to 0
+        return mp.jacobi(k, al, be, t)
+
+    def p(k, t):
+        return jac(k, a, b, t)
+
+    def dp(k, t):
+        return (k + a + b + 1) / 2 * jac(k - 1, a + 1, b + 1, t)
+
+    def w(t):
+        return (1 - t) ** a * (1 + t) ** b
+
+    if x == y:
+        return gam * w(x) * (p(n - 1, x) * dp(n, x) - p(n, x) * dp(n - 1, x))
+    num = p(n, x) * p(n - 1, y) - p(n - 1, x) * p(n, y)
+    return gam * mp.sqrt(w(x) * w(y)) * num / (x - y)
+
+
+def _cd_table():
+    print("CD_KERNEL_REFERENCE = [")
+    with mp.workdps(60):
+        for n, a, b in CD_CASES:
+            for cls, x, y in _cd_pairs(n, a, b):
+                val = mp.nstr(_cd_kernel(n, a, b, x, y), 25)
+                print(f'    ("{cls}", {n}, {a!r}, {b!r}, {x!r}, {y!r}, "{val}"),')
+    print("]\n")
+
+
 def main():
     _airy_table("AI_REFERENCE", AI_POINTS, 0)
     _airy_table("AIP_REFERENCE", AI_POINTS, 1)
@@ -43,6 +105,7 @@ def main():
     _airy_table("AI_DECAY_REFERENCE", AI_DECAY_POINTS, 0)
     _airy_table("AIP_DECAY_REFERENCE", AI_DECAY_POINTS, 1)
     _bessel_table("BESSEL_WIDE_REFERENCE", J_WIDE_POINTS)
+    _cd_table()
 
 
 if __name__ == "__main__":

@@ -45,6 +45,32 @@ def test_kernel_continuity_at_diagonal_switch():
     assert cd_form == pytest.approx(confluent, rel=1e-8)
 
 
+@pytest.mark.parametrize("n", [100, 400])
+def test_array_calls_equal_scalar_calls_bitwise(n):
+    # the Nystrom matrix is one array call on the node grid; a table of
+    # scalar calls on the same nodes must hold the same bits, in either order
+    spec = KernelSpec(n, 0.5 * n, 0.25 * n)
+    xs = np.append(gauss_legendre(12, -0.9, 0.95)[0], [0.3, 0.3 + 0.5 * DIAG_TOL])
+    xx, yy = np.meshgrid(xs, xs, indexing="ij")
+    grid = kernel(spec, xx, yy)
+    assert np.array_equal(grid, kernel(spec, yy, xx))
+    assert np.array_equal(grid, [[kernel(spec, float(x), float(y)) for y in xs] for x in xs])
+    assert np.array_equal(one_point_density(spec, xs), [one_point_density(spec, float(x)) for x in xs])
+    prof = finite_profile(spec)
+    x0 = 0.5 * (prof.r + prof.s)
+    hard = KernelSpec(n, 0.5 * n, 2.0)
+    us = np.linspace(0.25, 3.0, 6)
+    uu, vv = np.meshgrid(us, us, indexing="ij")
+    for fn in (
+        lambda u, v: rescaled_bulk(spec, x0, u, v),
+        lambda u, v: rescaled_soft(spec, u, v),
+        lambda u, v: rescaled_hard(hard, u, v),
+        airy_kernel,
+        lambda u, v: bessel_kernel(2, u, v),
+    ):
+        assert np.array_equal(fn(uu, vv), [[fn(float(u), float(v)) for v in us] for u in us])
+
+
 def test_kernel_domain_error():
     spec = KernelSpec(5, 1.0, 1.0)
     with pytest.raises(DomainError):
@@ -75,6 +101,62 @@ def test_kernel_trace_equals_rank():
     t, w = gauss_legendre(200, -1.0, 1.0)
     diag = np.array([kernel(spec, float(ti), float(ti)) for ti in t])
     assert float(diag @ w) == pytest.approx(20.0, abs=2e-5)
+
+
+# mpmath reference values (tests/make_special_refs.py, 60 digits) for the
+# off-diagonal formula, the exact diagonal and pairs just inside DIAG_TOL,
+# in the bulk, at the upper band edge and near x = -1
+CD_KERNEL_REFERENCE = [
+    ("off", 10, 3.0, 1.5, -0.011, -0.0009999999999999992, "3.877932412031996288889214"),
+    ("diag", 10, 3.0, 1.5, -0.011, -0.011, "3.868886274628183644156525"),
+    ("near", 10, 3.0, 1.5, -0.011, -0.0109991, "3.86888793897381166029216"),
+    ("off", 10, 3.0, 1.5, 0.97, 0.96, "3.060625760444099358682251"),
+    ("diag", 10, 3.0, 1.5, 0.97, 0.97, "2.323856491328791696646986"),
+    ("near", 10, 3.0, 1.5, 0.97, 0.9700008999999999, "2.32378402588595027295625"),
+    ("off", 10, 3.0, 1.5, -0.999, -0.997, "0.6996964768595680485096855"),
+    ("diag", 10, 3.0, 1.5, -0.999, -0.999, "0.3200232378979998253310726"),
+    ("near", 10, 3.0, 1.5, -0.999, -0.9989991, "0.3202332500919172966638614"),
+    ("off", 100, 50.0, 50.0, 0.0, 0.01, "31.41584072651060637438739"),
+    ("diag", 100, 50.0, 50.0, 0.0, 0.0, "44.84732472274168899115187"),
+    ("near", 100, 50.0, 50.0, 0.0, 9e-07, "44.84732460257417943961092"),
+    ("off", 100, 50.0, 50.0, 0.943, 0.9329999999999999, "20.79337986708006194069995"),
+    ("diag", 100, 50.0, 50.0, 0.943, 0.943, "9.264930755396139819594022"),
+    ("near", 100, 50.0, 50.0, 0.943, 0.9430008999999999, "9.263761619030875985842476"),
+    ("off", 100, 50.0, 50.0, -0.999, -0.997, "4.453824778085786808943481e-64"),
+    ("diag", 100, 50.0, 50.0, -0.999, -0.999, "7.930448126688286067539353e-76"),
+    ("near", 100, 50.0, 50.0, -0.999, -0.9989991, "8.109329472099902119862369e-76"),
+    ("off", 400, 200.0, 100.0, -0.025, -0.015000000000000001, "-26.98934579194853120337091"),
+    ("diag", 400, 200.0, 100.0, -0.025, -0.025, "167.9778902739246351469758"),
+    ("near", 400, 200.0, 100.0, -0.025, -0.0249991, "167.9779250509307462352395"),
+    ("off", 400, 200.0, 100.0, 0.933, 0.923, "-7.106000591891749257631729"),
+    ("diag", 400, 200.0, 100.0, 0.933, 0.933, "26.01760823298737038366642"),
+    ("near", 400, 200.0, 100.0, 0.933, 0.9330009, "26.01083103754820117581621"),
+    ("off", 400, 200.0, 100.0, -0.999, -0.997, "8.608569868947944537440726e-76"),
+    ("diag", 400, 200.0, 100.0, -0.999, -0.999, "2.241424867115806234312676e-98"),
+    ("near", 400, 200.0, 100.0, -0.999, -0.9989991, "2.341505179909895544998988e-98"),
+    ("off", 400, 200.0, 2.0, -0.04, -0.03, "-31.60928326014360617689564"),
+    ("diag", 400, 200.0, 2.0, -0.04, -0.04, "153.2128118119825130036429"),
+    ("near", 400, 200.0, 2.0, -0.04, -0.0399991, "153.2127725648195647383316"),
+    ("off", 400, 200.0, 2.0, 0.92, 0.91, "16.50778641519946953132441"),
+    ("diag", 400, 200.0, 2.0, 0.92, 0.92, "21.2377695184542583358208"),
+    ("near", 400, 200.0, 2.0, 0.92, 0.9200009, "21.23309267503679571730846"),
+    ("off", 400, 200.0, 2.0, -0.999, -0.997, "-13.99560188268182521060355"),
+    ("diag", 400, 200.0, 2.0, -0.999, -0.999, "3401.571077217930902384615"),
+    ("near", 400, 200.0, 2.0, -0.999, -0.9989991, "3400.857852871565346916727"),
+]
+
+# per-class relative bounds, also met by a ScaledValue (log-scale)
+# evaluation of the same formulas, whose worst errors are 3.6e-12, 3.6e-12
+# and 1.4e-5; the near-diagonal class is limited by the first-order Taylor
+# rule, whose error grows where the kernel varies on scales not far above
+# DIAG_TOL (the hard edge at n = 400)
+CD_REL_BOUND = {"off": 4e-12, "diag": 4e-12, "near": 1.5e-5}
+
+
+@pytest.mark.parametrize("cls,n,a,b,x,y,ref", CD_KERNEL_REFERENCE)
+def test_kernel_reference_values(cls, n, a, b, x, y, ref):
+    got = kernel(KernelSpec(n, a, b), x, y)
+    assert got == pytest.approx(float(ref), rel=CD_REL_BOUND[cls])
 
 
 # ---------------------------------------------------------------------------

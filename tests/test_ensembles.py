@@ -4,7 +4,6 @@ import pytest
 from jrmt.empirics import EmpiricalSample, ks_distance
 from jrmt.ensembles import (
     ProjectorPair,
-    jacobi_wishart,
     projector_product,
     reduce_ranks,
     sample_largest,
@@ -39,25 +38,21 @@ def test_wishart_rejects_bad_params():
 
 
 def test_jacobi_wishart_shape_and_range():
-    j = jacobi_wishart(SeededStream(4), 48, 12, 18)
-    assert j.shape == (12, 12)
-    evs = np.linalg.eigvalsh(j)
+    evs = sample_spectrum(SeededStream(4), 48, 12, 18, route="wishart")
+    assert evs.shape == (12,)
     assert evs.min() > -1e-10 and evs.max() < 1 + 1e-10
 
 
 def test_jacobi_wishart_no_unit_eigenvalue_in_strict_regime():
-    top = max(
-        np.linalg.eigvalsh(jacobi_wishart(SeededStream(5, t), 30, 6, 10)).max()
-        for t in range(50)
-    )
+    top = max(sample_spectrum(SeededStream(5, t), 30, 6, 10, route="wishart").max() for t in range(50))
     assert top < 1 - 1e-8
 
 
 def test_jacobi_wishart_rejects_non_canonical():
     with pytest.raises(ParameterError):
-        jacobi_wishart(SeededStream(0), 10, 6, 5)  # q > q_tilde
+        sample_spectrum(SeededStream(0), 10, 6, 5, route="wishart")  # q > q_tilde
     with pytest.raises(ParameterError):
-        jacobi_wishart(SeededStream(0), 10, 4, 8)  # q + q_tilde > n
+        sample_spectrum(SeededStream(0), 10, 4, 8, route="wishart")  # q + q_tilde > n
 
 
 def test_projector_product_intersection_forces_ones():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from jrmt.cdkernel import KernelSpec, finite_profile
+import jrmt.fredholm
+from jrmt.cdkernel import KernelSpec, finite_profile, kernel
 from jrmt.errors import NumericError, ParameterError
 from jrmt.fredholm import GapQuery, gap_probability, gauss_legendre, largest_eval_cdf, tracy_widom_cdf
 
@@ -76,6 +77,23 @@ def test_series_oracle_matches_determinant_on_finite_kernel():
     series = _fredholm_series(fn, 0.4, 1.0, terms=3)
     # rank-2 kernel: the series with 3 terms is exact
     assert det == pytest.approx(series, abs=1e-9)
+
+
+def test_largest_eval_cdf_calls_the_kernel_once(monkeypatch):
+    shapes = []
+
+    def counting(spec, x, y):
+        shapes.append(np.shape(x))
+        return kernel(spec, x, y)
+
+    monkeypatch.setattr(jrmt.fredholm, "kernel", counting)
+    largest_eval_cdf(KernelSpec(12, 6.0, 3.0), 0.5)
+    assert shapes == [(64, 64)]
+
+
+def test_gap_rejects_kernel_that_does_not_broadcast():
+    with pytest.raises(ParameterError):
+        gap_probability(GapQuery(lambda x, y: 0.0, (0.0, 1.0)))
 
 
 def test_quadrature_convergence():

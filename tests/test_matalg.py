@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from jrmt.errors import SingularMatrixError, ValidationError
-from jrmt.matalg import eig_hermitian, inv_sqrt_psd, principal_cosines
-from jrmt.randgen import SeededStream, complex_ginibre, haar_unitary
+from jrmt.errors import ValidationError
+from jrmt.matalg import eig_hermitian, principal_cosines
+from jrmt.randgen import SeededStream, complex_ginibre
 
 
 def _random_hermitian(seed, n):
@@ -38,33 +38,6 @@ def test_eig_trace_identity():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_inv_sqrt_identity_and_diag():
-    assert np.allclose(inv_sqrt_psd(np.eye(4)), np.eye(4))
-    r = inv_sqrt_psd(np.diag([4.0, 9.0]))
-    assert np.allclose(r, np.diag([0.5, 1.0 / 3.0]))
-
-
-def test_inv_sqrt_defining_identity():
-    w = complex_ginibre(SeededStream(3), 6, 12, 1.0)
-    m = w @ w.conj().T
-    m = 0.5 * (m + m.conj().T)
-    r = inv_sqrt_psd(m)
-    assert np.abs(r @ m @ r - np.eye(6)).max() < 1e-8
-
-
-def test_inv_sqrt_commutes_with_conjugation():
-    m = np.diag([1.0, 2.0, 5.0]).astype(complex)
-    u = haar_unitary(SeededStream(17), 3)
-    lhs = inv_sqrt_psd(u @ m @ u.conj().T)
-    rhs = u @ inv_sqrt_psd(m) @ u.conj().T
-    assert np.abs(lhs - rhs).max() < 1e-8
-
-
-def test_inv_sqrt_flags_singular():
-    with pytest.raises(SingularMatrixError):
-        inv_sqrt_psd(np.diag([1.0, 0.0]))
 
 
 def test_principal_cosines_identical_spans():

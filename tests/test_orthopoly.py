@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jrmt.errors import DomainError, ParameterError
@@ -67,13 +68,18 @@ def test_scaled_huge_scale_survives():
     st.floats(-1.9, 1.9).filter(lambda m: abs(m) >= 1.0),
     st.floats(-145.0, 145.0),
 )
+@example(1.8999999999999997, 1.0, -1.9, 1.0)
 def test_scaled_ops_roundtrip_at_large_scales(m1, s1, m2, s2):
     # combined |log_scale| stays under 300, so plain doubles can still
-    # represent the results for comparison
-    a, b = m1 * math.exp(s1), m2 * math.exp(s2)
+    # represent the results for comparison.  The references are exact (50
+    # digits): a plain-double sum of nearly cancelling terms is left with
+    # only its own rounding error, as at the pinned example
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(m1) * mpmath.exp(s1), mpmath.mpf(m2) * mpmath.exp(s2)
+        product, total = float(a * b), float(a + b)
     sa, sb = ScaledValue(m1, s1), ScaledValue(m2, s2)
-    assert (sa * sb).value() == pytest.approx(a * b, rel=1e-12)
-    assert (sa + sb).value() == pytest.approx(a + b, rel=1e-12, abs=1e-200)
+    assert (sa * sb).value() == pytest.approx(product, rel=1e-12)
+    assert (sa + sb).value() == pytest.approx(total, rel=1e-12, abs=1e-200)
 
 
 # ---------------------------------------------------------------------------
