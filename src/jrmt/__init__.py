@@ -5,7 +5,8 @@ The package covers the full chain from sampling to universality checks:
 - ``randgen``: seeded complex Gaussians, Haar unitaries, random projectors
 - ``matalg``: Hermitian eigendecomposition and principal angles
 - ``ensembles``: the projector-compression and Wishart-ratio constructions
-- ``orthopoly``: Jacobi polynomials by an array recurrence rescaled in powers of two
+- ``orthopoly``: Jacobi polynomials by one array recurrence, ``jacobi_pair``,
+  which returns mantissas and a power-of-two exponent per abscissa
 - ``cdkernel``: the Christoffel-Darboux kernel and its bulk/edge rescalings
 - ``limits``: limiting densities and the sine, Airy, and Bessel kernels
   (Airy and Bessel functions from ``scipy.special``)
@@ -72,15 +73,7 @@ from .limits import (
     wishart_ratio_density,
 )
 from .matalg import eig_hermitian, principal_cosines
-from .orthopoly import (
-    ScaledValue,
-    chi,
-    chi_prime,
-    gamma_n,
-    jacobi_deriv,
-    jacobi_eval,
-    weight,
-)
+from .orthopoly import chi, chi_prime, jacobi_pair
 from .randgen import (
     SeededStream,
     complex_ginibre,

@@ -5,9 +5,9 @@ the orthonormalized Jacobi polynomials.  Each factor of a kernel value (the
 normalization constant, the weight halves, the polynomial values) alone
 overflows or underflows doubles once a, b grow like n, while the assembled
 value stays moderate.  So the polynomials come from the array recurrence
-:func:`~jrmt.orthopoly.jacobi_pair_scaled` as mantissas times exact powers
-of two, the other factors as logs, and the two meet in one ``np.ldexp`` per
-value.  Every function here accepts scalars or numpy arrays.
+:func:`~jrmt.orthopoly.jacobi_pair` as mantissas times exact powers of two,
+the other factors as logs, and the two meet in one ``np.ldexp`` per value.
+Every function here accepts scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ParameterError, RegimeError
 from .limits import _integrable_kernel, edge_profile, limit_density
-from .orthopoly import chi_prime, chi_zeros, jacobi_pair_scaled, log_gamma_n
+from .orthopoly import chi_prime, chi_zeros, jacobi_pair, log_gamma_n
 
 __all__ = [
     "KernelSpec",
@@ -84,7 +84,7 @@ def kernel(spec: KernelSpec, x, y):
     log_gam = log_gamma_n(n, a, b)
 
     def nodes(z):
-        pm, p, e = jacobi_pair_scaled(n, a, b, z)
+        pm, p, e = jacobi_pair(n, a, b, z)
         log_c = 0.5 * log_gam + _log_weight_half(spec, z)
         return _scaled(p, log_c, e), _scaled(pm, log_c, e)
 
@@ -93,11 +93,11 @@ def kernel(spec: KernelSpec, x, y):
         # its primed analogue; derivatives come from the parameter-shift
         # ladder: P_n' is a multiple of the degree n-1 polynomial at
         # (a+1, b+1) and P_n'' of degree n-2 at (a+2, b+2)
-        pm, p, e0 = jacobi_pair_scaled(n, a, b, x)
-        q0, q1, e1 = jacobi_pair_scaled(n - 1, a + 1.0, b + 1.0, x)
+        pm, p, e0 = jacobi_pair(n, a, b, x)
+        q0, q1, e1 = jacobi_pair(n - 1, a + 1.0, b + 1.0, x)
         d = pm * (0.5 * (n + a + b + 1.0) * q1) - p * (0.5 * (n + a + b) * q0)
         if n >= 2 and (y != x).any():  # the Taylor term vanishes on the diagonal
-            r0, r1, e2 = jacobi_pair_scaled(n - 2, a + 2.0, b + 2.0, x)
+            r0, r1, e2 = jacobi_pair(n - 2, a + 2.0, b + 2.0, x)
             ddpn = 0.25 * (n + a + b + 1.0) * (n + a + b + 2.0) * r1
             ddpnm1 = 0.25 * (n + a + b) * (n + a + b + 1.0) * r0
             d = d + (0.5 * (y - x)) * np.ldexp(pm * ddpn - p * ddpnm1, e2 - e1)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,17 +62,16 @@ def parallel_map(fn: Callable, args: Sequence) -> list:
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Sorted sample values plus provenance metadata."""
+    """Sorted sample values."""
 
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_values(cls, values, **meta) -> "EmpiricalSample":
+    def from_values(cls, values) -> "EmpiricalSample":
         arr = np.sort(np.asarray(values, dtype=float).ravel())
         if arr.size == 0:
             raise ParameterError("empty sample")
-        return cls(arr, dict(meta))
+        return cls(arr)
 
     def __len__(self):
         return len(self.values)
@@ -89,15 +88,20 @@ def ks_distance(s1: EmpiricalSample, s2: EmpiricalSample) -> float:
 
 
 def ks_against_cdf(s: EmpiricalSample, cdf: Callable) -> float:
-    """One-sample KS statistic of a sorted sample against a cdf callable."""
+    """One-sample KS statistic of a sorted sample against a cdf callable.
+
+    The cdf is called once, on the array of sample values, and must return
+    an array of the same shape; a cdf that takes only scalars raises
+    ``ParameterError``.
+    """
     x = s.values
     n = len(x)
     try:
         f = np.asarray(cdf(x), dtype=float)
-        if f.shape != x.shape:
-            raise TypeError
-    except TypeError:
-        f = np.array([float(cdf(v)) for v in x])
+    except TypeError as exc:
+        raise ParameterError("cdf must accept an array of sample values") from exc
+    if f.shape != x.shape:
+        raise ParameterError(f"cdf gave shape {f.shape} on {x.shape} sample values; it must broadcast")
     hi = np.arange(1, n + 1) / n - f
     lo = f - np.arange(0, n) / n
     return float(max(hi.max(), lo.max()))

@@ -21,7 +21,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ParameterError
-from .matalg import eig_hermitian
 from .randgen import SeededStream, _ginibre, _haar
 
 __all__ = [
@@ -169,7 +168,7 @@ def sample_spectrum(
     _check_canonical(n, q, q_tilde)
     if route == "projector":
         m = projector_product(stream, ProjectorPair(n, q, q_tilde))
-        return eig_hermitian(m)[0][::-1].copy()
+        return np.linalg.eigvalsh(m)
     if route == "wishart":
         x, xp = _wishart_pair(stream.generator(), n, q, q_tilde)
         return scipy.linalg.eigh(x, x + xp, eigvals_only=True, check_finite=False)

@@ -145,11 +145,12 @@ CD_KERNEL_REFERENCE = [
     ("near", 400, 200.0, 2.0, -0.999, -0.9989991, "3400.857852871565346916727"),
 ]
 
-# per-class relative bounds, also met by a ScaledValue (log-scale)
-# evaluation of the same formulas, whose worst errors are 3.6e-12, 3.6e-12
-# and 1.4e-5; the near-diagonal class is limited by the first-order Taylor
-# rule, whose error grows where the kernel varies on scales not far above
-# DIAG_TOL (the hard edge at n = 400)
+# per-class relative bounds.  The power-of-two recurrence's worst errors on
+# this table are 2.3e-13, 3.1e-13 and 1.4e-5; the first two bounds also admit
+# an evaluation of the same formulas through exp/log scale factors, which
+# reaches 3.6e-12.  The near-diagonal class is limited by the first-order
+# Taylor rule, whose error grows where the kernel varies on scales not far
+# above DIAG_TOL (the hard edge at n = 400)
 CD_REL_BOUND = {"off": 4e-12, "diag": 4e-12, "near": 1.5e-5}
 
 

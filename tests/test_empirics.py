@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,17 @@ def test_ks_one_sample_against_own_cdf():
 def test_ks_one_sample_single_point_at_median():
     s = EmpiricalSample.from_values([0.5])
     assert ks_against_cdf(s, lambda x: np.clip(x, 0.0, 1.0)) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "cdf",
+    [lambda v: 0.5 * math.erfc(-v / math.sqrt(2.0)), lambda v: 0.5],
+    ids=["raises-on-array", "returns-scalar"],
+)
+def test_ks_one_sample_rejects_scalar_only_cdf(cdf):
+    s = EmpiricalSample.from_values([-0.3, 0.1, 0.8])
+    with pytest.raises(ParameterError):
+        ks_against_cdf(s, cdf)
 
 
 def test_empty_sample_rejected():
