@@ -4,7 +4,8 @@ The package covers the full chain from sampling to universality checks:
 
 - ``randgen``: seeded complex Gaussians, Haar unitaries, random projectors
 - ``matalg``: Hermitian eigendecomposition and principal angles
-- ``ensembles``: the projector-compression and Wishart-ratio constructions
+- ``ensembles``: the projector-compression, Wishart-ratio and tridiagonal
+  beta-Jacobi constructions
 - ``orthopoly``: Jacobi polynomials by one array recurrence, ``jacobi_pair``,
   which returns mantissas and a power-of-two exponent per abscissa
 - ``cdkernel``: the Christoffel-Darboux kernel and its bulk/edge rescalings
@@ -44,7 +45,6 @@ from .ensembles import (
     reduce_ranks,
     sample_largest,
     sample_spectrum,
-    wishart,
 )
 from .errors import (
     DomainError,

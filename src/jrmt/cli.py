@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--q", type=int, required=True)
     ps.add_argument("--qtilde", type=int, required=True)
-    ps.add_argument("--route", choices=["projector", "wishart"], default="projector")
+    ps.add_argument("--route", choices=["projector", "wishart", "tridiagonal"], default="projector")
     ps.add_argument("--trials", type=int, default=1)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", default=None)

@@ -1,16 +1,23 @@
-"""Two constructions of the Jacobi unitary ensemble, plus rank normalization.
+"""Three constructions of the Jacobi unitary ensemble, plus rank normalization.
 
 Route one compresses a uniformly rotated rank-q_tilde projector onto a fixed
 rank-q coordinate projector; route two is the Wishart ratio
-(X + X')^{-1/2} X (X + X')^{-1/2}.  Both produce q x q Hermitian matrices
-with spectrum in [0, 1] and, for q <= q_tilde and q + q_tilde <= n, the same
-law: the Jacobi ensemble with density det(1-M)^{n-q-q_tilde} det(M)^{q_tilde-q}.
+(X + X')^{-1/2} X (X + X')^{-1/2}; route three is the Edelman-Sutton
+beta-Jacobi matrix model at beta = 2 ("The beta-Jacobi matrix model, the CS
+decomposition, and generalized singular value problems", FoCM 2008), whose
+spectrum is that of a q x q symmetric tridiagonal matrix built from 2q - 1
+independent Beta variables.  All three produce q eigenvalues in [0, 1] and,
+for q <= q_tilde and q + q_tilde <= n, the same law: the Jacobi ensemble with
+density det(M)^alpha det(1-M)^gamma, where alpha = q_tilde - q and
+gamma = n - q - q_tilde.  (The kernel's weight (1-x)^a (1+x)^b on the
+symmetric interval has these exponents swapped: a = gamma, b = alpha.)
 
 Orientation of the Wishart pair: the middle factor X carries q_tilde columns
 and X' carries n - q_tilde.  The scalar case pins this down: for q = 1 the
 compressed projector entry is a Beta(q_tilde, n - q_tilde) variable, which is
-X/(X+X') with X of shape parameter q_tilde.  The distributional tests verify
-the identification against the projector route directly.
+X/(X+X') with X of shape parameter q_tilde, and which is also the
+tridiagonal model's single entry c_1^2 ~ Beta(alpha + 1, gamma + 1).  The
+distributional tests verify all three routes against each other.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .randgen import SeededStream, _ginibre, _haar
 __all__ = [
     "ProjectorPair",
     "ReductionPlan",
-    "wishart",
     "projector_product",
     "reduce_ranks",
     "sample_spectrum",
@@ -45,21 +51,6 @@ class ProjectorPair:
     def __post_init__(self):
         if not (1 <= self.q <= self.n and 1 <= self.q_tilde <= self.n):
             raise ParameterError(f"need 1 <= q, q_tilde <= n, got {self}")
-
-
-def wishart(stream: SeededStream, n: int, q: int, scale: float) -> np.ndarray:
-    """W W* for an n x q complex Gaussian W with entry variance ``scale``.
-
-    Hermitian positive semidefinite of rank min(n, q) almost surely;
-    E[trace] = n q scale.
-    """
-    if n < 1 or q < 1:
-        raise ParameterError(f"dimensions must be >= 1, got n={n}, q={q}")
-    if not scale > 0:
-        raise ParameterError(f"scale must be positive, got {scale}")
-    w = _ginibre(stream.generator(), n, q, scale)
-    x = w @ w.conj().T
-    return 0.5 * (x + x.conj().T)
 
 
 def _wishart_pair(gen, n: int, q: int, q_tilde: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,14 +147,33 @@ def reduce_ranks(n: int, q: int, q_tilde: int) -> ReductionPlan:
     return ReductionPlan(ProjectorPair(n, cq, cqt), emap, kept, ones, zeros)
 
 
+def _beta_jacobi(gen, n: int, q: int, q_tilde: int, **select) -> np.ndarray:
+    # Edelman-Sutton model at beta = 2: c_k^2 ~ Beta(alpha + k, gamma + k) for
+    # k = q..1 and c'_k^2 ~ Beta(k, alpha + gamma + 1 + k) for k = q-1..1 set
+    # the upper-bidiagonal B; the spectrum is that of the tridiagonal B^T B
+    alpha, gamma = q_tilde - q, n - q - q_tilde
+    k = np.arange(q, 0, -1)
+    c2 = gen.beta(alpha + k, gamma + k)
+    cp2 = gen.beta(k[1:], alpha + gamma + 1 + k[1:])
+    c, s = np.sqrt(c2), np.sqrt(1.0 - c2)
+    cp, sp = np.sqrt(cp2), np.sqrt(1.0 - cp2)
+    d = c * np.concatenate(([1.0], sp))  # (c_q, c_{q-1} s'_{q-1}, ..., c_1 s'_1)
+    e = -s[:-1] * cp  # (-s_q c'_{q-1}, ..., -s_2 c'_1)
+    diag = d * d
+    diag[1:] += e * e
+    return scipy.linalg.eigvalsh_tridiagonal(diag, d[:-1] * e, check_finite=False, **select)
+
+
 def sample_spectrum(
     stream: SeededStream, n: int, q: int, q_tilde: int, route: str = "projector"
 ) -> np.ndarray:
     """Sorted (ascending) eigenvalues of one draw in the canonical regime.
 
-    For the Wishart route the spectrum is computed from the definite pencil
-    (X, X + X'), which has exactly the eigenvalues of the ratio matrix
-    without forming the inverse square root.
+    ``route`` is "projector", "wishart" or "tridiagonal".  For the Wishart
+    route the spectrum is computed from the definite pencil (X, X + X'),
+    which has exactly the eigenvalues of the ratio matrix without forming the
+    inverse square root.  The tridiagonal route costs O(q) random variables
+    and one q x q symmetric tridiagonal eigenproblem.
     """
     _check_canonical(n, q, q_tilde)
     if route == "projector":
@@ -172,19 +182,18 @@ def sample_spectrum(
     if route == "wishart":
         x, xp = _wishart_pair(stream.generator(), n, q, q_tilde)
         return scipy.linalg.eigh(x, x + xp, eigvals_only=True, check_finite=False)
+    if route == "tridiagonal":
+        return _beta_jacobi(stream.generator(), n, q, q_tilde)
     raise ParameterError(f"unknown route {route!r}")
 
 
 def sample_largest(stream: SeededStream, n: int, q: int, q_tilde: int) -> float:
-    """Largest eigenvalue of one Wishart-route draw (cheapest available path)."""
+    """Largest eigenvalue of one tridiagonal-route draw.
+
+    Agrees with ``sample_spectrum(stream, n, q, q_tilde, "tridiagonal")[-1]``
+    for the same stream up to rounding, but bisects for the top eigenvalue
+    alone: O(q) work per draw, where a dense route costs O(n q^2).
+    """
     _check_canonical(n, q, q_tilde)
-    x, xp = _wishart_pair(stream.generator(), n, q, q_tilde)
-    val = scipy.linalg.eigh(
-        x,
-        x + xp,
-        eigvals_only=True,
-        check_finite=False,
-        subset_by_index=[q - 1, q - 1],
-        driver="gvx",
-    )
-    return float(val[0])
+    top = _beta_jacobi(stream.generator(), n, q, q_tilde, select="i", select_range=(q - 1, q - 1))
+    return float(top[0])

@@ -53,6 +53,30 @@ def test_sample_applies_rank_reduction(tmp_path):
     assert (np.abs(rows[:, -2:] - 1.0) < 1e-12).all()
 
 
+def test_sample_tridiagonal_route(tmp_path):
+    out1, out2, out3 = (tmp_path / f"t{i}.csv" for i in range(3))
+    args = [
+        "sample", "--n", "48", "--q", "12", "--qtilde", "18",
+        "--route", "tridiagonal", "--trials", "10", "--seed", "5",
+    ]
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    meta, _, rows = _read_csv(out1)
+    assert rows.shape == (10, 12) and meta["route"] == "tridiagonal"
+    assert (np.diff(rows, axis=1) >= 0).all()
+    assert (rows >= 0.0).all() and (rows <= 1.0).all()
+    # the reflected triple goes through reduce_ranks and keeps its forced 1s
+    assert main(
+        ["sample", "--n", "10", "--q", "4", "--qtilde", "8", "--route", "tridiagonal",
+         "--trials", "5", "--seed", "1", "--out", str(out3)]
+    ) == 0
+    meta, _, rows = _read_csv(out3)
+    assert rows.shape == (5, 4) and meta["plan"]["eigen_map"] == "reflect"
+    assert (np.abs(rows[:, -2:] - 1.0) < 1e-12).all()
+    assert (rows[:, :2] < 1.0).all()
+
+
 def test_sample_rejects_zero_rank():
     assert main(["sample", "--n", "10", "--q", "0", "--qtilde", "5"]) == 2
 

@@ -1,40 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.stats
 
-from jrmt.empirics import EmpiricalSample, ks_distance
+from jrmt.empirics import EmpiricalSample, ks_against_cdf, ks_distance
 from jrmt.ensembles import (
     ProjectorPair,
     projector_product,
     reduce_ranks,
     sample_largest,
     sample_spectrum,
-    wishart,
 )
 from jrmt.errors import ParameterError
 from jrmt.randgen import SeededStream
-
-
-def test_wishart_mean_trace():
-    total = 0.0
-    trials = 10_000
-    for t in range(trials):
-        total += np.trace(wishart(SeededStream(1, t), 4, 6, 1.0)).real
-    assert total / trials == pytest.approx(24.0, abs=0.5)
-
-
-def test_wishart_psd_and_rank():
-    x = wishart(SeededStream(2), 4, 6, 1.0)
-    assert np.linalg.eigvalsh(x).min() >= -1e-10
-    low = wishart(SeededStream(3), 4, 2, 1.0)
-    evs = np.sort(np.linalg.eigvalsh(low))
-    assert (evs[:2] < 1e-10).all() and (evs[2:] > 1e-10).all()
-
-
-def test_wishart_rejects_bad_params():
-    with pytest.raises(ParameterError):
-        wishart(SeededStream(0), 0, 3, 1.0)
-    with pytest.raises(ParameterError):
-        wishart(SeededStream(0), 3, 3, -1.0)
 
 
 def test_jacobi_wishart_shape_and_range():
@@ -99,9 +78,59 @@ def test_wishart_route_mean_trace_matches_projector_formula():
 
 def test_sample_largest_matches_full_spectrum():
     for t in range(5):
-        full = sample_spectrum(SeededStream(77, t), 20, 5, 8, "wishart")
+        full = sample_spectrum(SeededStream(77, t), 20, 5, 8, "tridiagonal")
         top = sample_largest(SeededStream(77, t), 20, 5, 8)
         assert top == pytest.approx(full[-1], rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# tridiagonal (beta-Jacobi) route
+
+
+def _pooled(seed, n, q, qt, route, trials):
+    return EmpiricalSample.from_values(
+        np.concatenate([sample_spectrum(SeededStream(seed, t), n, q, qt, route) for t in range(trials)])
+    )
+
+
+@pytest.mark.parametrize("n,q,qt", [(48, 12, 18), (40, 10, 10), (60, 12, 30)])
+def test_tridiagonal_route_matches_dense_routes(n, q, qt):
+    # the criterion-01 harness: same triples, draw count and bound
+    tri = _pooled(303, n, q, qt, "tridiagonal", 2000)
+    for seed, route in ((101, "projector"), (202, "wishart")):
+        assert ks_distance(tri, _pooled(seed, n, q, qt, route, 2000)) < 0.02
+
+
+def test_tridiagonal_scalar_case_is_beta():
+    # q = 1: the single eigenvalue is Beta(q_tilde, n - q_tilde)
+    n, qt, trials = 30, 7, 4000
+    sample = _pooled(310, n, 1, qt, "tridiagonal", trials)
+    stat = ks_against_cdf(sample, scipy.stats.beta(qt, n - qt).cdf)
+    assert stat < 1.95 / math.sqrt(trials)
+
+
+def test_tridiagonal_route_mean_trace_matches_projector_formula():
+    trials = 4000
+    acc = sum(sample_spectrum(SeededStream(311, t), 10, 3, 6, "tridiagonal").sum() for t in range(trials))
+    assert acc / trials == pytest.approx(1.8, abs=0.05)
+
+
+def test_tridiagonal_shape_range_and_rejects_non_canonical():
+    evs = sample_spectrum(SeededStream(312), 1200, 400, 600, "tridiagonal")
+    assert evs.shape == (400,) and (np.diff(evs) >= 0).all()
+    assert evs.min() > -1e-12 and evs.max() < 1 + 1e-12
+    with pytest.raises(ParameterError):
+        sample_spectrum(SeededStream(0), 10, 6, 5, "tridiagonal")
+    with pytest.raises(ParameterError):
+        sample_largest(SeededStream(0), 10, 4, 8)
+
+
+def test_sample_largest_matches_wishart_top_in_law():
+    n, q, qt, trials = 120, 40, 60, 2000
+    tops = [sample_largest(SeededStream(320, t), n, q, qt) for t in range(trials)]
+    wish = [sample_spectrum(SeededStream(321, t), n, q, qt, "wishart")[-1] for t in range(trials)]
+    d = ks_distance(EmpiricalSample.from_values(tops), EmpiricalSample.from_values(wish))
+    assert d < 1.95 * math.sqrt(2 / trials)
 
 
 # ---------------------------------------------------------------------------
