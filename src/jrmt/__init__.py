@@ -3,7 +3,8 @@
 The package covers the full chain from sampling to universality checks:
 
 - ``randgen``: seeded complex Gaussians, Haar unitaries, random projectors
-- ``matalg``: Hermitian eigendecomposition and principal angles
+- ``matalg``: Hermitian eigendecomposition, principal angles and
+  ``one_blas_thread``
 - ``ensembles``: the projector-compression, Wishart-ratio and tridiagonal
   beta-Jacobi constructions
 - ``orthopoly``: Jacobi polynomials by one array recurrence, ``jacobi_pair``,
@@ -52,7 +53,6 @@ from .errors import (
     NumericError,
     ParameterError,
     RegimeError,
-    SingularMatrixError,
     ValidationError,
 )
 from .fredholm import GapQuery, gap_probability, largest_eval_cdf, tracy_widom_cdf
@@ -65,14 +65,13 @@ from .limits import (
     banach_angle,
     bessel_j,
     bessel_kernel,
-    bi,
     edge_profile,
     free_product_density,
     limit_density,
     sine_kernel,
     wishart_ratio_density,
 )
-from .matalg import eig_hermitian, principal_cosines
+from .matalg import eig_hermitian, one_blas_thread, principal_cosines
 from .orthopoly import chi, chi_prime, jacobi_pair
 from .randgen import (
     SeededStream,

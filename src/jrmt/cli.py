@@ -30,12 +30,11 @@ from .cdkernel import (
     rescaled_soft,
     soft_edge,
 )
-from .empirics import parallel_map
 from .ensembles import reduce_ranks, sample_spectrum
-from .errors import JrmtError, NumericError, ParameterError, SingularMatrixError
+from .errors import JrmtError, NumericError, ParameterError
 from .fredholm import largest_eval_cdf, tracy_widom_cdf
 from .limits import airy_kernel, banach_angle, bessel_kernel, limit_density, sine_kernel
-from .matalg import principal_cosines
+from .matalg import one_blas_thread, principal_cosines
 from .randgen import SeededStream, random_isometry
 
 USAGE_EXIT = 2
@@ -142,7 +141,8 @@ def cmd_sample(args) -> None:
             )
         return plan.apply(vals)
 
-    rows = parallel_map(one_trial, list(range(args.trials)))
+    with one_blas_thread():
+        rows = [one_trial(t) for t in range(args.trials)]
     header = [f"lambda_{i+1}" for i in range(args.q)]
     _emit(args.out, _csv_text(config, header, [list(r) for r in rows]))
 
@@ -236,7 +236,8 @@ def cmd_angles(args) -> None:
         b2 = random_isometry(SeededStream(args.seed, 2 * t + 1), args.n, args.qprime)
         return float(principal_cosines(b1, b2)[0] ** 2)
 
-    cos2 = np.array(parallel_map(one_trial, list(range(args.trials))))
+    with one_blas_thread():
+        cos2 = np.array([one_trial(t) for t in range(args.trials)])
     config = {
         "command": "angles",
         "n": args.n,
@@ -332,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_out(args.out)
         args.func(args)
-    except (NumericError, SingularMatrixError) as e:
+    except NumericError as e:
         print(f"jrmt: numeric failure: {e}", file=sys.stderr)
         return NUMERIC_EXIT
     except JrmtError as e:

@@ -1,15 +1,13 @@
 """Monte Carlo harness: empirical spectra, KS statistics, convergence reports.
 
-Trials are keyed by stream_id so results are reproducible independent of
-worker count; aggregation is order-independent (sorted merges).
+Trials are keyed by stream_id and run serially, one after another, on one
+worker; aggregation is order-independent (sorted merges).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,32 +30,17 @@ __all__ = [
     "interval_count",
     "run_experiment",
     "worker_count",
-    "parallel_map",
 ]
 
 
 def worker_count() -> int:
-    """Worker cap: JRMT_THREADS if set, else the machine's CPU count."""
-    env = os.environ.get("JRMT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParameterError(f"JRMT_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    """Number of workers that run trials: always 1.
 
-
-def parallel_map(fn: Callable, args: Sequence) -> list:
-    """Map preserving argument order, threaded when the cap allows.
-
-    Results are collected by index, so the output is identical to a serial
-    map regardless of scheduling.
+    Trials run serially on one worker, with BLAS on one thread inside the
+    CLI's trial loops (``matalg.one_blas_thread``).  The function stays only
+    for the benchmark's environment line, which reports it.
     """
-    workers = worker_count()
-    if workers <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args))
+    return 1
 
 
 @dataclass(frozen=True)

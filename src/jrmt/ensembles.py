@@ -174,6 +174,11 @@ def sample_spectrum(
     which has exactly the eigenvalues of the ratio matrix without forming the
     inverse square root.  The tridiagonal route costs O(q) random variables
     and one q x q symmetric tridiagonal eigenproblem.
+
+    The dense routes (projector and Wishart) are bitwise reproducible per
+    ``(seed, stream_id)`` only at a fixed BLAS thread count: their last bits
+    change with it.  Library code that needs the same bytes whatever the
+    thread count draws inside ``matalg.one_blas_thread()``, as the CLI does.
     """
     _check_canonical(n, q, q_tilde)
     if route == "projector":

@@ -21,9 +21,5 @@ class ValidationError(JrmtError, ValueError):
     """Structured input failed a consistency check (e.g. not Hermitian)."""
 
 
-class SingularMatrixError(JrmtError, ArithmeticError):
-    """A matrix that is almost surely invertible was numerically singular."""
-
-
 class NumericError(JrmtError, ArithmeticError):
     """Numerical failure: non-finite values, failed root find, bad determinant."""

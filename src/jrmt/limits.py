@@ -27,7 +27,6 @@ __all__ = [
     "wishart_ratio_density",
     "airy",
     "airy_prime",
-    "bi",
     "airy_kernel",
     "bessel_j",
     "bessel_j_prime",
@@ -225,11 +224,6 @@ def airy(x):
 def airy_prime(x):
     """Derivative Ai'."""
     return scipy.special.airy(x)[1]
-
-
-def bi(x):
-    """Companion solution Bi of y'' = x y."""
-    return scipy.special.airy(x)[2]
 
 
 def _airy_near(u, v):

@@ -1,14 +1,77 @@
-"""Dense Hermitian helpers: eigendecomposition and principal angles."""
+"""Dense Hermitian helpers: eigendecomposition, principal angles, BLAS threads."""
 
 from __future__ import annotations
+
+import ctypes
+import functools
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["check_hermitian", "eig_hermitian", "principal_cosines"]
+__all__ = ["check_hermitian", "eig_hermitian", "one_blas_thread", "principal_cosines"]
 
 _HERM_TOL = 1e-12
+
+# (get, set) thread-count symbols, first match wins: numpy's 64-bit-integer
+# scipy-openblas, scipy's 32-bit one, then a plain system OpenBLAS
+_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS mapped into the process.
+
+    Reads the mapped library paths from /proc/self/maps; empty where there is
+    no /proc or no OpenBLAS.  Importing ``jrmt`` loads scipy.linalg, so both
+    numpy's and scipy's libraries are mapped by the first call.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            fields = [line.split(maxsplit=5) for line in f]
+    except OSError:
+        return ()
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in _THREAD_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                getter, setter = getattr(lib, get), getattr(lib, set_)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread.
+
+    Restores each library's previous thread count on exit, also when the
+    body raises; does nothing where no OpenBLAS is found.  The bits of a
+    dense draw depend on the BLAS thread count, so inside the block they no
+    longer depend on ``OPENBLAS_NUM_THREADS`` or the CPU count; at the sizes
+    jrmt samples one thread is also faster than several.
+    """
+    controls = _openblas_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
 
 
 def check_hermitian(m: np.ndarray, tol: float = _HERM_TOL) -> np.ndarray:

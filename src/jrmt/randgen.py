@@ -3,7 +3,8 @@
 Every operation takes a :class:`SeededStream` value and is a pure function of
 it: the same (seed, stream_id) pair always reproduces the same draw, and
 distinct stream_ids give statistically independent streams.  Monte Carlo
-drivers parallelize by assigning one stream_id per trial.
+drivers give each trial its own stream_id, so a trial's draw does not depend
+on which other trials run or in what order.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ class SeededStream:
     stream_id : int
         Sub-stream index, typically the trial number.  Substreams are
         derived by hashing (seed, stream_id) through ``np.random.SeedSequence``
-        so reproducibility does not depend on worker count or draw order
-        across trials.
+        so reproducibility does not depend on the order in which trials are
+        drawn.
     """
 
     seed: int

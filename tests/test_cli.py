@@ -1,9 +1,19 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jrmt.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _read_csv(path):
@@ -185,15 +195,49 @@ def test_usage_error_exit_code():
     assert main(["sample", "--n", "10"]) == 2  # missing required flags
 
 
-def test_output_independent_of_worker_count(tmp_path, monkeypatch):
-    args = [
-        "sample", "--n", "20", "--q", "5", "--qtilde", "8",
-        "--route", "projector", "--trials", "6", "--seed", "11",
-    ]
-    out1 = tmp_path / "w1.csv"
-    monkeypatch.setenv("JRMT_THREADS", "1")
-    assert main(args + ["--out", str(out1)]) == 0
-    out2 = tmp_path / "w4.csv"
-    monkeypatch.setenv("JRMT_THREADS", "4")
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "800", "--q", "200", "--qtilde", "200", "--route", "wishart",
+         "--trials", "3", "--seed", "4"],
+        ["angles", "--n", "200", "--q", "50", "--qprime", "60", "--trials", "50", "--seed", "3"],
+    ],
+    ids=["sample", "angles"],
+)
+def test_output_independent_of_blas_threads(argv):
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "jrmt", *argv], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+_small = st.integers(min_value=-2, max_value=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["sample", "angles"]),
+    n=_small,
+    q=_small,
+    other=_small,
+    trials=st.integers(min_value=-1, max_value=3),
+    seed=st.integers(min_value=-1, max_value=3),
+    route=st.sampled_from(["projector", "wishart", "tridiagonal"]),
+)
+def test_sample_and_angles_argv_never_trace_back(command, n, q, other, trials, seed, route):
+    argv = [command, "--n", n, "--q", q, "--trials", trials, "--seed", seed]
+    if command == "sample":
+        argv += ["--qtilde", other, "--route", route]
+    else:
+        argv += ["--qprime", other]
+    # an exception escaping main() fails the test by itself
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -13,7 +13,6 @@ from jrmt.limits import (
     bessel_j,
     bessel_j_prime,
     bessel_kernel,
-    bi,
     edge_profile,
     free_product_density,
     limit_density,
@@ -272,13 +271,6 @@ def test_airy_positive_decreasing_right_of_zero():
     vals = airy(xs)
     assert (vals > 0).all()
     assert (np.diff(vals) < 0).all()
-
-
-def test_bi_positive_and_growing():
-    xs = np.linspace(0.0, 5.0, 11)
-    vals = bi(xs)
-    assert (vals > 0).all()
-    assert (np.diff(vals) > 0).all()
 
 
 def test_airy_kernel_symmetry_and_diagonal():

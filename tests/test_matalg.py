@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from jrmt import matalg
 from jrmt.errors import ValidationError
-from jrmt.matalg import eig_hermitian, principal_cosines
+from jrmt.matalg import eig_hermitian, one_blas_thread, principal_cosines
 from jrmt.randgen import SeededStream, complex_ginibre
 
 
@@ -75,3 +76,48 @@ def test_cosines_match_compressed_projector_spectrum():
     comp = b1.conj().T @ (b2 @ b2.conj().T) @ b1
     evs, _ = eig_hermitian(comp)
     assert np.abs(np.sort(cos**2) - np.sort(evs[:q1])).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# one_blas_thread
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every found OpenBLAS set to two threads, so a restore is visible;
+    the original counts come back after the test."""
+    controls = matalg._openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    original = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield controls
+    for (_, set_), count in zip(controls, original):
+        set_(count)
+
+
+def test_one_blas_thread_sets_one_thread_and_restores(two_blas_threads):
+    before = [get() for get, _ in two_blas_threads]
+    with one_blas_thread():
+        assert [get() for get, _ in two_blas_threads] == [1] * len(two_blas_threads)
+    assert [get() for get, _ in two_blas_threads] == before
+
+
+def test_one_blas_thread_restores_after_exception(two_blas_threads):
+    before = [get() for get, _ in two_blas_threads]
+    with pytest.raises(ZeroDivisionError):
+        with one_blas_thread():
+            assert [get() for get, _ in two_blas_threads] == [1] * len(two_blas_threads)
+            1 / 0
+    assert [get() for get, _ in two_blas_threads] == before
+
+
+def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch, two_blas_threads):
+    before = [get() for get, _ in two_blas_threads]
+    monkeypatch.setattr(matalg, "_openblas_controls", lambda: [])
+    with one_blas_thread():
+        assert [get() for get, _ in two_blas_threads] == before
+        x = np.eye(3) @ np.eye(3)
+    assert (x == np.eye(3)).all()
+    assert [get() for get, _ in two_blas_threads] == before
