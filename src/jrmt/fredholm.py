@@ -3,12 +3,14 @@
 The integral operator is discretized at Gauss-Legendre nodes with the
 symmetric square-root weighting W^{1/2} K W^{1/2}, which keeps the
 discretized operator symmetric, and the determinant comes from a pivoted
-dense LU factorization.  Kernels are callables that broadcast over numpy
-arrays, so the m x m matrix comes from one call; the kernels of this package
-evaluate their node values once per distinct node.  The alternating
-Fredholm series expansion is kept out of production (it converges too
-slowly); the test suite uses a short truncation of it as an independent
-oracle on low-rank toy kernels.
+dense LU factorization.  The rule on [-1, 1] is built once per node count
+and reused, read-only (:func:`jrmt.orthopoly.gauss_legendre_unit`); each
+call only maps it to its interval.  Kernels are callables that broadcast
+over numpy arrays, so the m x m matrix comes from one call; the kernels of
+this package evaluate their node values once per distinct node.  The
+alternating Fredholm series expansion is kept out of production (it
+converges too slowly); the test suite uses a short truncation of it as an
+independent oracle on low-rank toy kernels.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .cdkernel import KernelSpec, kernel
 from .errors import DomainError, NumericError, ParameterError
 from .limits import airy_kernel
+from .orthopoly import gauss_legendre_unit
 
 __all__ = ["GapQuery", "gauss_legendre", "gap_probability", "largest_eval_cdf", "tracy_widom_cdf"]
 
@@ -47,8 +50,8 @@ class GapQuery:
 
 
 def gauss_legendre(m: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
-    t, w = np.polynomial.legendre.leggauss(m)
+    """Gauss-Legendre nodes and weights mapped to [lo, hi], as new arrays."""
+    t, w = gauss_legendre_unit(m)
     half = 0.5 * (hi - lo)
     return lo + half * (t + 1.0), half * w
 
@@ -67,8 +70,11 @@ def gap_probability(query: GapQuery) -> float:
 
     For a projection kernel this is the probability that the associated
     point process puts no point in the interval, so values land in [0, 1];
-    a determinant below -1e-8 means the kernel fed in was inconsistent and
-    raises rather than being clipped.
+    a determinant outside [-1e-8, 1 + 1e-8] raises rather than being
+    clipped.  Below 0 means the kernel fed in was inconsistent; above 1
+    means the quadrature is too coarse for the kernel on the interval: the
+    discretized operator then has eigenvalues far above 1, which a
+    projection kernel cannot have.
     """
     lo, hi = query.interval
     x, w = gauss_legendre(query.quad_points, lo, hi)
@@ -80,6 +86,11 @@ def gap_probability(query: GapQuery) -> float:
     det = float(np.linalg.det(a))
     if det < -1e-8:
         raise NumericError(f"determinant {det:.3e} below 0 beyond tolerance")
+    if det > 1.0 + 1e-8:
+        raise NumericError(
+            f"determinant {det:.3e} above 1 beyond tolerance: {query.quad_points} quadrature "
+            "points do not resolve the kernel on this interval; raise the point count (--quad)"
+        )
     return det
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.special
 
 from .errors import DomainError, ParameterError, RegimeError
+from .orthopoly import gauss_legendre_unit
 
 __all__ = [
     "LimitProfile",
@@ -136,7 +137,7 @@ class FreeDensity:
             return 0.0
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        t, w = np.polynomial.legendre.leggauss(quad_points)
+        t, w = gauss_legendre_unit(quad_points)
         theta = 0.5 * math.pi * t
         x = mid + half * np.sin(theta)
         vals = self.density(x) * half * np.cos(theta) * 0.5 * math.pi

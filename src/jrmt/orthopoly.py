@@ -9,10 +9,14 @@ exact power of two (``np.frexp``/``np.ldexp``), so it returns mantissas plus
 an integer exponent per node and the rescaling itself never rounds.
 
 Polynomial normalization: P_n(1) equals the binomial coefficient C(n+a, n).
+
+:func:`gauss_legendre_unit` is the Gauss rule of the (0, 0) weight: built
+once per size and shared, read-only, by every quadrature in the package.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -20,6 +24,7 @@ import numpy as np
 from .errors import DomainError, NumericError, ParameterError
 
 __all__ = [
+    "gauss_legendre_unit",
     "jacobi_pair",
     "log_gamma_n",
     "chi",
@@ -74,6 +79,21 @@ def jacobi_pair(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray, 
             step = np.frexp(p)[1]
             pm, p, e = np.ldexp(pm, -step), np.ldexp(p, -step), e + step
     return pm, p, e
+
+
+@functools.lru_cache(maxsize=32)
+def gauss_legendre_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]: the Gauss rule of Jacobi (0, 0).
+
+    The rule depends on m alone, and building it (``leggauss``) costs far
+    more than a small Nystrom determinant, so each m is built once and kept;
+    the cache is bounded, since a sweep over sizes must not grow memory
+    without limit.  Every caller shares the arrays, so they are read-only.
+    """
+    t, w = np.polynomial.legendre.leggauss(m)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 def log_gamma_n(n: int, a: float, b: float) -> float:

@@ -241,3 +241,44 @@ def test_sample_and_angles_argv_never_trace_back(command, n, q, other, trials, s
         code = main([str(a) for a in argv])
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_unresolved_gap_is_a_numeric_failure(capsys):
+    # at the default 64 nodes the determinant is near 4e20, not a probability
+    assert main(["gap", "--n", "400", "--a", "200", "--b", "2", "--x", "-0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jrmt: numeric failure: ")
+    assert "--quad" in captured.err
+    assert "Traceback" not in captured.err
+
+
+_real = st.one_of(st.floats(min_value=-40.0, max_value=40.0), st.sampled_from(["nan", "inf", "-inf"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["gap", "tw"]),
+    n=st.integers(min_value=-2, max_value=400),
+    a=st.one_of(st.integers(min_value=-2, max_value=400), _real),
+    b=st.one_of(st.integers(min_value=-2, max_value=400), _real),
+    x=st.one_of(st.floats(min_value=-1.5, max_value=1.5), _real),
+    t=_real,
+    tail=_real,
+    quad=st.integers(min_value=-2, max_value=96),
+)
+def test_gap_and_tw_argv_never_trace_back(command, n, a, b, x, t, tail, quad):
+    if command == "gap":
+        argv = ["gap", "--n", n, "--a", a, "--b", b, "--x", x, "--quad", quad]
+    else:
+        argv = ["tw", "--t", t, "--tail", tail, "--quad", quad]
+    # "=" keeps a negative value from reading as a flag
+    argv = [argv[0]] + [f"{k}={v}" for k, v in zip(argv[1::2], argv[2::2])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        value = json.loads(out.getvalue())["gap" if command == "gap" else "tw_cdf"]
+        assert -1e-8 <= value <= 1.0 + 1e-8, (argv, value)

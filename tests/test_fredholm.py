@@ -7,6 +7,8 @@ import jrmt.fredholm
 from jrmt.cdkernel import KernelSpec, finite_profile, kernel
 from jrmt.errors import NumericError, ParameterError
 from jrmt.fredholm import GapQuery, gap_probability, gauss_legendre, largest_eval_cdf, tracy_widom_cdf
+from jrmt.limits import free_product_density
+from jrmt.orthopoly import gauss_legendre_unit
 
 
 def test_zero_kernel_gives_one():
@@ -146,6 +148,22 @@ def test_gap_rejects_bad_query():
         GapQuery(lambda x, y: 0.0, (0.0, 1.0), quad_points=4)
 
 
+def test_gap_flags_determinant_above_one():
+    # two eigenvalues 3: det(I - K) = (1 - 3)^2 = 4, which no projection kernel gives
+    def kern(x, y):
+        return 3.0 + 9.0 * (2.0 * x - 1.0) * (2.0 * y - 1.0)
+
+    with pytest.raises(NumericError, match="above 1"):
+        gap_probability(GapQuery(kern, (0.0, 1.0)))
+
+
+def test_unresolved_finite_kernel_raises_instead_of_returning_above_one():
+    # about 300 eigenvalues on [-0.5, 1] are more than 64 nodes resolve; the
+    # determinant is near 4e20
+    with pytest.raises(NumericError, match="--quad"):
+        largest_eval_cdf(KernelSpec(400, 200.0, 2.0), -0.5)
+
+
 def test_gap_flags_nonfinite_kernel():
     q = GapQuery(lambda x, y: np.inf * np.ones_like(x * y), (0.0, 1.0))
     with pytest.raises(NumericError):
@@ -191,3 +209,65 @@ def test_tw_median_location():
 def test_tw_tail_truncation_self_check():
     for t in (-4.0, -1.0, 1.0):
         assert abs(tracy_widom_cdf(t, tail=12.0) - tracy_widom_cdf(t, tail=24.0, m=128)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the shared quadrature rule
+
+
+def test_each_rule_is_built_once(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(m):
+        built.append(m)
+        return leggauss(m)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    gauss_legendre_unit.cache_clear()
+    spec = KernelSpec(12, 6.0, 3.0)
+    for _ in range(3):
+        tracy_widom_cdf(-1.0)
+        tracy_widom_cdf(0.5, m=96)
+        largest_eval_cdf(spec, 0.8)
+        largest_eval_cdf(spec, 0.9, m=80)
+    free_product_density(0.3, 0.4).continuous_mass()
+    assert sorted(built) == [64, 80, 96, 256]
+
+
+def test_cached_rule_is_read_only():
+    t, w = gauss_legendre_unit(64)
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+def test_mutating_a_mapped_rule_leaves_later_determinants_unchanged():
+    before = tracy_widom_cdf(0.0)
+    x, w = gauss_legendre(64, 0.0, 12.0)
+    x[:] = 0.0
+    w[:] = 0.0
+    assert tracy_widom_cdf(0.0) == before
+
+
+# values taken with a rule rebuilt by leggauss on every call: sharing the
+# cached rule must not move a bit
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (lambda: tracy_widom_cdf(-3.0), "0x1.48fd27d1a91b2p-4"),
+        (lambda: tracy_widom_cdf(-1.8), "0x1.011e3e29ca65cp-1"),
+        (lambda: tracy_widom_cdf(0.0), "0x1.f051a2a6d570ep-1"),
+        (lambda: tracy_widom_cdf(2.5), "0x1.fffd70c00ef44p-1"),
+        (lambda: tracy_widom_cdf(-1.0, m=96), "0x1.9d4b2f6481383p-1"),
+        (lambda: largest_eval_cdf(KernelSpec(12, 6.0, 3.0), 0.6), "0x1.8293baed830f1p-16"),
+        (lambda: largest_eval_cdf(KernelSpec(12, 6.0, 3.0), 0.9), "0x1.b33bba06f619dp-1"),
+        (lambda: largest_eval_cdf(KernelSpec(100, 50.0, 50.0), 0.9), "0x1.7a3bd3bf89b43p-18"),
+        (lambda: largest_eval_cdf(KernelSpec(100, 50.0, 50.0), 0.93), "0x1.05628d83d2a1fp-1"),
+        (lambda: free_product_density(0.3, 0.4).continuous_mass(), "0x1.3333333333330p-2"),
+    ],
+    ids=["tw-3", "tw-1.8", "tw0", "tw2.5", "tw-1-m96", "n12-0.6", "n12-0.9", "n100-0.9", "n100-0.93", "mass"],
+)
+def test_values_are_bitwise_pinned(value, expected):
+    assert value().hex() == expected
