@@ -2,7 +2,7 @@
 
 The package covers the full chain from sampling to universality checks:
 
-- ``randgen``: seeded complex Gaussians, Haar unitaries, random projectors
+- ``randgen``: seeded streams, complex Gaussians and Haar isometries
 - ``matalg``: Hermitian eigendecomposition, principal angles and
   ``one_blas_thread``
 - ``ensembles``: the projector-compression, Wishart-ratio and tridiagonal
@@ -73,10 +73,4 @@ from .limits import (
 )
 from .matalg import eig_hermitian, one_blas_thread, principal_cosines
 from .orthopoly import chi, chi_prime, jacobi_pair
-from .randgen import (
-    SeededStream,
-    complex_ginibre,
-    haar_unitary,
-    random_isometry,
-    random_projector,
-)
+from .randgen import SeededStream, random_isometry

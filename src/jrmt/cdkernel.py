@@ -47,8 +47,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
-        if self.a < 0 or self.b < 0:
-            raise ParameterError(f"need a, b >= 0, got a={self.a}, b={self.b}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)) or self.a < 0 or self.b < 0:
+            raise ParameterError(f"need finite a, b >= 0, got a={self.a}, b={self.b}")
 
 
 def _check_open_interval(*xs) -> None:
@@ -86,14 +86,15 @@ def kernel(spec: KernelSpec, x, y):
     def nodes(z):
         pm, p, e = jacobi_pair(n, a, b, z)
         log_c = 0.5 * log_gam + _log_weight_half(spec, z)
-        return _scaled(p, log_c, e), _scaled(pm, log_c, e)
+        return _scaled(p, log_c, e), _scaled(pm, log_c, e), pm, p, e
 
-    def near(x, y):
+    def near(x, y, at_x):
         # d = D0 + (y - x)/2 D1 with D0 = P_{n-1} P_n' - P_n P_{n-1}' and D1
         # its primed analogue; derivatives come from the parameter-shift
         # ladder: P_n' is a multiple of the degree n-1 polynomial at
-        # (a+1, b+1) and P_n'' of degree n-2 at (a+2, b+2)
-        pm, p, e0 = jacobi_pair(n, a, b, x)
+        # (a+1, b+1) and P_n'' of degree n-2 at (a+2, b+2).  P_{n-1}, P_n at
+        # x are the node values
+        _, _, pm, p, e0 = at_x
         q0, q1, e1 = jacobi_pair(n - 1, a + 1.0, b + 1.0, x)
         d = pm * (0.5 * (n + a + b + 1.0) * q1) - p * (0.5 * (n + a + b) * q0)
         if n >= 2 and (y != x).any():  # the Taylor term vanishes on the diagonal

@@ -178,7 +178,7 @@ def cmd_kernel(args) -> None:
         "ugrid": args.ugrid,
         "vgrid": args.vgrid or args.ugrid,
     }
-    u, v = (g.ravel() for g in np.meshgrid(us, vs, indexing="ij"))
+    u, v = us[:, None], vs[None, :]
     if args.regime == "bulk":
         prof = finite_profile(spec)
         x0 = 0.5 * (prof.r + prof.s) if args.x is None else args.x
@@ -196,7 +196,7 @@ def cmd_kernel(args) -> None:
         values = rescaled_hard(spec, u, v), bessel_kernel(int(args.b), u, v)
     else:
         raise ParameterError(f"unknown regime {args.regime!r}")
-    rows = np.column_stack([u, v, *values])
+    rows = np.column_stack([g.ravel() for g in np.broadcast_arrays(u, v, *values)])
     _emit(args.out, _csv_text(config, ["u", "v", "rescaled_kernel", "limit_kernel"], rows))
 
 

@@ -140,7 +140,7 @@ def _sup_error_grid(spec: ExperimentSpec, n: int) -> float:
     grid = np.asarray(spec.u_grid, dtype=float)
     if grid.size == 0:
         raise ParameterError("grid regimes need a nonempty u_grid")
-    u, v = np.meshgrid(grid, grid, indexing="ij")
+    u, v = grid[:, None], grid[None, :]
     if spec.regime == "bulk":
         ks = KernelSpec(n, spec.alpha * n, spec.beta * n)
         prof = edge_profile(spec.alpha, spec.beta)

@@ -6,15 +6,18 @@ discretized operator symmetric, and the determinant comes from a pivoted
 dense LU factorization.  The rule on [-1, 1] is built once per node count
 and reused, read-only (:func:`jrmt.orthopoly.gauss_legendre_unit`); each
 call only maps it to its interval.  Kernels are callables that broadcast
-over numpy arrays, so the m x m matrix comes from one call; the kernels of
-this package evaluate their node values once per distinct node.  The
-alternating Fredholm series expansion is kept out of production (it
-converges too slowly); the test suite uses a short truncation of it as an
-independent oracle on low-rank toy kernels.
+over numpy arrays, so the m x m matrix comes from one call on a column and
+a row of the m nodes, never their meshgrid; the kernels of this package
+evaluate their node values once per node, the confluent diagonal included,
+and form the m x m entries by broadcasting.  The alternating Fredholm
+series expansion is kept out of production (it converges too slowly); the
+test suite uses a short truncation of it as an independent oracle on
+low-rank toy kernels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,8 +36,9 @@ class GapQuery:
     """A det(I - K) evaluation request on [lo, hi] with m quadrature nodes.
 
     ``kernel(x, y)`` must broadcast over numpy arrays: the Nystrom matrix is
-    one call on the m x m node grid, and a result of any other shape raises
-    ``ParameterError``.
+    one call with x the m nodes as a column (m, 1) and y the same nodes as a
+    row (1, m); a result of any shape other than (m, m) raises
+    ``ParameterError``.  The interval must be finite.
     """
 
     kernel: Callable
@@ -43,6 +47,8 @@ class GapQuery:
 
     def __post_init__(self):
         lo, hi = self.interval
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ParameterError(f"need a finite interval, got {self.interval}")
         if not lo < hi:
             raise ParameterError(f"need lo < hi, got {self.interval}")
         if self.quad_points < 8:
@@ -57,11 +63,11 @@ def gauss_legendre(m: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _kernel_matrix(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """The kernel on the node grid, from one broadcasting call."""
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    k = np.asarray(fn(xx, yy), dtype=float)
-    if k.shape != xx.shape:
-        raise ParameterError(f"kernel gave shape {k.shape} on the {xx.shape} grid; it must broadcast")
+    """The kernel on the node grid, from one call on a column and a row of the nodes."""
+    m = x.size
+    k = np.asarray(fn(x[:, None], x[None, :]), dtype=float)
+    if k.shape != (m, m):
+        raise ParameterError(f"kernel gave shape {k.shape} for {m} nodes; it must broadcast to {m} x {m}")
     return k
 
 

@@ -44,30 +44,36 @@ DIAG_TOL = 1e-6
 def _integrable_kernel(x, y, nodes: Callable, near: Callable):
     """(f(x) g(y) - g(x) f(y)) / (x - y) on broadcast x, y.
 
-    ``nodes(z)`` returns the arrays (f(z), g(z)) at a 1-d array z of distinct
-    abscissae; it is called once, on every distinct abscissa of the pairs off
-    the diagonal.  ``near(x, y)`` gives the kernel on the pairs with
-    |x - y| < ``DIAG_TOL``, where the quotient cancels catastrophically.
-    Every pair is evaluated in the order x <= y with elementwise arithmetic
-    only, so K(x, y) and K(y, x) are bitwise equal, and an entry does not
-    depend on the other entries asked for with it.  Scalar in, scalar out.
+    ``nodes(z)`` returns a tuple of arrays of node values at a 1-d array z of
+    distinct abscissae, f(z) and g(z) first.  It is called once, on the
+    distinct values of the unbroadcast x and y: a column and a row of m
+    nodes give 2m values, not the 2m^2 of their meshgrid.  The quotient is
+    formed from those values by broadcasting.  ``near(lo, hi, at_lo)`` gives
+    the kernel on the pairs with |x - y| < ``DIAG_TOL``, where the quotient
+    cancels catastrophically; each pair comes ordered lo <= hi, and
+    ``at_lo`` holds every array of ``nodes`` indexed at lo, as new arrays
+    the rule may overwrite, so a confluent rule that evaluates at lo need
+    not evaluate the nodes again.  Every operation is elementwise and the
+    quotient is exactly antisymmetric in its numerator and its denominator,
+    so K(x, y) and K(y, x) are bitwise equal and an entry does not depend
+    on the other entries asked for with it.  Scalar in, scalar out.
     """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    shape = x.shape
-    lo = np.minimum(x, y).ravel()
-    hi = np.maximum(x, y).ravel()
-    out = np.empty(lo.shape)
-    close = hi - lo < DIAG_TOL
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z, idx = np.unique(np.concatenate([x.ravel(), y.ravel()]), return_inverse=True)
+    vals = nodes(z)
+    f, g = vals[0], vals[1]
+    i, j = idx[: x.size].reshape(x.shape), idx[x.size :].reshape(y.shape)
+    d = x - y
+    close = np.abs(d) < DIAG_TOL
+    out = np.empty(d.shape)
+    np.divide(f[i] * g[j] - g[i] * f[j], d, out=out, where=~close)
     if close.any():
-        out[close] = near(lo[close], hi[close])
-    far = ~close
-    if far.any():
-        lo, hi = lo[far], hi[far]
-        z, idx = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-        f, g = nodes(z)
-        i, j = idx[: lo.size], idx[lo.size :]
-        out[far] = (f[i] * g[j] - g[i] * f[j]) / (lo - hi)
-    return out.reshape(shape)[()]
+        # z is sorted, so the lower point of a pair has the lower index
+        i, j = (np.broadcast_to(v, d.shape)[close] for v in (i, j))
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        out[close] = near(z[lo], z[hi], tuple(v[lo] for v in vals))
+    return out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +233,14 @@ def airy_prime(x):
     return scipy.special.airy(x)[1]
 
 
-def _airy_near(u, v):
-    # midpoint confluent form; its error at |u - v| < DIAG_TOL is O((u-v)^2)
+def _airy_near(u, v, at_u):
+    # midpoint confluent form; its error at |u - v| < DIAG_TOL is O((u-v)^2).
+    # On the exact diagonal the midpoint is u, whose node values are at hand
     m = 0.5 * (u + v)
-    ai, aip, _, _ = scipy.special.airy(m)
+    ai, aip = at_u
+    off = u != v
+    if off.any():
+        ai[off], aip[off] = scipy.special.airy(m[off])[:2]
     return aip * aip - m * ai * ai
 
 
@@ -262,14 +272,17 @@ def bessel_j(b: int, z):
     return scipy.special.jv(b, z)
 
 
+def _j_prime(b: int, jb, jb1, z):
+    # J_b'(z) from J_b(z) and J_{b+1}(z) by the order recurrence
+    return -jb1 if b == 0 else -jb1 + b * jb / z
+
+
 def bessel_j_prime(b: int, z):
     """J_b'(z) = -J_{b+1}(z) + b J_b(z) / z for z > 0."""
     z = np.asarray(z, dtype=float)
     if (np.atleast_1d(z) <= 0).any():
         raise DomainError("derivative recurrence needs z > 0")
-    if b == 0:
-        return -bessel_j(1, z)
-    return -bessel_j(b + 1, z) + b * bessel_j(b, z) / z
+    return _j_prime(b, bessel_j(b, z), bessel_j(b + 1, z), z)
 
 
 def bessel_kernel(b: int, u, v):
@@ -288,13 +301,18 @@ def bessel_kernel(b: int, u, v):
 
     def nodes(z):
         s = np.sqrt(z)
-        return 0.5 * s * bessel_j(b + 1, s), bessel_j(b, s)
+        jb, jb1 = bessel_j(b, s), bessel_j(b + 1, s)
+        return 0.5 * s * jb1, jb, jb1
 
-    def near(u, v):
+    def near(u, v, at_u):
+        # as for Airy, the midpoint is u on the exact diagonal
         m = 0.5 * (u + v)
         s = np.sqrt(m)
-        jb = bessel_j(b, s)
-        jp = bessel_j_prime(b, s)
+        _, jb, jb1 = at_u
+        off = u != v
+        if off.any():
+            jb[off], jb1[off] = bessel_j(b, s[off]), bessel_j(b + 1, s[off])
+        jp = _j_prime(b, jb, jb1, s)
         return (jp * jp + (1.0 - b * b / m) * jb * jb) / 4.0
 
     return _integrable_kernel(u, v, nodes, near)

@@ -160,6 +160,49 @@ def test_kernel_reference_values(cls, n, a, b, x, y, ref):
     assert got == pytest.approx(float(ref), rel=CD_REL_BOUND[cls])
 
 
+def _with_close_pairs(xs, scale=1.0):
+    # nodes plus pairs 0.9 DIAG_TOL apart (the confluent rule off the exact
+    # diagonal); scale sets the spacing of the extra points
+    extra = scale * np.array([0.3, -0.5])
+    return np.sort(np.concatenate([xs, extra, extra + 0.9 * DIAG_TOL, [extra[0] - 0.9 * DIAG_TOL]]))
+
+
+def _assert_broadcast_equals_meshgrid(fn, xs, ys):
+    xx, yy = np.meshgrid(xs, ys, indexing="ij")
+    assert ((np.abs(xx - yy) < DIAG_TOL) & (xx != yy)).any()
+    grid = fn(xx, yy)
+    assert np.array_equal(fn(xs[:, None], ys[None, :]), grid)
+    assert np.array_equal(fn(ys[:, None], xs[None, :]), grid.T)
+    assert np.array_equal(fn(xs[:, None], xs[None, :]), fn(*np.meshgrid(xs, xs, indexing="ij")))
+
+
+@pytest.mark.parametrize("n,a,b", sorted({(n, a, b) for _, n, a, b, *_ in CD_KERNEL_REFERENCE}))
+def test_broadcast_vectors_equal_meshgrid_bitwise(n, a, b):
+    # a Nystrom matrix is one call on a column and a row of nodes; the values
+    # must be the bits of the meshgrid call, near pairs included
+    spec = KernelSpec(n, a, b)
+    xs = _with_close_pairs(np.append(gauss_legendre(16, -0.999, 0.97)[0], [-0.999, 0.943]))
+    ys = _with_close_pairs(gauss_legendre(5, -0.9, 0.9)[0])
+    _assert_broadcast_equals_meshgrid(lambda x, y: kernel(spec, x, y), xs, ys)
+
+
+@pytest.mark.parametrize(
+    "fn, lo, hi",
+    [
+        (airy_kernel, -8.0, 10.0),
+        (lambda u, v: bessel_kernel(0, u, v), 0.25, 16.0),
+        (lambda u, v: bessel_kernel(2, u, v), 0.25, 16.0),
+    ],
+    ids=["airy", "bessel0", "bessel2"],
+)
+def test_limit_kernels_broadcast_vectors_equal_meshgrid_bitwise(fn, lo, hi):
+    xs = _with_close_pairs(gauss_legendre(16, lo, hi)[0], scale=10.0)
+    xs = xs[xs > 0] if lo > 0 else xs
+    ys = _with_close_pairs(gauss_legendre(5, lo, hi)[0], scale=10.0)
+    ys = ys[ys > 0] if lo > 0 else ys
+    _assert_broadcast_equals_meshgrid(fn, xs, ys)
+
+
 # ---------------------------------------------------------------------------
 # one-point density
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,32 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("jrmt: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--n", "12", "--a", "nan", "--b", "3", "--grid=-0.5:0.5:3"],
+        ["gap", "--n", "12", "--a", "nan", "--b", "3", "--x", "0.5"],
+        ["gap", "--n", "12", "--a", "6", "--b", "inf", "--x", "0.5"],
+        ["tw", "--t", "0", "--tail", "inf"],
+        ["kernel", "--regime", "soft", "--n", "100", "--a", "inf", "--b", "25", "--ugrid=-3:1.5:4"],
+    ],
+    ids=["density-a-nan", "gap-a-nan", "gap-b-inf", "tw-tail-inf", "kernel-a-inf"],
+)
+def test_nonfinite_parameters_are_usage_errors(argv):
+    # rejected before any arithmetic: no NaN output and no numpy warning
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("jrmt: ")
+    assert "Traceback" not in err.getvalue()
+    assert "RuntimeWarning" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_usage_error_exit_code():

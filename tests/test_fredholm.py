@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
+import jrmt.cdkernel
 import jrmt.fredholm
 from jrmt.cdkernel import KernelSpec, finite_profile, kernel
 from jrmt.errors import NumericError, ParameterError
 from jrmt.fredholm import GapQuery, gap_probability, gauss_legendre, largest_eval_cdf, tracy_widom_cdf
 from jrmt.limits import free_product_density
-from jrmt.orthopoly import gauss_legendre_unit
+from jrmt.orthopoly import gauss_legendre_unit, jacobi_pair
 
 
 def test_zero_kernel_gives_one():
@@ -37,7 +39,7 @@ def _fredholm_series(kernel, lo, hi, m=200, terms=3):
     vanish identically.
     """
     x, w = gauss_legendre(m, lo, hi)
-    k = np.array([[kernel(xi, xj) for xj in x] for xi in x])
+    k = kernel(x[:, None], x[None, :])
     total = 1.0
     if terms >= 1:
         total -= float(np.diag(k) @ w)
@@ -85,12 +87,43 @@ def test_largest_eval_cdf_calls_the_kernel_once(monkeypatch):
     shapes = []
 
     def counting(spec, x, y):
-        shapes.append(np.shape(x))
+        shapes.append((np.shape(x), np.shape(y)))
         return kernel(spec, x, y)
 
     monkeypatch.setattr(jrmt.fredholm, "kernel", counting)
     largest_eval_cdf(KernelSpec(12, 6.0, 3.0), 0.5)
-    assert shapes == [(64, 64)]
+    # a column and a row of the nodes, not their m x m meshgrid
+    assert shapes == [((64, 1), (1, 64))]
+
+
+def test_largest_eval_cdf_runs_each_recurrence_once(monkeypatch):
+    calls = []
+
+    def counting(n, a, b, x):
+        calls.append((n, a, b, np.shape(x)))
+        return jacobi_pair(n, a, b, x)
+
+    monkeypatch.setattr(jrmt.cdkernel, "jacobi_pair", counting)
+    largest_eval_cdf(KernelSpec(12, 6.0, 3.0), 0.5)
+    # the degree-n values at the 64 nodes serve the quotient and the
+    # confluent diagonal; the diagonal adds only the shifted-parameter
+    # derivative recurrence, and no pair is close but off the diagonal
+    assert calls == [(12, 6.0, 3.0, (64,)), (11, 7.0, 4.0, (64,))]
+
+
+def test_tracy_widom_cdf_evaluates_airy_once(monkeypatch):
+    sizes = []
+    airy = scipy.special.airy
+
+    def counting(z):
+        sizes.append(np.shape(z))
+        return airy(z)
+
+    monkeypatch.setattr(scipy.special, "airy", counting)
+    for t in (-3.0, 0.0, 2.5):
+        sizes.clear()
+        tracy_widom_cdf(t)
+        assert sizes == [(64,)]
 
 
 def test_gap_rejects_kernel_that_does_not_broadcast():

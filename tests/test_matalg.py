@@ -4,11 +4,11 @@ import pytest
 from jrmt import matalg
 from jrmt.errors import ValidationError
 from jrmt.matalg import eig_hermitian, one_blas_thread, principal_cosines
-from jrmt.randgen import SeededStream, complex_ginibre
+from jrmt.randgen import SeededStream, _ginibre
 
 
 def _random_hermitian(seed, n):
-    a = complex_ginibre(SeededStream(seed), n, n, 1.0)
+    a = _ginibre(SeededStream(seed).generator(), n, n, 1.0)
     return 0.5 * (a + a.conj().T)
 
 
