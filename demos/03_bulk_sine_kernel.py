@@ -7,18 +7,16 @@ kernel remains.  The error is expected to shrink like 1/n.
 
 import numpy as np
 
-from jrmt import ExperimentSpec, KernelSpec, rescaled_bulk, run_experiment, sine_kernel
-from jrmt.cdkernel import finite_profile
+from jrmt import ExperimentSpec, KernelSpec, local_scaling, rescaled, run_experiment, sine_kernel
 
 ALPHA, BETA = 0.5, 0.25
 
 spec = KernelSpec(200, ALPHA * 200, BETA * 200)
-prof = finite_profile(spec)
-x0 = 0.5 * (prof.r + prof.s)
+x0 = local_scaling(spec, "bulk")[0]  # the band midpoint
 print(f"rescaled kernel at n=200 around x = {x0:.4f}:")
 print(" u      v      rescaled   sine-kernel")
 for u, v in [(0.0, 0.0), (0.5, 0.0), (1.0, 0.25), (2.0, -1.0)]:
-    print(f"{u:+.2f}  {v:+.2f}   {rescaled_bulk(spec, x0, u, v):+.5f}   {float(sine_kernel(u, v)):+.5f}")
+    print(f"{u:+.2f}  {v:+.2f}   {rescaled(spec, 'bulk', u, v):+.5f}   {float(sine_kernel(u, v)):+.5f}")
 
 report = run_experiment(
     ExperimentSpec(

@@ -8,15 +8,14 @@ limit is the order-b Bessel kernel with scale 2 n^2 (1 + a/n).
 
 import numpy as np
 
-from jrmt import KernelSpec, airy_kernel, bessel_kernel, rescaled_hard, rescaled_soft
-from jrmt.cdkernel import hard_edge_scale, soft_edge
+from jrmt import KernelSpec, airy_kernel, bessel_kernel, local_scaling, rescaled
 
 print("--- soft edge, alpha=0.5, beta=0.25 ---")
 for n in (100, 200, 400):
     spec = KernelSpec(n, 0.5 * n, 0.25 * n)
-    s, h = soft_edge(spec)
+    s, h, _ = local_scaling(spec, "soft")
     errs = [
-        abs(rescaled_soft(spec, u, v) - float(airy_kernel(u, v)))
+        abs(rescaled(spec, "soft", u, v) - float(airy_kernel(u, v)))
         for u in np.linspace(-3, 1.5, 5)
         for v in np.linspace(-3, 1.5, 5)
     ]
@@ -25,9 +24,10 @@ for n in (100, 200, 400):
 print("\n--- hard edge, alpha=0.5, b=2 ---")
 for n in (100, 200, 400):
     spec = KernelSpec(n, 0.5 * n, 2.0)
+    c = local_scaling(spec, "hard")[1]
     errs = [
-        abs(rescaled_hard(spec, u, v) - float(bessel_kernel(2, u, v)))
+        abs(rescaled(spec, "hard", u, v) - float(bessel_kernel(2, u, v)))
         for u in np.linspace(0.5, 16, 5)
         for v in np.linspace(0.5, 16, 5)
     ]
-    print(f"n={n:4d}: scale={hard_edge_scale(spec):10.0f}  sup|K_resc - F_2| = {max(errs):.6f}")
+    print(f"n={n:4d}: scale={c:10.0f}  sup|K_resc - F_2| = {max(errs):.6f}")

@@ -9,7 +9,8 @@ The package covers the full chain from sampling to universality checks:
   beta-Jacobi constructions
 - ``orthopoly``: Jacobi polynomials by one array recurrence, ``jacobi_pair``,
   which returns mantissas and a power-of-two exponent per abscissa
-- ``cdkernel``: the Christoffel-Darboux kernel and its bulk/edge rescalings
+- ``cdkernel``: the Christoffel-Darboux kernel and its bulk/edge rescalings,
+  each defined once by ``local_scaling``
 - ``limits``: limiting densities and the sine, Airy, and Bessel kernels
   (Airy and Bessel functions from ``scipy.special``)
 - ``fredholm``: gap probabilities det(I - K) by Nystrom quadrature
@@ -24,10 +25,9 @@ from .cdkernel import (
     KernelSpec,
     hard_edge_scale,
     kernel,
+    local_scaling,
     one_point_density,
-    rescaled_bulk,
-    rescaled_hard,
-    rescaled_soft,
+    rescaled,
     soft_edge,
 )
 from .empirics import (

@@ -8,17 +8,32 @@ value stays moderate.  So the polynomials come from the array recurrence
 :func:`~jrmt.orthopoly.jacobi_pair` as mantissas times exact powers of two,
 the other factors as logs, and the two meet in one ``np.ldexp`` per value.
 Every function here accepts scalars or numpy arrays.
+
+The local limits (sine kernel in the bulk, Airy at the soft edge, Bessel at
+the hard edge) are defined once, by :func:`local_scaling`, which maps a
+regime name to its centre, scale and limit kernel; :func:`rescaled` is the
+kernel measured at that centre and scale.  The CLI and the convergence
+reports both go through these two functions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NumericError, ParameterError, RegimeError
-from .limits import _integrable_kernel, edge_profile, limit_density
+from .limits import (
+    _integrable_kernel,
+    airy_kernel,
+    bessel_kernel,
+    edge_profile,
+    limit_density,
+    sine_kernel,
+)
 from .orthopoly import chi_prime, chi_zeros, jacobi_pair, log_gamma_n
 
 __all__ = [
@@ -28,9 +43,8 @@ __all__ = [
     "finite_profile",
     "soft_edge",
     "hard_edge_scale",
-    "rescaled_bulk",
-    "rescaled_soft",
-    "rescaled_hard",
+    "local_scaling",
+    "rescaled",
 ]
 
 _LN2 = math.log(2.0)
@@ -143,41 +157,43 @@ def hard_edge_scale(spec: KernelSpec) -> float:
     return 2.0 * spec.n * spec.n * (1.0 + spec.a / spec.n)
 
 
-def rescaled_bulk(spec: KernelSpec, x: float, u, v):
-    """Bulk-rescaled kernel K_n(x + u/(n f_n), x + v/(n f_n)) / (n f_n).
+def local_scaling(
+    spec: KernelSpec, regime: str, x: float | None = None
+) -> tuple[float, float, Callable]:
+    """Centre c, scale h and limit kernel L of a local regime.
 
-    Converges to the sine kernel sin(pi(u-v))/(pi(u-v)) for x strictly
-    inside the finite-n support band.
+    K_n(c + u/h, c + v/h) / h tends to L(u, v):
+    - 'bulk': c = x, by default the midpoint of the finite-n band and always
+      strictly inside it; h = n f_n(c), the local mean spacing; L the sine
+      kernel.
+    - 'soft': (c, h) = ``soft_edge(spec)``; L the Airy kernel.  Needs a/n
+      bounded away from zero so the upper edge is of square-root type.
+    - 'hard': c = -1, h = ``hard_edge_scale(spec)``; L the order-b Bessel
+      kernel, so b must be a constant nonnegative integer.
+    Only the bulk takes x; an edge fixes its own centre.
     """
-    prof = finite_profile(spec)
-    if not prof.r < x < prof.s:
-        raise DomainError(f"x={x} outside the open band ({prof.r:.6f}, {prof.s:.6f})")
-    fx = limit_density(prof, x)
-    if not fx > 0.0:
-        raise DomainError(f"density vanishes at x={x}")
-    scale = spec.n * fx
-    return kernel(spec, x + np.asarray(u) / scale, x + np.asarray(v) / scale) / scale
-
-
-def rescaled_soft(spec: KernelSpec, u, v):
-    """Soft-edge-rescaled kernel K_n(s_n + u/h_n, s_n + v/h_n) / h_n.
-
-    Converges to the Airy kernel; needs a/n bounded away from zero so the
-    upper edge is of square-root type.
-    """
-    s, h = soft_edge(spec)
-    return kernel(spec, s + np.asarray(u) / h, s + np.asarray(v) / h) / h
-
-
-def rescaled_hard(spec: KernelSpec, u, v):
-    """Hard-edge-rescaled kernel at -1 with scale c_n = 2 n^2 (1 + a/n).
-
-    Converges to the order-b Bessel kernel; the order must be a constant
-    nonnegative integer, which is checked here.
-    """
+    if regime == "bulk":
+        prof = finite_profile(spec)
+        if x is None:
+            x = 0.5 * (prof.r + prof.s)
+        if not prof.r < x < prof.s:
+            raise DomainError(f"x={x} outside the open band ({prof.r:.6f}, {prof.s:.6f})")
+        fx = limit_density(prof, x)
+        if not fx > 0.0:
+            raise DomainError(f"density vanishes at x={x}")
+        return x, spec.n * fx, sine_kernel
+    if regime not in ("soft", "hard"):
+        raise ParameterError(f"unknown regime {regime!r}")
+    if x is not None:
+        raise ParameterError(f"x sets the bulk centre only; the {regime} edge fixes its own")
+    if regime == "soft":
+        return (*soft_edge(spec), airy_kernel)
     if spec.b != int(spec.b):
         raise ParameterError(f"hard edge needs integer b, got {spec.b}")
-    if (np.asarray(u) <= 0).any() or (np.asarray(v) <= 0).any():
-        raise DomainError("hard-edge coordinates must be positive")
-    c = hard_edge_scale(spec)
-    return kernel(spec, -1.0 + np.asarray(u) / c, -1.0 + np.asarray(v) / c) / c
+    return -1.0, hard_edge_scale(spec), functools.partial(bessel_kernel, int(spec.b))
+
+
+def rescaled(spec: KernelSpec, regime: str, u, v, x: float | None = None):
+    """Rescaled kernel K_n(c + u/h, c + v/h) / h at the ``local_scaling`` of a regime."""
+    c, h, _ = local_scaling(spec, regime, x)
+    return kernel(spec, c + np.asarray(u) / h, c + np.asarray(v) / h) / h

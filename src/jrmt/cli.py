@@ -20,26 +20,19 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .cdkernel import (
-    KernelSpec,
-    finite_profile,
-    hard_edge_scale,
-    one_point_density,
-    rescaled_bulk,
-    rescaled_hard,
-    rescaled_soft,
-    soft_edge,
-)
+from .cdkernel import KernelSpec, finite_profile, local_scaling, one_point_density, rescaled
 from .ensembles import reduce_ranks, sample_spectrum
 from .errors import JrmtError, NumericError, ParameterError
 from .fredholm import largest_eval_cdf, tracy_widom_cdf
-from .limits import airy_kernel, banach_angle, bessel_kernel, limit_density, sine_kernel
+from .limits import banach_angle, limit_density
 from .matalg import one_blas_thread, principal_cosines
 from .randgen import SeededStream, random_isometry
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 MAX_QUAD = 2048  # the Nystrom matrix is quad x quad: quad^2 kernel entries, an O(quad^3) det
+# config keys of `jrmt kernel` that report the (centre, scale) of its regime
+_SCALING_KEYS = {"bulk": ("x", None), "soft": ("edge", "scale"), "hard": (None, "scale")}
 
 
 def _fmt(v: float) -> str:
@@ -178,24 +171,10 @@ def cmd_kernel(args) -> None:
         "ugrid": args.ugrid,
         "vgrid": args.vgrid or args.ugrid,
     }
+    centre, scale, limit = local_scaling(spec, args.regime, args.x)
+    config.update((k, val) for k, val in zip(_SCALING_KEYS[args.regime], (centre, scale)) if k)
     u, v = us[:, None], vs[None, :]
-    if args.regime == "bulk":
-        prof = finite_profile(spec)
-        x0 = 0.5 * (prof.r + prof.s) if args.x is None else args.x
-        config["x"] = x0
-        values = rescaled_bulk(spec, x0, u, v), sine_kernel(u, v)
-    elif args.regime == "soft":
-        s, h = soft_edge(spec)
-        config["edge"] = s
-        config["scale"] = h
-        values = rescaled_soft(spec, u, v), airy_kernel(u, v)
-    elif args.regime == "hard":
-        if args.b != int(args.b):
-            raise ParameterError(f"hard regime needs integer b, got {args.b}")
-        config["scale"] = hard_edge_scale(spec)
-        values = rescaled_hard(spec, u, v), bessel_kernel(int(args.b), u, v)
-    else:
-        raise ParameterError(f"unknown regime {args.regime!r}")
+    values = rescaled(spec, args.regime, u, v, args.x), limit(u, v)
     rows = np.column_stack([g.ravel() for g in np.broadcast_arrays(u, v, *values)])
     _emit(args.out, _csv_text(config, ["u", "v", "rescaled_kernel", "limit_kernel"], rows))
 

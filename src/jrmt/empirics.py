@@ -1,7 +1,10 @@
 """Monte Carlo harness: empirical spectra, KS statistics, convergence reports.
 
 Trials are keyed by stream_id and run serially, one after another, on one
-worker; aggregation is order-independent (sorted merges).
+worker; aggregation is order-independent (sorted merges).  A convergence
+report on a grid regime takes its centre, scale and limit kernel from
+:func:`~jrmt.cdkernel.local_scaling` and its kernel values from
+:func:`~jrmt.cdkernel.rescaled`; it defines no rescaling of its own.
 """
 
 from __future__ import annotations
@@ -11,15 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .cdkernel import (
-    KernelSpec,
-    one_point_density,
-    rescaled_bulk,
-    rescaled_hard,
-    rescaled_soft,
-)
+from .cdkernel import KernelSpec, local_scaling, one_point_density, rescaled
 from .errors import ParameterError
-from .limits import airy_kernel, bessel_kernel, edge_profile, limit_density, sine_kernel
+from .limits import edge_profile, limit_density
 
 __all__ = [
     "EmpiricalSample",
@@ -31,6 +28,9 @@ __all__ = [
     "run_experiment",
     "worker_count",
 ]
+
+# distance of the 'onepoint' x-grid from each end of the limit support
+_X_MARGIN = 0.1
 
 
 def worker_count() -> int:
@@ -104,9 +104,9 @@ class ExperimentSpec:
 
     regime: 'onepoint' | 'bulk' | 'soft' | 'hard'.  ``alpha``/``beta`` are
     the a/n, b/n ratios (for 'hard', ``bessel_order`` is the constant b and
-    beta is ignored).  Grids: x-grid offsets for 'onepoint' are generated
-    from margins inside the support; 'bulk'/'soft'/'hard' use a square
-    (u, v) grid.  The kernel-vs-limit errors are deterministic.
+    beta is ignored).  Grids: 'onepoint' spreads ``x_points`` over the
+    limit support less ``_X_MARGIN`` at each end; 'bulk'/'soft'/'hard' use
+    a square (u, v) grid.  The kernel-vs-limit errors are deterministic.
     """
 
     regime: str
@@ -114,7 +114,6 @@ class ExperimentSpec:
     alpha: float
     beta: float = 0.0
     bessel_order: int = 0
-    x_margin: float = 0.1
     x_points: int = 41
     u_grid: tuple[float, ...] = ()
 
@@ -131,7 +130,7 @@ class ConvergenceReport:
 
 def _sup_error_onepoint(spec: ExperimentSpec, n: int) -> float:
     prof = edge_profile(spec.alpha, spec.beta)
-    xs = np.linspace(prof.r + spec.x_margin, prof.s - spec.x_margin, spec.x_points)
+    xs = np.linspace(prof.r + _X_MARGIN, prof.s - _X_MARGIN, spec.x_points)
     ks = KernelSpec(n, spec.alpha * n, spec.beta * n)
     return float(np.abs(one_point_density(ks, xs) - limit_density(prof, xs)).max())
 
@@ -141,20 +140,10 @@ def _sup_error_grid(spec: ExperimentSpec, n: int) -> float:
     if grid.size == 0:
         raise ParameterError("grid regimes need a nonempty u_grid")
     u, v = grid[:, None], grid[None, :]
-    if spec.regime == "bulk":
-        ks = KernelSpec(n, spec.alpha * n, spec.beta * n)
-        prof = edge_profile(spec.alpha, spec.beta)
-        x0 = 0.5 * (prof.r + prof.s)
-        err = rescaled_bulk(ks, x0, u, v) - sine_kernel(u, v)
-    elif spec.regime == "soft":
-        ks = KernelSpec(n, spec.alpha * n, spec.beta * n)
-        err = rescaled_soft(ks, u, v) - airy_kernel(u, v)
-    elif spec.regime == "hard":
-        ks = KernelSpec(n, spec.alpha * n, float(spec.bessel_order))
-        err = rescaled_hard(ks, u, v) - bessel_kernel(spec.bessel_order, u, v)
-    else:
-        raise ParameterError(f"unknown regime {spec.regime!r}")
-    return float(np.abs(err).max())
+    b = float(spec.bessel_order) if spec.regime == "hard" else spec.beta * n
+    ks = KernelSpec(n, spec.alpha * n, b)
+    limit = local_scaling(ks, spec.regime)[2]
+    return float(np.abs(rescaled(ks, spec.regime, u, v) - limit(u, v)).max())
 
 
 def run_experiment(spec: ExperimentSpec) -> ConvergenceReport:

@@ -84,8 +84,6 @@ def _integrable_kernel(x, y, nodes: Callable, near: Callable):
 class LimitProfile:
     """Edge data of the limiting spectral density on [-1, 1]."""
 
-    alpha: float
-    beta: float
     A: float
     B: float
     D: float
@@ -99,13 +97,13 @@ def edge_profile(alpha: float, beta: float) -> LimitProfile:
     A = alpha/(2+alpha+beta), B = beta/(2+alpha+beta),
     D = sqrt((1+A+B)(1-A-B)(1-A+B)(1+A-B)), r,s = B^2 - A^2 -+ D.
     """
-    if alpha < 0 or beta < 0:
-        raise ParameterError(f"ratios must be >= 0, got alpha={alpha}, beta={beta}")
+    if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):  # NaN fails every comparison
+        raise ParameterError(f"ratios must be finite and >= 0, got alpha={alpha}, beta={beta}")
     den = 2.0 + alpha + beta
     a_ = alpha / den
     b_ = beta / den
     d = math.sqrt((1 + a_ + b_) * (1 - a_ - b_) * (1 - a_ + b_) * (1 + a_ - b_))
-    return LimitProfile(alpha, beta, a_, b_, d, b_ * b_ - a_ * a_ - d, b_ * b_ - a_ * a_ + d)
+    return LimitProfile(a_, b_, d, b_ * b_ - a_ * a_ - d, b_ * b_ - a_ * a_ + d)
 
 
 def limit_density(profile: LimitProfile, x):
@@ -153,6 +151,19 @@ class FreeDensity:
         return self.continuous_mass(quad_points) + sum(m for _, m in self.atoms)
 
 
+def _arc_law(lo: float, hi: float, atoms: list[tuple[float, float]]) -> FreeDensity:
+    """Atoms plus the continuous part sqrt((hi - x)(x - lo)) / (2 pi x (1 - x)) on (lo, hi) in (0, 1)."""
+
+    def dens(x):
+        x = np.asarray(x, dtype=float)
+        inside = (x > lo) & (x < hi) & (x > 0.0) & (x < 1.0)
+        rad = np.where(inside, (hi - x) * (x - lo), 0.0)
+        den = np.where(inside, 2.0 * math.pi * x * (1.0 - x), 1.0)
+        return np.where(inside, np.sqrt(rad) / den, 0.0)
+
+    return FreeDensity(support=(lo, hi), density=dens, atoms=atoms)
+
+
 def free_product_density(alpha: float, beta: float) -> FreeDensity:
     """Spectral law of the product of two free projectors with trace ratios alpha, beta.
 
@@ -166,13 +177,6 @@ def free_product_density(alpha: float, beta: float) -> FreeDensity:
     base = alpha + beta - 2.0 * alpha * beta
     r_minus, r_plus = base - root, base + root
 
-    def dens(x):
-        x = np.asarray(x, dtype=float)
-        inside = (x > r_minus) & (x < r_plus) & (x > 0.0) & (x < 1.0)
-        rad = np.where(inside, (r_plus - x) * (x - r_minus), 0.0)
-        den = np.where(inside, 2.0 * math.pi * x * (1.0 - x), 1.0)
-        return np.where(inside, np.sqrt(rad) / den, 0.0)
-
     atoms = []
     mass0 = 1.0 - min(alpha, beta)
     mass1 = max(alpha + beta - 1.0, 0.0)
@@ -180,7 +184,7 @@ def free_product_density(alpha: float, beta: float) -> FreeDensity:
         atoms.append((0.0, mass0))
     if mass1 > 0:
         atoms.append((1.0, mass1))
-    return FreeDensity(support=(r_minus, r_plus), density=dens, atoms=atoms)
+    return _arc_law(r_minus, r_plus, atoms)
 
 
 def wishart_ratio_density(alpha: float, beta: float) -> tuple[FreeDensity, float]:
@@ -193,8 +197,8 @@ def wishart_ratio_density(alpha: float, beta: float) -> tuple[FreeDensity, float
     the second return value reports the discrepancy instead of hiding it
     behind a silent renormalization.
     """
-    if alpha < 1.0 or beta < 1.0:
-        raise ParameterError(f"column ratios must be >= 1, got {alpha}, {beta}")
+    if not (1.0 <= alpha < math.inf and 1.0 <= beta < math.inf):
+        raise ParameterError(f"column ratios must be finite and >= 1, got {alpha}, {beta}")
     tot = alpha + beta
     lam_minus = (
         math.sqrt(alpha / tot * (1.0 - 1.0 / tot)) - math.sqrt(1.0 / tot * (1.0 - alpha / tot))
@@ -203,19 +207,12 @@ def wishart_ratio_density(alpha: float, beta: float) -> tuple[FreeDensity, float
         math.sqrt(alpha / tot * (1.0 - 1.0 / tot)) + math.sqrt(1.0 / tot * (1.0 - alpha / tot))
     ) ** 2
 
-    def dens(x):
-        x = np.asarray(x, dtype=float)
-        inside = (x > lam_minus) & (x < lam_plus) & (x > 0.0) & (x < 1.0)
-        rad = np.where(inside, (x - lam_minus) * (lam_plus - x), 0.0)
-        den = np.where(inside, 2.0 * math.pi * x * (1.0 - x), 1.0)
-        return np.where(inside, np.sqrt(rad) / den, 0.0)
-
     atoms = []
     if alpha > 1.0:
         atoms.append((0.0, alpha - 1.0))
     if beta > 1.0:
         atoms.append((1.0, beta - 1.0))
-    measure = FreeDensity(support=(lam_minus, lam_plus), density=dens, atoms=atoms)
+    measure = _arc_law(lam_minus, lam_plus, atoms)
     return measure, measure.total_mass()
 
 

@@ -43,8 +43,8 @@ _RESCALE_EVERY = 4
 def _validate_params(n: int, a: float, b: float) -> None:
     if n < 0:
         raise ParameterError(f"degree must be >= 0, got {n}")
-    if a < 0 or b < 0:
-        raise ParameterError(f"parameters must be >= 0, got a={a}, b={b}")
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):  # NaN fails every comparison
+        raise ParameterError(f"parameters must be finite and >= 0, got a={a}, b={b}")
 
 
 def jacobi_pair(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -49,9 +49,6 @@ class SeededStream:
             ) from e
         return np.random.Generator(np.random.PCG64(ss))
 
-    def child(self, stream_id: int) -> "SeededStream":
-        return SeededStream(self.seed, stream_id)
-
 
 def _ginibre(gen: np.random.Generator, rows: int, cols: int, variance: float) -> np.ndarray:
     # real and imaginary parts independent N(0, variance/2)

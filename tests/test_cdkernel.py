@@ -8,15 +8,21 @@ from jrmt.cdkernel import (
     finite_profile,
     hard_edge_scale,
     kernel,
+    local_scaling,
     one_point_density,
-    rescaled_bulk,
-    rescaled_hard,
-    rescaled_soft,
+    rescaled,
     soft_edge,
 )
 from jrmt.errors import DomainError, ParameterError
 from jrmt.fredholm import gauss_legendre
-from jrmt.limits import DIAG_TOL, airy_kernel, airy_prime, bessel_kernel, sine_kernel
+from jrmt.limits import (
+    DIAG_TOL,
+    airy_kernel,
+    airy_prime,
+    bessel_kernel,
+    limit_density,
+    sine_kernel,
+)
 
 
 def test_rank_one_kernel_is_constant_half():
@@ -56,15 +62,13 @@ def test_array_calls_equal_scalar_calls_bitwise(n):
     assert np.array_equal(grid, kernel(spec, yy, xx))
     assert np.array_equal(grid, [[kernel(spec, float(x), float(y)) for y in xs] for x in xs])
     assert np.array_equal(one_point_density(spec, xs), [one_point_density(spec, float(x)) for x in xs])
-    prof = finite_profile(spec)
-    x0 = 0.5 * (prof.r + prof.s)
     hard = KernelSpec(n, 0.5 * n, 2.0)
     us = np.linspace(0.25, 3.0, 6)
     uu, vv = np.meshgrid(us, us, indexing="ij")
     for fn in (
-        lambda u, v: rescaled_bulk(spec, x0, u, v),
-        lambda u, v: rescaled_soft(spec, u, v),
-        lambda u, v: rescaled_hard(hard, u, v),
+        lambda u, v: rescaled(spec, "bulk", u, v),
+        lambda u, v: rescaled(spec, "soft", u, v),
+        lambda u, v: rescaled(hard, "hard", u, v),
         airy_kernel,
         lambda u, v: bessel_kernel(2, u, v),
     ):
@@ -237,32 +241,26 @@ def test_one_point_rank_one_fallback():
 
 def test_bulk_diagonal_near_one():
     spec = KernelSpec(200, 100.0, 50.0)
-    prof = finite_profile(spec)
-    x0 = 0.5 * (prof.r + prof.s)
-    val = rescaled_bulk(spec, x0, 0.0, 0.0)
+    val = rescaled(spec, "bulk", 0.0, 0.0)
     assert 0.97 < val < 1.03
 
 
 def test_bulk_swap_symmetry():
     spec = KernelSpec(100, 50.0, 25.0)
-    prof = finite_profile(spec)
-    x0 = 0.5 * (prof.r + prof.s)
-    assert rescaled_bulk(spec, x0, 0.7, -0.3) == pytest.approx(
-        rescaled_bulk(spec, x0, -0.3, 0.7), abs=1e-12
+    assert rescaled(spec, "bulk", 0.7, -0.3) == pytest.approx(
+        rescaled(spec, "bulk", -0.3, 0.7), abs=1e-12
     )
 
 
 def test_bulk_sine_target():
     spec = KernelSpec(400, 200.0, 100.0)
-    prof = finite_profile(spec)
-    x0 = 0.5 * (prof.r + prof.s)
-    assert rescaled_bulk(spec, x0, 0.5, 0.0) == pytest.approx(2.0 / math.pi, abs=0.05)
+    assert rescaled(spec, "bulk", 0.5, 0.0) == pytest.approx(2.0 / math.pi, abs=0.05)
 
 
 def test_bulk_rejects_point_outside_band():
     spec = KernelSpec(100, 50.0, 25.0)
     with pytest.raises(DomainError):
-        rescaled_bulk(spec, 0.99, 0.0, 0.0)
+        rescaled(spec, "bulk", 0.0, 0.0, x=0.99)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +292,14 @@ def test_soft_edge_scale_against_closed_form():
 
 def test_soft_swap_symmetry():
     spec = KernelSpec(100, 50.0, 25.0)
-    assert rescaled_soft(spec, 0.4, -1.1) == pytest.approx(
-        rescaled_soft(spec, -1.1, 0.4), abs=1e-12
+    assert rescaled(spec, "soft", 0.4, -1.1) == pytest.approx(
+        rescaled(spec, "soft", -1.1, 0.4), abs=1e-12
     )
 
 
 def test_soft_diagonal_target():
     spec = KernelSpec(400, 200.0, 100.0)
-    val = rescaled_soft(spec, 0.0, 0.0)
+    val = rescaled(spec, "soft", 0.0, 0.0)
     assert val == pytest.approx(airy_prime(0.0) ** 2, abs=0.02)
 
 
@@ -319,14 +317,14 @@ def test_soft_rejects_tiny_parameters():
 
 def test_hard_swap_symmetry():
     spec = KernelSpec(100, 50.0, 2.0)
-    assert rescaled_hard(spec, 5.0, 1.5) == pytest.approx(
-        rescaled_hard(spec, 1.5, 5.0), abs=1e-12
+    assert rescaled(spec, "hard", 5.0, 1.5) == pytest.approx(
+        rescaled(spec, "hard", 1.5, 5.0), abs=1e-12
     )
 
 
 def test_hard_bessel_target():
     spec = KernelSpec(200, 100.0, 0.0)
-    val = rescaled_hard(spec, 4.0, 1.0)
+    val = rescaled(spec, "hard", 4.0, 1.0)
     assert val == pytest.approx(bessel_kernel(0, 4.0, 1.0), abs=0.05)
 
 
@@ -335,7 +333,7 @@ def test_hard_monotone_approach():
     errs = []
     for n in (100, 200, 400):
         spec = KernelSpec(n, 0.5 * n, 2.0)
-        errs.append(abs(rescaled_hard(spec, u, v) - bessel_kernel(2, u, v)))
+        errs.append(abs(rescaled(spec, "hard", u, v) - bessel_kernel(2, u, v)))
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -347,13 +345,13 @@ def test_hard_scale_value():
 def test_hard_rejects_fractional_order():
     spec = KernelSpec(50, 25.0, 1.5)
     with pytest.raises(ParameterError):
-        rescaled_hard(spec, 1.0, 2.0)
+        rescaled(spec, "hard", 1.0, 2.0)
 
 
 def test_hard_rejects_nonpositive_offsets():
     spec = KernelSpec(50, 25.0, 1.0)
     with pytest.raises(DomainError):
-        rescaled_hard(spec, 0.0, 1.0)
+        rescaled(spec, "hard", 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +361,52 @@ def test_hard_rejects_nonpositive_offsets():
 def test_rescaled_kernels_near_limits_at_moderate_size():
     n = 200
     bulk = KernelSpec(n, 0.5 * n, 0.25 * n)
-    prof = finite_profile(bulk)
-    x0 = 0.5 * (prof.r + prof.s)
-    assert abs(rescaled_bulk(bulk, x0, 1.0, -1.0) - sine_kernel(1.0, -1.0)) < 0.02
-    assert abs(rescaled_soft(bulk, -1.0, 0.5) - airy_kernel(-1.0, 0.5)) < 0.05
+    assert abs(rescaled(bulk, "bulk", 1.0, -1.0) - sine_kernel(1.0, -1.0)) < 0.02
+    assert abs(rescaled(bulk, "soft", -1.0, 0.5) - airy_kernel(-1.0, 0.5)) < 0.05
     hard = KernelSpec(n, 0.5 * n, 2.0)
-    assert abs(rescaled_hard(hard, 8.0, 2.0) - bessel_kernel(2, 8.0, 2.0)) < 0.01
+    assert abs(rescaled(hard, "hard", 8.0, 2.0) - bessel_kernel(2, 8.0, 2.0)) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# one local-scaling path
+
+
+def test_local_scaling_is_the_regime_data():
+    spec = KernelSpec(200, 100.0, 50.0)
+    prof = finite_profile(spec)
+    x0, h, limit = local_scaling(spec, "bulk")
+    assert x0 == 0.5 * (prof.r + prof.s)
+    assert h == 200 * limit_density(prof, x0)
+    assert limit is sine_kernel
+    assert local_scaling(spec, "bulk", x=0.1)[0] == 0.1
+    assert local_scaling(spec, "soft") == (*soft_edge(spec), airy_kernel)
+    c, h, limit = local_scaling(KernelSpec(200, 100.0, 2.0), "hard")
+    assert (c, h) == (-1.0, hard_edge_scale(KernelSpec(200, 100.0, 2.0)))
+    assert limit(4.0, 1.0) == bessel_kernel(2, 4.0, 1.0)
+
+
+def test_rescaled_is_the_kernel_at_the_local_scaling():
+    spec = KernelSpec(100, 50.0, 2.0)
+    u, v = np.linspace(0.5, 3.0, 4)[:, None], np.linspace(0.25, 2.0, 3)[None, :]
+    for regime in ("bulk", "soft", "hard"):
+        c, h, _ = local_scaling(spec, regime)
+        assert np.array_equal(rescaled(spec, regime, u, v), kernel(spec, c + u / h, c + v / h) / h)
+
+
+@pytest.mark.parametrize("regime", ["wat", "onepoint", "Bulk"])
+def test_unknown_regime_rejected(regime):
+    spec = KernelSpec(50, 25.0, 2.0)
+    with pytest.raises(ParameterError):
+        local_scaling(spec, regime)
+    with pytest.raises(ParameterError):
+        rescaled(spec, regime, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("regime", ["soft", "hard"])
+def test_edge_regimes_reject_a_centre(regime):
+    # an edge fixes its own centre; an x there must not be dropped silently
+    spec = KernelSpec(50, 25.0, 2.0)
+    with pytest.raises(ParameterError):
+        local_scaling(spec, regime, x=0.3)
+    with pytest.raises(ParameterError):
+        rescaled(spec, regime, 1.0, 2.0, x=0.3)

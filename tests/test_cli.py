@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -143,6 +144,40 @@ def test_kernel_soft_runs(tmp_path):
     meta, _, rows = _read_csv(out)
     assert rows.shape == (16, 4)
     assert meta["scale"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["kernel", "--regime", "bulk", "--n", "80", "--a", "40", "--b", "20", "--ugrid=-1:1:3"],
+         "814090c69250711fa36f9d2d1e6255c1a504ebe5db2c37e6c1103bbd0ecf58d8"),
+        (["kernel", "--regime", "bulk", "--n", "80", "--a", "40", "--b", "20", "--x", "0.1",
+          "--ugrid=-1:1:3", "--vgrid=-0.5:0.5:2"],
+         "da55c3f04cca30ecf1e32ac7aafddf8a150dee4b425caef335fc85d3935e23d8"),
+        (["kernel", "--regime", "soft", "--n", "100", "--a", "50", "--b", "25", "--ugrid=-2:1:4"],
+         "cd9f51fea73bd77560df931beafdbae3634727a93e36bb034b79d267b2008203"),
+        (["kernel", "--regime", "hard", "--n", "100", "--a", "50", "--b", "2", "--ugrid", "1:4:3"],
+         "83d86e405a480f616d518460fcac0fbddd641bcb16ce7b3364a55a49fd38342f"),
+        (["density", "--n", "12", "--a", "6", "--b", "3", "--grid=-0.5:0.5:5"],
+         "ddfcf4b049edff0cfdb4d2dc1a81b28c649dba1ac6bcce34c333dc098468d7cb"),
+    ],
+    ids=["kernel-bulk", "kernel-bulk-x", "kernel-soft", "kernel-hard", "density"],
+)
+def test_kernel_and_density_stdout_pinned(argv, digest, capsys):
+    # the exact bytes of these outputs, config line included, are pinned
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("regime, b", [("soft", "25"), ("hard", "2")])
+def test_kernel_rejects_x_at_an_edge(regime, b, capsys):
+    # --x sets the bulk centre; an edge fixes its own and must not drop the value
+    argv = ["kernel", "--regime", regime, "--n", "100", "--a", "50", "--b", b, "--x", "0.3",
+            "--ugrid", "1:2:2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jrmt: ")
 
 
 def test_gap_json(tmp_path, capsys):

@@ -160,6 +160,12 @@ def test_profile_rejects_negative_ratio():
         edge_profile(-0.1, 0.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 0.2), (0.2, math.nan), (math.inf, 0.2), (0.2, math.inf)])
+def test_profile_rejects_nonfinite_ratio(alpha, beta):
+    with pytest.raises(ParameterError):
+        edge_profile(alpha, beta)
+
+
 # ---------------------------------------------------------------------------
 # free projector product law
 
@@ -237,6 +243,12 @@ def test_wishart_ratio_support_matches_monte_carlo():
 def test_wishart_ratio_rejects_small_ratio():
     with pytest.raises(ParameterError):
         wishart_ratio_density(0.9, 2.0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0)])
+def test_wishart_ratio_rejects_nonfinite_ratio(alpha, beta):
+    with pytest.raises(ParameterError):
+        wishart_ratio_density(alpha, beta)
 
 
 # ---------------------------------------------------------------------------

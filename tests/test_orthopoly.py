@@ -283,3 +283,11 @@ def test_interior_asymptotic_amplitude_across_band():
 def test_interior_asymptotic_rejects_outside_band():
     with pytest.raises(DomainError):
         interior_asymptotic(200, 100.0, 50.0, 0.99)
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)])
+def test_nonfinite_parameters_rejected(a, b):
+    with pytest.raises(ParameterError):
+        jacobi_pair(5, a, b, 0.3)
+    with pytest.raises(ParameterError):
+        log_gamma_n(5, a, b)
