@@ -164,6 +164,22 @@ def test_kernel_reference_values(cls, n, a, b, x, y, ref):
     assert got == pytest.approx(float(ref), rel=CD_REL_BOUND[cls])
 
 
+# bits of four off-diagonal rows of the table above: the quotient's value
+# must not move when its node values are produced another way
+CD_OFF_PINS = [
+    (10, 3.0, 1.5, -0.011, -0.0009999999999999992, "0x1.f06016dae34a1p+1"),
+    (100, 50.0, 50.0, 0.943, 0.9329999999999999, "0x1.4cb1af16668b4p+4"),
+    (400, 200.0, 100.0, -0.999, -0.997, "0x1.8eb8c2646228fp-250"),
+    (400, 200.0, 2.0, -0.04, -0.03, "-0x1.f9bf9fcdc4de0p+4"),
+]
+
+
+@pytest.mark.parametrize("n,a,b,x,y,expected", CD_OFF_PINS)
+def test_off_diagonal_values_are_bitwise_pinned(n, a, b, x, y, expected):
+    assert kernel(KernelSpec(n, a, b), x, y).hex() == expected
+    assert kernel(KernelSpec(n, a, b), y, x).hex() == expected
+
+
 def _with_close_pairs(xs, scale=1.0):
     # nodes plus pairs 0.9 DIAG_TOL apart (the confluent rule off the exact
     # diagonal); scale sets the spacing of the extra points

@@ -47,6 +47,40 @@ def test_scaled_huge_scale_survives():
     assert rel == pytest.approx(1.0, rel=1e-11)
 
 
+# bits of (P_{n-1}, P_n) at fixed abscissae, in the bulk and near both
+# ends, with parameters small, comparable to n and far above it; a
+# restructured recurrence must keep every one
+PAIR_PIN_X = [-0.999, -0.3, 0.25, 0.97]
+PAIR_PINS = [
+    (
+        (12, 6.0, 3.0),
+        ("-0x1.619abd6e4b4a8p-1", "0x1.9a0b14df0cdd9p-2", "0x1.1a520b47c0000p-1", "0x1.cd21118575b96p-1"),
+        ("0x1.b82c7632b4ee5p-1", "-0x1.0814be1b817d1p+0", "0x1.1ab3c1479ffffp+0", "0x1.403b001de4d44p+0"),
+        (9, 1, 2, 13),
+    ),
+    (
+        (400, 200.0, 100.0),
+        ("-0x1.1ae3467bf6060p+0", "0x1.4bb0a41606b27p+7", "-0x1.76e78db8faf1bp+0", "0x1.2cb1b47c7aacep+0"),
+        ("0x1.5fa94159657f4p+0", "-0x1.87bbb331e6645p+6", "-0x1.b6113445d242ep+0", "0x1.9a6bf3e4a1880p+0"),
+        (354, 99, 143, 513),
+    ),
+    (
+        (400, 2000.0, 3.0),
+        ("-0x1.adbd7bfec0c56p-1", "-0x1.189fe7a4dcc44p-1", "0x1.c827db0edc5f6p+0", "0x1.6665c6d7923f9p+2"),
+        ("0x1.92880c78698fcp-1", "0x1.dd624dc3e796bp-2", "0x1.3826064147202p+2", "0x1.07258f6410cfep+5"),
+        (10, 615, 1199, 1539),
+    ),
+]
+
+
+@pytest.mark.parametrize("params, pm_hex, p_hex, e_pin", PAIR_PINS, ids=lambda v: str(v))
+def test_jacobi_pair_is_bitwise_pinned(params, pm_hex, p_hex, e_pin):
+    pm, p, e = jacobi_pair(*params, np.array(PAIR_PIN_X))
+    assert tuple(v.hex() for v in pm) == pm_hex
+    assert tuple(v.hex() for v in p) == p_hex
+    assert tuple(int(v) for v in e) == e_pin
+
+
 # ---------------------------------------------------------------------------
 # polynomial values: closed forms and a Gram-Schmidt oracle
 
