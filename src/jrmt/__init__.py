@@ -7,8 +7,9 @@ The package covers the full chain from sampling to universality checks:
   ``one_blas_thread``
 - ``ensembles``: the projector-compression, Wishart-ratio and tridiagonal
   beta-Jacobi constructions
-- ``orthopoly``: Jacobi polynomials by one array recurrence, ``jacobi_pair``,
-  which returns mantissas and a power-of-two exponent per abscissa
+- ``orthopoly``: Jacobi polynomials by one array recurrence, ``jacobi_rows``,
+  which records every degree as mantissas and a power-of-two exponent per
+  abscissa; ``jacobi_pair`` is its last two rows
 - ``cdkernel``: the Christoffel-Darboux kernel and its bulk/edge rescalings,
   each defined once by ``local_scaling``
 - ``limits``: limiting densities and the sine, Airy, and Bessel kernels

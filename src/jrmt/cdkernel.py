@@ -2,12 +2,14 @@
 
 The kernel is the rank-n projection kernel in L^2(dx) on [-1, 1] built from
 the orthonormalized Jacobi polynomials.  Each factor of a kernel value (the
-normalization constant, the weight halves, the polynomial values) alone
+normalization constants, the weight halves, the polynomial values) alone
 overflows or underflows doubles once a, b grow like n, while the assembled
-value stays moderate.  So the polynomials come from the array recurrence
-:func:`~jrmt.orthopoly.jacobi_pair` as mantissas times exact powers of two,
-the other factors as logs, and the two meet in one ``np.ldexp`` per value.
-Every function here accepts scalars or numpy arrays.
+value stays moderate.  So the polynomials come from one array recurrence,
+:func:`~jrmt.orthopoly.jacobi_rows`, as mantissas times exact powers of two,
+the other factors as logs, and the two meet in ``np.ldexp``.  Its last two
+rows give the Christoffel-Darboux quotient off the diagonal; all its rows
+give the exact Gram sum on and near the diagonal, where the quotient
+cancels.  Every function here accepts scalars or numpy arrays.
 
 The local limits (sine kernel in the bulk, Airy at the soft edge, Bessel at
 the hard edge) are defined once, by :func:`local_scaling`, which maps a
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.special
 
 from .errors import DomainError, NumericError, ParameterError, RegimeError
 from .limits import (
@@ -34,7 +37,7 @@ from .limits import (
     limit_density,
     sine_kernel,
 )
-from .orthopoly import chi_prime, chi_zeros, jacobi_pair, log_gamma_n
+from .orthopoly import chi_prime, chi_zeros, jacobi_rows, log_gamma_n
 
 __all__ = [
     "KernelSpec",
@@ -78,46 +81,79 @@ def _log_weight_half(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     return 0.5 * (spec.a * np.log1p(-x) + spec.b * np.log1p(x))
 
 
+def _split(log_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, c) with exp(log_c) = c * 2**k, k the nearest integer to log_c / ln 2."""
+    k = np.rint(log_c / _LN2)
+    return k.astype(int), np.exp(log_c - k * _LN2)
+
+
 def _scaled(m: np.ndarray, log_c: np.ndarray, e: np.ndarray) -> np.ndarray:
     """m * exp(log_c) * 2**e; the integer part of log_c / ln 2 joins the exponent."""
-    k = np.rint(log_c / _LN2)
-    return np.ldexp(m * np.exp(log_c - k * _LN2), e + k.astype(int))
+    k, c = _split(log_c)
+    return np.ldexp(m * c, e + k)
+
+
+def _log_norms(n: int, a: float, b: float) -> np.ndarray:
+    """log h_k = log of the squared weighted L^2 norm of P_k, for k < n.
+
+    h_k = 2^{a+b+1} / (2k+a+b+1) * Gamma(k+a+1) Gamma(k+b+1) /
+    (Gamma(k+a+b+1) k!), from one vectorized log-Gamma call; a, b >= 0
+    keep every argument at 1 or above.
+    """
+    k = np.arange(float(n))
+    lg = scipy.special.gammaln(np.concatenate([k + a + 1.0, k + b + 1.0, k + a + b + 1.0, k + 1.0]))
+    lg = lg.reshape(4, n)
+    return (a + b + 1.0) * _LN2 - np.log(2.0 * k + a + b + 1.0) + lg[0] + lg[1] - lg[2] - lg[3]
+
+
+def _halving_sum(t: np.ndarray) -> np.ndarray:
+    """Sum over the last axis by repeated halving.
+
+    The order of the additions depends on the length of that axis alone,
+    never on the other axes, so a pair's sum has the same bits whichever
+    pairs are summed with it.
+    """
+    while t.shape[-1] > 1:
+        h = t.shape[-1] // 2
+        s = t[..., :h] + t[..., h : 2 * h]
+        if t.shape[-1] % 2:
+            s[..., -1] += t[..., -1]
+        t = s
+    return t[..., 0]
 
 
 def kernel(spec: KernelSpec, x, y):
     """K_n^{a,b}(x, y) for x, y in (-1, 1), on scalars or arrays that broadcast.
 
-    Away from the diagonal this is the Christoffel-Darboux ratio
-    (f(x) g(y) - g(x) f(y)) / (x - y) with f, g = sqrt(gamma_n w) (P_n, P_{n-1}).
-    Within ``DIAG_TOL`` the ratio is 0/0 with catastrophic cancellation, so
-    the confluent Wronskian form at x <= y, extended by a first-order Taylor
-    term in (y - x), is used instead.
+    One recurrence (:func:`~jrmt.orthopoly.jacobi_rows`) records P_0..P_n at
+    every distinct abscissa, in blocks of nodes, and serves both rules.
+    Away from the diagonal the value is the Christoffel-Darboux ratio
+    (f(x) g(y) - g(x) f(y)) / (x - y) with f, g = sqrt(gamma_n w) (P_n,
+    P_{n-1}).  Within ``DIAG_TOL`` the ratio is 0/0 with catastrophic
+    cancellation, so the exact sum sqrt(w(x) w(y)) sum_{k<n} P_k(x) P_k(y) /
+    h_k is used instead, the diagonal included.  Each term of the sum is
+    scaled on its own, mantissas times a power of two times a log-scale
+    factor, and the terms are added in an order fixed by n alone.
     """
     _check_open_interval(x, y)
     n, a, b = spec.n, spec.a, spec.b
     log_gam = log_gamma_n(n, a, b)
 
     def nodes(z):
-        pm, p, e = jacobi_pair(n, a, b, z)
-        log_c = 0.5 * log_gam + _log_weight_half(spec, z)
-        return _scaled(p, log_c, e), _scaled(pm, log_c, e), pm, p, e
+        m, e = jacobi_rows(n, a, b, z)
+        lw = _log_weight_half(spec, z)
+        log_c = 0.5 * log_gam + lw
+        return _scaled(m[n], log_c, e[n]), _scaled(m[n - 1], log_c, e[n - 1]), m[:n].T, e[:n].T, lw
 
-    def near(x, y, at_x):
-        # d = D0 + (y - x)/2 D1 with D0 = P_{n-1} P_n' - P_n P_{n-1}' and D1
-        # its primed analogue; derivatives come from the parameter-shift
-        # ladder: P_n' is a multiple of the degree n-1 polynomial at
-        # (a+1, b+1) and P_n'' of degree n-2 at (a+2, b+2).  P_{n-1}, P_n at
-        # x are the node values
-        _, _, pm, p, e0 = at_x
-        q0, q1, e1 = jacobi_pair(n - 1, a + 1.0, b + 1.0, x)
-        d = pm * (0.5 * (n + a + b + 1.0) * q1) - p * (0.5 * (n + a + b) * q0)
-        if n >= 2 and (y != x).any():  # the Taylor term vanishes on the diagonal
-            r0, r1, e2 = jacobi_pair(n - 2, a + 2.0, b + 2.0, x)
-            ddpn = 0.25 * (n + a + b + 1.0) * (n + a + b + 2.0) * r1
-            ddpnm1 = 0.25 * (n + a + b) * (n + a + b + 1.0) * r0
-            d = d + (0.5 * (y - x)) * np.ldexp(pm * ddpn - p * ddpnm1, e2 - e1)
-        log_c = log_gam + _log_weight_half(spec, x) + _log_weight_half(spec, y)
-        return _scaled(d, log_c, e0 + e1)
+    def near(x, y, at_x, at_y):
+        # the Gram sum over k < n; the powers of two of sqrt(w(x) w(y)) and
+        # of 1/h_k join the exponents of the polynomial values term by term,
+        # and the rest of the weight factor, common to a pair, comes last
+        *_, mx, ex, wx = at_x
+        *_, my, ey, wy = at_y
+        kh, ch = _split(-_log_norms(n, a, b))
+        kw, cw = _split(wx + wy)
+        return cw * _halving_sum(np.ldexp(mx * my * ch, ex + ey + kh + kw[:, None]))
 
     return _integrable_kernel(x, y, nodes, near)
 

@@ -77,7 +77,8 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
         lo, hi, count = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise ParameterError(f"malformed {what} {text!r}; expected lo:hi:count")
-    if count < 1 or not lo <= hi:
+    # a finite span keeps every grid point finite; NaN fails lo <= hi
+    if count < 1 or not lo <= hi or not math.isfinite(hi - lo):
         raise ParameterError(f"bad {what} {text!r}")
     return np.linspace(lo, hi, count)
 

@@ -8,8 +8,9 @@ and reused, read-only (:func:`jrmt.orthopoly.gauss_legendre_unit`); each
 call only maps it to its interval.  Kernels are callables that broadcast
 over numpy arrays, so the m x m matrix comes from one call on a column and
 a row of the m nodes, never their meshgrid; the kernels of this package
-evaluate their node values once per node, the confluent diagonal included,
-and form the m x m entries by broadcasting.  The alternating Fredholm
+evaluate their node values once per node, the diagonal's included (for the
+finite-n kernel one recurrence serves the quotient and the diagonal's Gram
+sum), and form the m x m entries by broadcasting.  The alternating Fredholm
 series expansion is kept out of production (it converges too slowly); the
 test suite uses a short truncation of it as an independent oracle on
 low-rank toy kernels.

@@ -4,7 +4,8 @@ Airy and Bessel values come from ``scipy.special`` and accept scalars or
 numpy arrays.  The Airy, Bessel and finite-n kernels all have the integrable
 form (f(x) g(y) - g(x) f(y)) / (x - y); :func:`_integrable_kernel` evaluates
 any of them on broadcast arrays from the node values f, g, with one
-near-diagonal switch at ``DIAG_TOL``.
+near-diagonal switch at ``DIAG_TOL``, below which each kernel supplies its
+own rule.
 """
 
 from __future__ import annotations
@@ -37,42 +38,73 @@ __all__ = [
 ]
 
 # |x - y| below which integrable kernels switch from the difference quotient
-# to their confluent near-diagonal rule
+# to their near-diagonal rule
 DIAG_TOL = 1e-6
+# most sorted abscissae whose node values one ``nodes`` call holds at once
+NODE_BLOCK = 256
+
+
+def _node_blocks(z: np.ndarray) -> list[int]:
+    """Bounds of consecutive blocks of the sorted abscissae z.
+
+    A block holds at most ``NODE_BLOCK`` abscissae and ends only where the
+    next one is at least ``DIAG_TOL`` away, so no near pair spans two
+    blocks; a longer run of closer neighbours stays whole, in one block.
+    """
+    if z.size <= NODE_BLOCK:
+        return [0, z.size]
+    cuts = np.append(np.flatnonzero(np.diff(z) >= DIAG_TOL) + 1, z.size)
+    bounds = [0]
+    while bounds[-1] < z.size:
+        s = bounds[-1]
+        i = np.searchsorted(cuts, s + NODE_BLOCK, side="right")
+        bounds.append(int(cuts[i - 1] if i and cuts[i - 1] > s else cuts[i]))
+    return bounds
 
 
 def _integrable_kernel(x, y, nodes: Callable, near: Callable):
     """(f(x) g(y) - g(x) f(y)) / (x - y) on broadcast x, y.
 
     ``nodes(z)`` returns a tuple of arrays of node values at a 1-d array z of
-    distinct abscissae, f(z) and g(z) first.  It is called once, on the
-    distinct values of the unbroadcast x and y: a column and a row of m
-    nodes give 2m values, not the 2m^2 of their meshgrid.  The quotient is
-    formed from those values by broadcasting.  ``near(lo, hi, at_lo)`` gives
-    the kernel on the pairs with |x - y| < ``DIAG_TOL``, where the quotient
-    cancels catastrophically; each pair comes ordered lo <= hi, and
-    ``at_lo`` holds every array of ``nodes`` indexed at lo, as new arrays
-    the rule may overwrite, so a confluent rule that evaluates at lo need
-    not evaluate the nodes again.  Every operation is elementwise and the
-    quotient is exactly antisymmetric in its numerator and its denominator,
-    so K(x, y) and K(y, x) are bitwise equal and an entry does not depend
-    on the other entries asked for with it.  Scalar in, scalar out.
+    distinct sorted abscissae, f(z) and g(z) first, each indexed by node
+    along its first axis.  Every distinct value of the unbroadcast x and y
+    is evaluated once: a column and a row of m nodes give 2m values, not the
+    2m^2 of their meshgrid, and the quotient is formed from f and g by
+    broadcasting.  ``nodes`` is called on blocks of at most ``NODE_BLOCK``
+    abscissae (:func:`_node_blocks`), and only f and g outlive a block, so
+    node values that are large per node take bounded memory.
+
+    ``near(lo, hi, at_lo, at_hi)`` gives the kernel on the pairs with
+    |x - y| < ``DIAG_TOL``, where the quotient cancels catastrophically.
+    Each pair comes ordered lo <= hi, and ``at_lo`` and ``at_hi`` hold every
+    array of ``nodes`` indexed at lo and at hi, as new arrays the rule may
+    overwrite: a rule may use the node values at both ends of a pair, or
+    evaluate its own.  Every operation is elementwise and the quotient is
+    exactly antisymmetric in its numerator and its denominator, so K(x, y)
+    and K(y, x) are bitwise equal and an entry does not depend on the other
+    entries asked for with it.  Scalar in, scalar out.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z, idx = np.unique(np.concatenate([x.ravel(), y.ravel()]), return_inverse=True)
-    vals = nodes(z)
-    f, g = vals[0], vals[1]
     i, j = idx[: x.size].reshape(x.shape), idx[x.size :].reshape(y.shape)
     d = x - y
     close = np.abs(d) < DIAG_TOL
+    # z is sorted, so the lower point of a pair has the lower index
+    lo, hi = np.minimum(i, j)[close], np.maximum(i, j)[close]
+    f, g, near_vals = np.empty(z.size), np.empty(z.size), np.empty(lo.size)
+    bounds = _node_blocks(z)
+    for s, t in zip(bounds[:-1], bounds[1:]):
+        vals = nodes(z[s:t])
+        f[s:t], g[s:t] = vals[0], vals[1]
+        sel = slice(None) if t - s == z.size else np.flatnonzero((s <= lo) & (lo < t))
+        bl, bh = lo[sel] - s, hi[sel] - s
+        if bl.size:
+            at_lo, at_hi = (tuple(v[k] for v in vals) for k in (bl, bh))
+            near_vals[sel] = near(z[s:t][bl], z[s:t][bh], at_lo, at_hi)
     out = np.empty(d.shape)
     np.divide(f[i] * g[j] - g[i] * f[j], d, out=out, where=~close)
-    if close.any():
-        # z is sorted, so the lower point of a pair has the lower index
-        i, j = (np.broadcast_to(v, d.shape)[close] for v in (i, j))
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        out[close] = near(z[lo], z[hi], tuple(v[lo] for v in vals))
+    out[close] = near_vals
     return out[()]
 
 
@@ -230,7 +262,7 @@ def airy_prime(x):
     return scipy.special.airy(x)[1]
 
 
-def _airy_near(u, v, at_u):
+def _airy_near(u, v, at_u, at_v):
     # midpoint confluent form; its error at |u - v| < DIAG_TOL is O((u-v)^2).
     # On the exact diagonal the midpoint is u, whose node values are at hand
     m = 0.5 * (u + v)
@@ -301,7 +333,7 @@ def bessel_kernel(b: int, u, v):
         jb, jb1 = bessel_j(b, s), bessel_j(b + 1, s)
         return 0.5 * s * jb1, jb, jb1
 
-    def near(u, v, at_u):
+    def near(u, v, at_u, at_v):
         # as for Airy, the midpoint is u on the exact diagonal
         m = 0.5 * (u + v)
         s = np.sqrt(m)

@@ -2,11 +2,12 @@
 
 With parameters a, b comparable to the degree n, raw polynomial values
 overflow doubles past n of a few hundred while the quantities that matter
-downstream (kernel values) stay moderate.  :func:`jacobi_pair` runs the
-three-term recurrence once over a numpy array of abscissae and every
-``_RESCALE_EVERY`` steps divides each node's two running values by the same
-exact power of two (``np.frexp``/``np.ldexp``), so it returns mantissas plus
-an integer exponent per node and the rescaling itself never rounds.
+downstream (kernel values) stay moderate.  :func:`jacobi_rows` runs the
+three-term recurrence once over a numpy array of abscissae and records
+every degree 0..n as a mantissa and an integer exponent per node: every
+``_RESCALE_EVERY`` steps it divides each node's two running values by the
+same exact power of two (``np.frexp``/``np.ldexp``), so the rescaling itself
+never rounds.  :func:`jacobi_pair` is the table's last two rows.
 
 Polynomial normalization: P_n(1) equals the binomial coefficient C(n+a, n).
 
@@ -25,6 +26,7 @@ from .errors import DomainError, NumericError, ParameterError
 
 __all__ = [
     "gauss_legendre_unit",
+    "jacobi_rows",
     "jacobi_pair",
     "log_gamma_n",
     "chi",
@@ -47,38 +49,60 @@ def _validate_params(n: int, a: float, b: float) -> None:
         raise ParameterError(f"parameters must be finite and >= 0, got a={a}, b={b}")
 
 
-def jacobi_pair(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P_{n-1}, P_n) at every abscissa of x by the forward three-term recurrence.
+def jacobi_rows(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """P_0, ..., P_n at every abscissa of x, recorded by one forward recurrence.
 
-    Returns mantissa arrays pm, p and an integer exponent array e with
-    P_{n-1} = pm * 2**e and P_n = p * 2**e; P_{-1} is 0 by convention.  The
-    recurrence coefficients stay below (a + b)/2 + 3, so only the values
-    need rescaling.  Every operation is elementwise, so a node's result does
-    not depend on the other nodes in x.
+    Returns a mantissa array m and an integer exponent array e, both of
+    shape (n + 1,) + x.shape, with P_k = m[k] * 2**e[k].  The recurrence
+    coefficients stay below (a + b)/2 + 3, so only the values need
+    rescaling.  Every operation is elementwise, so a node's rows do not
+    depend on the other nodes in x.  The table takes 16 (n + 1) bytes per
+    node, and the step multipliers 8 (n - 1) more while it is built.
     """
     _validate_params(n, a, b)
     x = np.asarray(x, dtype=float)
-    e = np.zeros(x.shape, dtype=int)
+    m = np.empty((n + 1,) + x.shape)
+    e = np.zeros((n + 1,) + x.shape, dtype=int)
+    m[0] = 1.0
     if n == 0:
-        return np.zeros_like(x), np.ones_like(x), e
+        return m, e
+    m[1] = (a + b + 2.0) * x / 2.0 + (a - b) / 2.0
     k = np.arange(2.0, n + 1.0)
     t = 2.0 * k + a + b
     c1 = 2.0 * k * (k + a + b) * (t - 2.0)
-    # P_k = (slope x + offset) P_{k-1} - drag P_{k-2}
-    slope = ((t - 1.0) * t * (t - 2.0) / c1).tolist()
-    offset = ((t - 1.0) * (a * a - b * b) / c1).tolist()
+    # P_k = mult P_{k-1} - drag P_{k-2}, with mult = slope x + offset
+    slope = (t - 1.0) * t * (t - 2.0) / c1
+    offset = (t - 1.0) * (a * a - b * b) / c1
     drag = (2.0 * (k + a - 1.0) * (k + b - 1.0) * t / c1).tolist()
-    pm = np.ones_like(x)
-    p = (a + b + 2.0) * x / 2.0 + (a - b) / 2.0
-    for j, (sl, of, dr) in enumerate(zip(slope, offset, drag)):
-        pm, p = p, (sl * x + of) * p - dr * pm
+    mult = np.multiply.outer(slope, x)
+    mult += offset.reshape(offset.shape + (1,) * x.ndim)
+    pm, p, ep = m[0], m[1], e[1]
+    for j, dr in enumerate(drag):
+        p, pm = mult[j] * p - dr * pm, p
         if j % _RESCALE_EVERY == 0:
-            # a zero p leaves its exponent at 0; otherwise |pm/p| stays far
-            # from overflow, since a nonzero difference of doubles is not far
-            # below them
-            step = np.frexp(p)[1]
-            pm, p, e = np.ldexp(pm, -step), np.ldexp(p, -step), e + step
-    return pm, p, e
+            # p becomes its frexp mantissa, exactly, and pm is divided by the
+            # same power of two; the recorded row of pm keeps its own
+            # exponent.  A zero p leaves its exponent at 0; otherwise |pm/p|
+            # stays far from overflow, since a nonzero difference of doubles
+            # is not far below them
+            p, step = np.frexp(p)
+            pm = np.ldexp(pm, -step)
+            ep = ep + step
+            e[j + 2 : j + 2 + _RESCALE_EVERY] = ep
+        m[j + 2] = p
+    return m, e
+
+
+def jacobi_pair(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P_{n-1}, P_n) at every abscissa of x: the last two rows of :func:`jacobi_rows`.
+
+    Returns mantissa arrays pm, p and an integer exponent array e with
+    P_{n-1} = pm * 2**e and P_n = p * 2**e; P_{-1} is 0 by convention.
+    """
+    m, e = jacobi_rows(n, a, b, x)
+    if n == 0:
+        return np.zeros_like(m[0]), m[0], e[0]
+    return np.ldexp(m[n - 1], e[n - 1] - e[n]), m[n].copy(), e[n].copy()
 
 
 @functools.lru_cache(maxsize=32)

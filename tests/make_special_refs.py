@@ -39,6 +39,9 @@ def _bessel_table(name, points):
 # finite-n kernel cases (n, a, b); the (400, 200, 2) case has its hard edge near -1
 CD_CASES = [(10, 3.0, 1.5), (100, 50.0, 50.0), (400, 200.0, 100.0), (400, 200.0, 2.0)]
 CD_DIAG_TOL = 1e-6  # jrmt.limits.DIAG_TOL
+# cases that also get near pairs far inside DIAG_TOL, 1e-8 apart
+CD_CLOSE_CASES = [(10, 3.0, 1.5), (400, 200.0, 2.0)]
+CD_CLOSE_STEP = 1e-8
 
 
 def _band(n, a, b):
@@ -52,11 +55,14 @@ def _band(n, a, b):
 
 def _cd_pairs(n, a, b):
     """(class, x, y): off-diagonal, diagonal and just-inside-DIAG_TOL pairs
-    in the bulk, at the soft edge and near x = -1."""
+    in the bulk, at the soft edge and near x = -1, and for CD_CLOSE_CASES
+    pairs CD_CLOSE_STEP apart at the same points."""
     mid, edge = _band(n, a, b)
     pairs = []
     for x, step in ((mid, 0.01), (edge, -0.01), (-0.999, 0.002)):
         pairs += [("off", x, x + step), ("diag", x, x), ("near", x, x + 0.9 * CD_DIAG_TOL)]
+    if (n, a, b) in CD_CLOSE_CASES:
+        pairs += [("near", x, x + CD_CLOSE_STEP) for x in (mid, edge, -0.999)]
     return pairs
 
 

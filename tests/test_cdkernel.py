@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from jrmt.errors import DomainError, ParameterError
 from jrmt.fredholm import gauss_legendre
 from jrmt.limits import (
     DIAG_TOL,
+    NODE_BLOCK,
+    _node_blocks,
     airy_kernel,
     airy_prime,
     bessel_kernel,
@@ -40,6 +43,13 @@ def test_kernel_diagonal_positive():
     spec = KernelSpec(8, 2.0, 1.0)
     for x in (-0.9, -0.3, 0.0, 0.3, 0.9):
         assert kernel(spec, x, x) > 0.0
+
+
+def test_legendre_kernel_near_the_diagonal_closed_form():
+    # a = b = 0, n = 3: K(x, y) = 1/2 + 3/2 xy + 5/2 P_2(x) P_2(y) with
+    # P_2(t) = (3t^2 - 1)/2, which is 1.0439998199995875 to double precision
+    # at these points; the first-order confluent rule gave 1.0439998200000018
+    assert kernel(KernelSpec(3, 0.0, 0.0), 0.2, 0.2000005) == pytest.approx(1.0439998199995875, rel=1e-15)
 
 
 def test_kernel_continuity_at_diagonal_switch():
@@ -109,7 +119,8 @@ def test_kernel_trace_equals_rank():
 
 # mpmath reference values (tests/make_special_refs.py, 60 digits) for the
 # off-diagonal formula, the exact diagonal and pairs just inside DIAG_TOL,
-# in the bulk, at the upper band edge and near x = -1
+# in the bulk, at the upper band edge and near x = -1; two cases add pairs
+# 1e-8 apart at the same points
 CD_KERNEL_REFERENCE = [
     ("off", 10, 3.0, 1.5, -0.011, -0.0009999999999999992, "3.877932412031996288889214"),
     ("diag", 10, 3.0, 1.5, -0.011, -0.011, "3.868886274628183644156525"),
@@ -120,6 +131,9 @@ CD_KERNEL_REFERENCE = [
     ("off", 10, 3.0, 1.5, -0.999, -0.997, "0.6996964768595680485096855"),
     ("diag", 10, 3.0, 1.5, -0.999, -0.999, "0.3200232378979998253310726"),
     ("near", 10, 3.0, 1.5, -0.999, -0.9989991, "0.3202332500919172966638614"),
+    ("near", 10, 3.0, 1.5, -0.011, -0.01099999, "3.868886293121750549828994"),
+    ("near", 10, 3.0, 1.5, 0.97, 0.97000001, "2.323855686162543510937538"),
+    ("near", 10, 3.0, 1.5, -0.999, -0.99899999, "0.3200255716776002969653014"),
     ("off", 100, 50.0, 50.0, 0.0, 0.01, "31.41584072651060637438739"),
     ("diag", 100, 50.0, 50.0, 0.0, 0.0, "44.84732472274168899115187"),
     ("near", 100, 50.0, 50.0, 0.0, 9e-07, "44.84732460257417943961092"),
@@ -147,15 +161,19 @@ CD_KERNEL_REFERENCE = [
     ("off", 400, 200.0, 2.0, -0.999, -0.997, "-13.99560188268182521060355"),
     ("diag", 400, 200.0, 2.0, -0.999, -0.999, "3401.571077217930902384615"),
     ("near", 400, 200.0, 2.0, -0.999, -0.9989991, "3400.857852871565346916727"),
+    ("near", 400, 200.0, 2.0, -0.04, -0.03999999, "153.2128114285554216733077"),
+    ("near", 400, 200.0, 2.0, 0.92, 0.9200000100000001, "21.23771755117706374841659"),
+    ("near", 400, 200.0, 2.0, -0.999, -0.99899999, "3401.563723415439698734715"),
 ]
 
-# per-class relative bounds.  The power-of-two recurrence's worst errors on
-# this table are 2.3e-13, 3.1e-13 and 1.4e-5; the first two bounds also admit
-# an evaluation of the same formulas through exp/log scale factors, which
-# reaches 3.6e-12.  The near-diagonal class is limited by the first-order
-# Taylor rule, whose error grows where the kernel varies on scales not far
-# above DIAG_TOL (the hard edge at n = 400)
-CD_REL_BOUND = {"off": 4e-12, "diag": 4e-12, "near": 1.5e-5}
+# per-class relative bounds.  The worst errors on this table are 2.3e-13
+# (off), 2.0e-13 (diag) and 1.9e-13 (near); the bounds also admit an
+# evaluation of the same formulas through exp/log scale factors, which
+# reaches 3.6e-12.  A first-order confluent rule within DIAG_TOL erred by
+# 1.4e-5 on the near rows, where the kernel varies on scales not far above
+# DIAG_TOL (the hard edge at n = 400); the near rows hold the exact Gram sum
+# to the accuracy of the other two classes
+CD_REL_BOUND = {"off": 4e-12, "diag": 4e-12, "near": 1e-12}
 
 
 @pytest.mark.parametrize("cls,n,a,b,x,y,ref", CD_KERNEL_REFERENCE)
@@ -221,6 +239,59 @@ def test_limit_kernels_broadcast_vectors_equal_meshgrid_bitwise(fn, lo, hi):
     ys = _with_close_pairs(gauss_legendre(5, lo, hi)[0], scale=10.0)
     ys = ys[ys > 0] if lo > 0 else ys
     _assert_broadcast_equals_meshgrid(fn, xs, ys)
+
+
+# ---------------------------------------------------------------------------
+# node blocks
+
+
+def test_node_blocks_cut_only_between_distant_neighbours():
+    rng = np.random.default_rng(5)
+    # clusters of points closer than DIAG_TOL, and one run of closer
+    # neighbours longer than a block
+    z = np.sort(np.concatenate([
+        rng.uniform(-0.9, 0.9, 700),
+        0.3 + 0.5 * DIAG_TOL * np.arange(5),
+        0.95 + 0.5 * DIAG_TOL * np.arange(NODE_BLOCK + 40),
+    ]))
+    bounds = _node_blocks(z)
+    assert bounds[0] == 0 and bounds[-1] == z.size
+    sizes = np.diff(bounds)
+    assert (sizes > 0).all()
+    assert all(z[c] - z[c - 1] >= DIAG_TOL for c in bounds[1:-1])
+    # only the run that no cut can split exceeds a block
+    assert (sizes > NODE_BLOCK).sum() == 1
+    assert _node_blocks(z[:NODE_BLOCK]) == [0, NODE_BLOCK]
+
+
+def test_values_over_several_blocks_equal_values_per_block():
+    # a grid spanning several node blocks, with near pairs off the diagonal,
+    # must hold the bits of the same values computed one block at a time
+    spec = KernelSpec(100, 50.0, 25.0)
+    xs = np.linspace(-0.9, 0.9, 3 * NODE_BLOCK + 17)
+    ys = xs + 0.5 * DIAG_TOL
+    xx = np.concatenate([xs, xs])
+    yy = np.concatenate([xs, ys])
+    assert len(_node_blocks(np.unique(np.concatenate([xx, yy])))) > 3
+    whole = kernel(spec, xx, yy)
+    chunks = [slice(k, k + NODE_BLOCK // 2) for k in range(0, xx.size, NODE_BLOCK // 2)]
+    assert np.array_equal(whole, np.concatenate([kernel(spec, xx[c], yy[c]) for c in chunks]))
+    assert np.array_equal(one_point_density(spec, xs), whole[: xs.size] / spec.n)
+
+
+def test_density_on_a_large_grid_takes_bounded_memory():
+    # P_0..P_400 as mantissas and exponents take 6.4 kB per node; with the
+    # step multipliers and the Gram sum's terms one unblocked call on 10^4
+    # nodes peaked at 290 MB, and node blocks of NODE_BLOCK keep it near 9 MB
+    xs = np.linspace(-0.9, 0.9, 10_000)
+    spec = KernelSpec(400, 200.0, 100.0)
+    tracemalloc.start()
+    try:
+        one_point_density(spec, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 # ---------------------------------------------------------------------------

@@ -150,16 +150,16 @@ def test_kernel_soft_runs(tmp_path):
     "argv, digest",
     [
         (["kernel", "--regime", "bulk", "--n", "80", "--a", "40", "--b", "20", "--ugrid=-1:1:3"],
-         "814090c69250711fa36f9d2d1e6255c1a504ebe5db2c37e6c1103bbd0ecf58d8"),
+         "9ae533af65266283de90f2408d49df0b4a931c420a16d5772d9dfd6c4c1afcf9"),
         (["kernel", "--regime", "bulk", "--n", "80", "--a", "40", "--b", "20", "--x", "0.1",
           "--ugrid=-1:1:3", "--vgrid=-0.5:0.5:2"],
          "da55c3f04cca30ecf1e32ac7aafddf8a150dee4b425caef335fc85d3935e23d8"),
         (["kernel", "--regime", "soft", "--n", "100", "--a", "50", "--b", "25", "--ugrid=-2:1:4"],
-         "cd9f51fea73bd77560df931beafdbae3634727a93e36bb034b79d267b2008203"),
+         "a6eaf5e4866d07b267676eb78282db2b3cd6d88dce5fac63689413d5aba3559e"),
         (["kernel", "--regime", "hard", "--n", "100", "--a", "50", "--b", "2", "--ugrid", "1:4:3"],
-         "83d86e405a480f616d518460fcac0fbddd641bcb16ce7b3364a55a49fd38342f"),
+         "d0cb128245079397c46322f0bc8ac6145c8474bf9c619375db9b6e801f0abdbd"),
         (["density", "--n", "12", "--a", "6", "--b", "3", "--grid=-0.5:0.5:5"],
-         "ddfcf4b049edff0cfdb4d2dc1a81b28c649dba1ac6bcce34c333dc098468d7cb"),
+         "30d46c56b1abfd23c31b5e3e0dcd37cd8d0cab1f207384fb944f27964bec8337"),
     ],
     ids=["kernel-bulk", "kernel-bulk-x", "kernel-soft", "kernel-hard", "density"],
 )
@@ -235,8 +235,12 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
         ["gap", "--n", "12", "--a", "6", "--b", "inf", "--x", "0.5"],
         ["tw", "--t", "0", "--tail", "inf"],
         ["kernel", "--regime", "soft", "--n", "100", "--a", "inf", "--b", "25", "--ugrid=-3:1.5:4"],
+        ["density", "--n", "12", "--a", "6", "--b", "3", "--grid=-inf:0.5:3"],
+        ["kernel", "--regime", "bulk", "--n", "80", "--a", "40", "--b", "20", "--ugrid=nan:1:3"],
+        ["kernel", "--regime", "bulk", "--n", "80", "--a", "40", "--b", "20", "--ugrid=-1e308:1e308:3"],
     ],
-    ids=["density-a-nan", "gap-a-nan", "gap-b-inf", "tw-tail-inf", "kernel-a-inf"],
+    ids=["density-a-nan", "gap-a-nan", "gap-b-inf", "tw-tail-inf", "kernel-a-inf", "density-grid-inf",
+         "kernel-ugrid-nan", "kernel-ugrid-span-overflows"],
 )
 def test_nonfinite_parameters_are_usage_errors(argv):
     # rejected before any arithmetic: no NaN output and no numpy warning
@@ -344,3 +348,45 @@ def test_gap_and_tw_argv_never_trace_back(command, n, a, b, x, t, tail, quad):
     if code == 0:
         value = json.loads(out.getvalue())["gap" if command == "gap" else "tw_cdf"]
         assert -1e-8 <= value <= 1.0 + 1e-8, (argv, value)
+
+
+
+def _grid(lo, hi):
+    """lo:hi:count with ends drawn from [lo, hi] or NaN and infinities, in
+    sorted order so that most finite grids reach the kernel."""
+    ends = st.tuples(*[st.one_of(st.floats(min_value=lo, max_value=hi), _real)] * 2)
+    ends = ends.map(lambda e: sorted(e, key=float))
+    return st.builds(lambda e, c: f"{e[0]}:{e[1]}:{c}", ends, st.integers(min_value=1, max_value=6))
+
+
+_param = st.one_of(st.integers(min_value=-2, max_value=400), st.floats(min_value=0.0, max_value=400.0), _real)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["density", "kernel"]),
+    regime=st.sampled_from(["bulk", "soft", "hard"]),
+    n=st.integers(min_value=-2, max_value=400),
+    a=_param,
+    b=_param,
+    x=st.one_of(st.none(), st.floats(min_value=-1.5, max_value=1.5), _real),
+    grid=_grid(-1.2, 1.2),
+    ugrid=_grid(-40.0, 40.0),
+    vgrid=st.one_of(st.none(), _grid(-40.0, 40.0)),
+)
+def test_density_and_kernel_argv_never_trace_back(command, regime, n, a, b, x, grid, ugrid, vgrid):
+    argv = ["--n", n, "--a", a, "--b", b]
+    if command == "density":
+        argv += ["--grid", grid]
+    else:
+        argv += ["--regime", regime, "--ugrid", ugrid]
+        # only the bulk takes a centre (an edge with --x is a tested usage error)
+        argv += ["--x", x] if regime == "bulk" and x is not None else []
+        argv += [] if vgrid is None else ["--vgrid", vgrid]
+    # "=" keeps a negative value from reading as a flag
+    argv = [command] + [f"{k}={v}" for k, v in zip(argv[::2], argv[1::2])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -119,28 +119,28 @@ def test_run_experiment_rejects_unknown_regime():
     [
         (
             ExperimentSpec(regime="onepoint", ns=(50, 100, 200), alpha=0.5, beta=0.25),
-            ("0x1.0fa7c8c6a38a0p-6", "0x1.0ee515143c600p-7", "0x1.0665409cbf780p-8"),
+            ("0x1.0fa7c8c69f3c0p-6", "0x1.0ee5151431dc0p-7", "0x1.0665409c85700p-8"),
         ),
         (
             ExperimentSpec(
                 regime="bulk", ns=(100, 200, 400), alpha=0.5, beta=0.25,
                 u_grid=tuple(np.linspace(-2.0, 2.0, 9)),
             ),
-            ("0x1.65ae828653e00p-8", "0x1.01241186ee3a0p-9", "0x1.9c1558a232400p-10"),
+            ("0x1.65ae828668a00p-8", "0x1.01241186ee3a0p-9", "0x1.9c1558a14e400p-10"),
         ),
         (
             ExperimentSpec(
                 regime="soft", ns=(100, 200, 400), alpha=0.5, beta=0.25,
                 u_grid=tuple(np.linspace(-3.0, 1.5, 7)),
             ),
-            ("0x1.1f6cc28e49364p-3", "0x1.a6b9d53153854p-4", "0x1.29f5b89995df0p-4"),
+            ("0x1.1f6cc28e48d98p-3", "0x1.a6b9d5315240cp-4", "0x1.29f5b89998590p-4"),
         ),
         (
             ExperimentSpec(
                 regime="hard", ns=(100, 200, 400), alpha=0.5, bessel_order=2,
                 u_grid=tuple(np.linspace(0.5, 16.0, 7)),
             ),
-            ("0x1.ffebb9ee27080p-11", "0x1.fdab4e7f8af40p-12", "0x1.fc8be96abe800p-13"),
+            ("0x1.ffebb9ee1da80p-11", "0x1.fdab4e7fa28c0p-12", "0x1.fc8be96abb500p-13"),
         ),
     ],
     ids=["onepoint", "bulk", "soft", "hard"],
