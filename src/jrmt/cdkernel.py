@@ -125,15 +125,13 @@ def _halving_sum(t: np.ndarray) -> np.ndarray:
 def kernel(spec: KernelSpec, x, y):
     """K_n^{a,b}(x, y) for x, y in (-1, 1), on scalars or arrays that broadcast.
 
-    One recurrence (:func:`~jrmt.orthopoly.jacobi_rows`) records P_0..P_n at
-    every distinct abscissa, in blocks of nodes, and serves both rules.
-    Away from the diagonal the value is the Christoffel-Darboux ratio
-    (f(x) g(y) - g(x) f(y)) / (x - y) with f, g = sqrt(gamma_n w) (P_n,
-    P_{n-1}).  Within ``DIAG_TOL`` the ratio is 0/0 with catastrophic
-    cancellation, so the exact sum sqrt(w(x) w(y)) sum_{k<n} P_k(x) P_k(y) /
-    h_k is used instead, the diagonal included.  Each term of the sum is
-    scaled on its own, mantissas times a power of two times a log-scale
-    factor, and the terms are added in an order fixed by n alone.
+    One recurrence (:func:`~jrmt.orthopoly.jacobi_rows`) per block of
+    distinct abscissae serves both rules.  Away from the diagonal the value
+    is the Christoffel-Darboux ratio (f(x) g(y) - g(x) f(y)) / (x - y) with
+    f, g = sqrt(gamma_n w) (P_n, P_{n-1}).  Within ``DIAG_TOL`` the ratio
+    cancels catastrophically, so the exact sum sqrt(w(x) w(y)) sum_{k<n}
+    P_k(x) P_k(y) / h_k is used instead, the diagonal included; each term
+    is scaled on its own, and the terms are added in an order fixed by n.
     """
     _check_open_interval(x, y)
     n, a, b = spec.n, spec.a, spec.b

@@ -70,19 +70,16 @@ def _integrable_kernel(x, y, nodes: Callable, near: Callable):
     along its first axis.  Every distinct value of the unbroadcast x and y
     is evaluated once: a column and a row of m nodes give 2m values, not the
     2m^2 of their meshgrid, and the quotient is formed from f and g by
-    broadcasting.  ``nodes`` is called on blocks of at most ``NODE_BLOCK``
-    abscissae (:func:`_node_blocks`), and only f and g outlive a block, so
-    node values that are large per node take bounded memory.
-
-    ``near(lo, hi, at_lo, at_hi)`` gives the kernel on the pairs with
-    |x - y| < ``DIAG_TOL``, where the quotient cancels catastrophically.
-    Each pair comes ordered lo <= hi, and ``at_lo`` and ``at_hi`` hold every
-    array of ``nodes`` indexed at lo and at hi, as new arrays the rule may
-    overwrite: a rule may use the node values at both ends of a pair, or
-    evaluate its own.  Every operation is elementwise and the quotient is
-    exactly antisymmetric in its numerator and its denominator, so K(x, y)
-    and K(y, x) are bitwise equal and an entry does not depend on the other
-    entries asked for with it.  Scalar in, scalar out.
+    broadcasting.  ``nodes`` is called per block of :func:`_node_blocks`
+    and only f and g outlive a block, so large node values take bounded
+    memory.  ``near(lo, hi, at_lo, at_hi)`` gives the kernel on the pairs
+    with |x - y| < ``DIAG_TOL``, where the quotient cancels
+    catastrophically; each pair comes ordered lo <= hi, and ``at_lo`` and
+    ``at_hi`` hold every array of ``nodes`` indexed at lo and at hi, as new
+    arrays the rule may overwrite.  Every operation is elementwise and the
+    quotient is exactly antisymmetric in its numerator and its denominator,
+    so K(x, y) and K(y, x) are bitwise equal and an entry does not depend
+    on the other entries asked for with it.  Scalar in, scalar out.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

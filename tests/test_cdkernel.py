@@ -57,8 +57,8 @@ def test_kernel_continuity_at_diagonal_switch():
     x = 0.2
     gap = DIAG_TOL * max(1.0, abs(x))
     cd_form = kernel(spec, x, x + 1.0000001 * gap)
-    confluent = kernel(spec, x, x + 0.9999999 * gap)
-    assert cd_form == pytest.approx(confluent, rel=1e-8)
+    gram_sum = kernel(spec, x, x + 0.9999999 * gap)
+    assert cd_form == pytest.approx(gram_sum, rel=1e-8)
 
 
 @pytest.mark.parametrize("n", [100, 400])
@@ -199,7 +199,7 @@ def test_off_diagonal_values_are_bitwise_pinned(n, a, b, x, y, expected):
 
 
 def _with_close_pairs(xs, scale=1.0):
-    # nodes plus pairs 0.9 DIAG_TOL apart (the confluent rule off the exact
+    # nodes plus pairs 0.9 DIAG_TOL apart (the near rule off the exact
     # diagonal); scale sets the spacing of the extra points
     extra = scale * np.array([0.3, -0.5])
     return np.sort(np.concatenate([xs, extra, extra + 0.9 * DIAG_TOL, [extra[0] - 0.9 * DIAG_TOL]]))
