@@ -48,7 +48,7 @@ def test_kernel_diagonal_positive():
 def test_legendre_kernel_near_the_diagonal_closed_form():
     # a = b = 0, n = 3: K(x, y) = 1/2 + 3/2 xy + 5/2 P_2(x) P_2(y) with
     # P_2(t) = (3t^2 - 1)/2, which is 1.0439998199995875 to double precision
-    # at these points; the first-order confluent rule gave 1.0439998200000018
+    # at these points, 5e-7 apart
     assert kernel(KernelSpec(3, 0.0, 0.0), 0.2, 0.2000005) == pytest.approx(1.0439998199995875, rel=1e-15)
 
 
@@ -167,12 +167,9 @@ CD_KERNEL_REFERENCE = [
 ]
 
 # per-class relative bounds.  The worst errors on this table are 2.3e-13
-# (off), 2.0e-13 (diag) and 1.9e-13 (near); the bounds also admit an
-# evaluation of the same formulas through exp/log scale factors, which
-# reaches 3.6e-12.  A first-order confluent rule within DIAG_TOL erred by
-# 1.4e-5 on the near rows, where the kernel varies on scales not far above
-# DIAG_TOL (the hard edge at n = 400); the near rows hold the exact Gram sum
-# to the accuracy of the other two classes
+# (off), 2.0e-13 (diag) and 1.9e-13 (near); the off and diag bounds also
+# admit an evaluation of the same formulas through exp/log scale factors,
+# which reaches 3.6e-12
 CD_REL_BOUND = {"off": 4e-12, "diag": 4e-12, "near": 1e-12}
 
 
