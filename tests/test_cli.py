@@ -350,7 +350,6 @@ def test_gap_and_tw_argv_never_trace_back(command, n, a, b, x, t, tail, quad):
         assert -1e-8 <= value <= 1.0 + 1e-8, (argv, value)
 
 
-
 def _grid(lo, hi):
     """lo:hi:count with ends drawn from [lo, hi] or NaN and infinities, in
     sorted order so that most finite grids reach the kernel."""
