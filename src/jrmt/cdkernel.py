@@ -8,8 +8,10 @@ value stays moderate.  So the polynomials come from one array recurrence,
 :func:`~jrmt.orthopoly.jacobi_rows`, as mantissas times exact powers of two,
 the other factors as logs, and the two meet in ``np.ldexp``.  Its last two
 rows give the Christoffel-Darboux quotient off the diagonal; all its rows
-give the exact Gram sum on and near the diagonal, where the quotient
-cancels.  Every function here accepts scalars or numpy arrays.
+give the exact Gram sum on the diagonal, where the quotient cancels, as a
+third node value.  Distinct pairs within ``DIAG_TOL`` take the same Gram
+sum from rows recomputed at their two ends.  Every function here accepts
+scalars or numpy arrays.
 
 The local limits (sine kernel in the bulk, Airy at the soft edge, Bessel at
 the hard edge) are defined once, by :func:`local_scaling`, which maps a
@@ -107,51 +109,69 @@ def _log_norms(n: int, a: float, b: float) -> np.ndarray:
 
 
 def _halving_sum(t: np.ndarray) -> np.ndarray:
-    """Sum over the last axis by repeated halving.
+    """Sum over the first axis by repeated halving.
 
     The order of the additions depends on the length of that axis alone,
     never on the other axes, so a pair's sum has the same bits whichever
     pairs are summed with it.
     """
-    while t.shape[-1] > 1:
-        h = t.shape[-1] // 2
-        s = t[..., :h] + t[..., h : 2 * h]
-        if t.shape[-1] % 2:
-            s[..., -1] += t[..., -1]
+    while t.shape[0] > 1:
+        h = t.shape[0] // 2
+        s = t[:h] + t[h : 2 * h]
+        if t.shape[0] % 2:
+            s[-1] += t[-1]
         t = s
-    return t[..., 0]
+    return t[0]
 
 
 def kernel(spec: KernelSpec, x, y):
     """K_n^{a,b}(x, y) for x, y in (-1, 1), on scalars or arrays that broadcast.
 
     One recurrence (:func:`~jrmt.orthopoly.jacobi_rows`) per block of
-    distinct abscissae serves both rules.  Away from the diagonal the value
+    distinct abscissae serves the quotient and the diagonal.  Away from the diagonal the value
     is the Christoffel-Darboux ratio (f(x) g(y) - g(x) f(y)) / (x - y) with
     f, g = sqrt(gamma_n w) (P_n, P_{n-1}).  Within ``DIAG_TOL`` the ratio
     cancels catastrophically, so the exact sum sqrt(w(x) w(y)) sum_{k<n}
-    P_k(x) P_k(y) / h_k is used instead, the diagonal included; each term
-    is scaled on its own, and the terms are added in an order fixed by n.
+    P_k(x) P_k(y) / h_k is used instead: on the diagonal from the block's
+    own rows, and at a distinct close pair from rows recomputed at its two
+    ends.  Each term is scaled on its own, and the terms are added in an
+    order fixed by n.
     """
     _check_open_interval(x, y)
     n, a, b = spec.n, spec.a, spec.b
     log_gam = log_gamma_n(n, a, b)
 
-    def nodes(z):
-        m, e = jacobi_rows(n, a, b, z)
-        lw = _log_weight_half(spec, z)
-        log_c = 0.5 * log_gam + lw
-        return _scaled(m[n], log_c, e[n]), _scaled(m[n - 1], log_c, e[n - 1]), m[:n].T, e[:n].T, lw
+    @functools.cache
+    def inv_norms():  # 1/h_k, k < n, split; only in a call with a Gram sum
+        return tuple(v[:, None] for v in _split(-_log_norms(n, a, b)))
 
-    def near(x, y, at_x, at_y):
-        # the Gram sum over k < n; the powers of two of sqrt(w(x) w(y)) and
-        # of 1/h_k join the exponents of the polynomial values term by term,
-        # and the rest of the weight factor, common to a pair, comes last
-        *_, mx, ex, wx = at_x
-        *_, my, ey, wy = at_y
-        kh, ch = _split(-_log_norms(n, a, b))
+    def rows(z):
+        m, e = jacobi_rows(n, a, b, z)
+        return m, e, _log_weight_half(spec, z)
+
+    def gram(rows_x, rows_y):
+        # the powers of two of sqrt(w(x) w(y)) and of 1/h_k join the
+        # exponents of the polynomial values term by term, and the rest of
+        # the weight factor, common to a pair, comes last
+        (mx, ex, wx), (my, ey, wy) = rows_x, rows_y
+        kh, ch = inv_norms()
         kw, cw = _split(wx + wy)
-        return cw * _halving_sum(np.ldexp(mx * my * ch, ex + ey + kh + kw[:, None]))
+        return cw * _halving_sum(np.ldexp(mx[:n] * my[:n] * ch, ex[:n] + ey[:n] + kh + kw))
+
+    def nodes(z, on):
+        m, e, lw = rows(z)
+        log_c = 0.5 * log_gam + lw
+        kzz = np.empty(z.size)
+        if on.any():
+            cols = slice(None) if on.all() else on
+            own = m[:, cols], e[:, cols], lw[cols]
+            kzz[cols] = gram(own, own)
+        return _scaled(m[n], log_c, e[n]), _scaled(m[n - 1], log_c, e[n - 1]), kzz
+
+    def near(lo, hi):
+        # one recurrence on both ends
+        m, e, lw = rows(np.concatenate([lo, hi]))
+        return gram(*[(m[:, c], e[:, c], lw[c]) for c in (slice(lo.size), slice(lo.size, None))])
 
     return _integrable_kernel(x, y, nodes, near)
 
@@ -169,17 +189,15 @@ def finite_profile(spec: KernelSpec):
 def soft_edge(spec: KernelSpec) -> tuple[float, float]:
     """Soft-edge location and scale (s_n, h_n).
 
-    s_n is the largest zero of chi in (-1, 1) and h_n = (-chi'(s_n))^{1/3}.
-    chi's zeros come in closed form from :func:`chi_zeros`; the sign of the
-    analytic derivative there guards the arithmetic.
+    s_n is the upper zero of chi and h_n = (-chi'(s_n))^{1/3}.  chi's zeros
+    come in closed form from :func:`chi_zeros`; the sign of the analytic
+    derivative there guards the arithmetic.  With a <= 1 the upper zero
+    lies at or past 1 and the upper edge is a hard edge.
     """
     n, a, b = spec.n, spec.a, spec.b
-    inside = [r for r in chi_zeros(n, a, b) if -1.0 < r < 1.0]
-    if not inside:
-        raise RegimeError(
-            f"soft edge needs the turning point inside (-1,1); a={a}, b={b} too small"
-        )
-    s = max(inside)
+    s = chi_zeros(n, a, b)[1]
+    if not -1.0 < s < 1.0:
+        raise RegimeError(f"soft edge needs the turning point inside (-1,1); a={a}, b={b} too small")
     slope = chi_prime(n, a, b, s)
     if slope >= 0.0:
         raise NumericError(f"chi not decreasing at its largest zero (chi'={slope:.3e})")

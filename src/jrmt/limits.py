@@ -3,9 +3,10 @@
 Airy and Bessel values come from ``scipy.special`` and accept scalars or
 numpy arrays.  The Airy, Bessel and finite-n kernels all have the integrable
 form (f(x) g(y) - g(x) f(y)) / (x - y); :func:`_integrable_kernel` evaluates
-any of them on broadcast arrays from the node values f, g, with one
-near-diagonal switch at ``DIAG_TOL``, below which each kernel supplies its
-own rule.
+any of them on broadcast arrays from three node values: f, g and the
+diagonal K(z, z).  Below ``DIAG_TOL`` the quotient gives way to the
+diagonal, and at a distinct close pair to a near rule, by default the
+diagonal at the midpoint.
 """
 
 from __future__ import annotations
@@ -40,47 +41,37 @@ __all__ = [
 # |x - y| below which integrable kernels switch from the difference quotient
 # to their near-diagonal rule
 DIAG_TOL = 1e-6
-# most sorted abscissae whose node values one ``nodes`` call holds at once
+# most sorted abscissae, or close pairs, whose values one ``nodes`` or
+# ``near`` call holds at once
 NODE_BLOCK = 256
+# Gauss-Legendre points of FreeDensity.continuous_mass
+_MASS_QUAD = 256
 
 
-def _node_blocks(z: np.ndarray) -> list[int]:
-    """Bounds of consecutive blocks of the sorted abscissae z.
-
-    A block holds at most ``NODE_BLOCK`` abscissae and ends only where the
-    next one is at least ``DIAG_TOL`` away, so no near pair spans two
-    blocks; a longer run of closer neighbours stays whole, in one block.
-    """
-    if z.size <= NODE_BLOCK:
-        return [0, z.size]
-    cuts = np.append(np.flatnonzero(np.diff(z) >= DIAG_TOL) + 1, z.size)
-    bounds = [0]
-    while bounds[-1] < z.size:
-        s = bounds[-1]
-        i = np.searchsorted(cuts, s + NODE_BLOCK, side="right")
-        bounds.append(int(cuts[i - 1] if i and cuts[i - 1] > s else cuts[i]))
-    return bounds
-
-
-def _integrable_kernel(x, y, nodes: Callable, near: Callable):
+def _integrable_kernel(x, y, nodes: Callable, near: Callable | None = None):
     """(f(x) g(y) - g(x) f(y)) / (x - y) on broadcast x, y.
 
-    ``nodes(z)`` returns a tuple of arrays of node values at a 1-d array z of
-    distinct sorted abscissae, f(z) and g(z) first, each indexed by node
-    along its first axis.  Every distinct value of the unbroadcast x and y
-    is evaluated once: a column and a row of m nodes give 2m values, not the
-    2m^2 of their meshgrid, and the quotient is formed from f and g by
-    broadcasting.  ``nodes`` is called per block of :func:`_node_blocks`
-    and only f and g outlive a block, so large node values take bounded
-    memory.  ``near(lo, hi, at_lo, at_hi)`` gives the kernel on the pairs
-    with |x - y| < ``DIAG_TOL``, where the quotient cancels
-    catastrophically; each pair comes ordered lo <= hi, and ``at_lo`` and
-    ``at_hi`` hold every array of ``nodes`` indexed at lo and at hi, as new
-    arrays the rule may overwrite.  Every operation is elementwise and the
+    ``nodes(z, on)`` returns three arrays of node values at a 1-d array z of
+    distinct sorted abscissae: f(z), g(z) and the diagonal K(z, z), the last
+    needed only where the boolean mask ``on`` is true.  Every distinct value
+    of the unbroadcast x and y is evaluated once: a column and a row of m
+    nodes give 2m values, not the 2m^2 of their meshgrid, and the quotient
+    is formed from f and g by broadcasting.  ``nodes`` is called on slices
+    of at most ``NODE_BLOCK`` abscissae, so large node values take bounded
+    memory.  On a distinct pair with |x - y| < ``DIAG_TOL`` the quotient
+    cancels catastrophically, and ``near(lo, hi)`` gives the kernel there
+    from the two ends, lo < hi, of at most ``NODE_BLOCK`` such pairs; by
+    default it is the diagonal at the midpoint, the third value of
+    ``nodes(0.5 * (lo + hi))``.  Every operation is elementwise and the
     quotient is exactly antisymmetric in its numerator and its denominator,
     so K(x, y) and K(y, x) are bitwise equal and an entry does not depend
     on the other entries asked for with it.  Scalar in, scalar out.
     """
+    if near is None:
+
+        def near(lo, hi):
+            return nodes(0.5 * (lo + hi), np.ones(lo.size, dtype=bool))[2]
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z, idx = np.unique(np.concatenate([x.ravel(), y.ravel()]), return_inverse=True)
@@ -89,19 +80,21 @@ def _integrable_kernel(x, y, nodes: Callable, near: Callable):
     close = np.abs(d) < DIAG_TOL
     # z is sorted, so the lower point of a pair has the lower index
     lo, hi = np.minimum(i, j)[close], np.maximum(i, j)[close]
-    f, g, near_vals = np.empty(z.size), np.empty(z.size), np.empty(lo.size)
-    bounds = _node_blocks(z)
-    for s, t in zip(bounds[:-1], bounds[1:]):
-        vals = nodes(z[s:t])
-        f[s:t], g[s:t] = vals[0], vals[1]
-        sel = slice(None) if t - s == z.size else np.flatnonzero((s <= lo) & (lo < t))
-        bl, bh = lo[sel] - s, hi[sel] - s
-        if bl.size:
-            at_lo, at_hi = (tuple(v[k] for v in vals) for k in (bl, bh))
-            near_vals[sel] = near(z[s:t][bl], z[s:t][bh], at_lo, at_hi)
+    on = np.zeros(z.size, dtype=bool)
+    on[lo[lo == hi]] = True
+    f, g, kzz = np.empty(z.size), np.empty(z.size), np.empty(z.size)
+    for s in range(0, z.size, NODE_BLOCK):
+        t = s + NODE_BLOCK
+        f[s:t], g[s:t], kzz[s:t] = nodes(z[s:t], on[s:t])
+    # the diagonal, then each block of distinct pairs overwritten by ``near``
+    close_vals = kzz[lo]
+    pairs = np.flatnonzero(lo != hi)
+    for s in range(0, pairs.size, NODE_BLOCK):
+        p = pairs[s : s + NODE_BLOCK]
+        close_vals[p] = near(z[lo[p]], z[hi[p]])
     out = np.empty(d.shape)
     np.divide(f[i] * g[j] - g[i] * f[j], d, out=out, where=~close)
-    out[close] = near_vals
+    out[close] = close_vals
     return out[()]
 
 
@@ -158,26 +151,26 @@ class FreeDensity:
     density: Callable[[np.ndarray], np.ndarray]
     atoms: list[tuple[float, float]] = field(default_factory=list)
 
-    def continuous_mass(self, quad_points: int = 256) -> float:
+    def continuous_mass(self) -> float:
         """Integral of the continuous part.
 
         Uses the substitution x = m + d*sin(theta) that absorbs the
         square-root vanishing at both endpoints, so plain Gauss-Legendre in
-        theta converges spectrally.
+        theta, on ``_MASS_QUAD`` points, converges spectrally.
         """
         lo, hi = self.support
         if hi <= lo:
             return 0.0
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        t, w = gauss_legendre_unit(quad_points)
+        t, w = gauss_legendre_unit(_MASS_QUAD)
         theta = 0.5 * math.pi * t
         x = mid + half * np.sin(theta)
         vals = self.density(x) * half * np.cos(theta) * 0.5 * math.pi
         return float(vals @ w)
 
-    def total_mass(self, quad_points: int = 256) -> float:
-        return self.continuous_mass(quad_points) + sum(m for _, m in self.atoms)
+    def total_mass(self) -> float:
+        return self.continuous_mass() + sum(m for _, m in self.atoms)
 
 
 def _arc_law(lo: float, hi: float, atoms: list[tuple[float, float]]) -> FreeDensity:
@@ -259,24 +252,20 @@ def airy_prime(x):
     return scipy.special.airy(x)[1]
 
 
-def _airy_near(u, v, at_u, at_v):
-    # midpoint confluent form; its error at |u - v| < DIAG_TOL is O((u-v)^2).
-    # On the exact diagonal the midpoint is u, whose node values are at hand
-    m = 0.5 * (u + v)
-    ai, aip = at_u
-    off = u != v
-    if off.any():
-        ai[off], aip[off] = scipy.special.airy(m[off])[:2]
-    return aip * aip - m * ai * ai
+def _airy_nodes(z, on):
+    # the diagonal is three products, cheaper than selecting the nodes on it
+    ai, aip = scipy.special.airy(z)[:2]
+    return ai, aip, aip * aip - z * ai * ai
 
 
 def airy_kernel(u, v):
     """(Ai(u) Ai'(v) - Ai(v) Ai'(u)) / (u - v), confluent on the diagonal.
 
-    Near the diagonal the midpoint confluent form Ai'(m)^2 - m Ai(m)^2 is
-    used.  Accepts scalars or arrays that broadcast.
+    On the diagonal the confluent form Ai'(u)^2 - u Ai(u)^2 is used, and
+    within ``DIAG_TOL`` of it the same form at the midpoint.  Accepts scalars
+    or arrays that broadcast.
     """
-    return _integrable_kernel(u, v, lambda z: scipy.special.airy(z)[:2], _airy_near)
+    return _integrable_kernel(u, v, _airy_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -318,30 +307,23 @@ def bessel_kernel(b: int, u, v):
     su = sqrt(u), sv = sqrt(v); expanding J' through the order recurrence
     gives the integrable form with node values f(u) = su J_{b+1}(su) / 2 and
     g(u) = J_b(su) used off the diagonal.  The confluent diagonal is
-    (J_b'(s)^2 + (1 - b^2/m) J_b(s)^2) / 4 at the midpoint m, s = sqrt(m).
-    Accepts scalars or arrays that broadcast.
+    (J_b'(su)^2 + (1 - b^2/u) J_b(su)^2) / 4, taken within ``DIAG_TOL`` of
+    the diagonal at the midpoint.  Accepts scalars or arrays that broadcast.
     """
     b = _check_order(b)
     if (np.asarray(u) <= 0).any() or (np.asarray(v) <= 0).any():
         raise DomainError("hard-edge kernel needs u, v > 0")
 
-    def nodes(z):
+    def nodes(z, on):
         s = np.sqrt(z)
         jb, jb1 = bessel_j(b, s), bessel_j(b + 1, s)
-        return 0.5 * s * jb1, jb, jb1
+        # only where asked: b^2 / z overflows at a tiny z off the diagonal
+        kzz, jbd = np.zeros(z.size), jb[on]
+        jp = _j_prime(b, jbd, jb1[on], s[on])
+        kzz[on] = (jp * jp + (1.0 - b * b / z[on]) * jbd * jbd) / 4.0
+        return 0.5 * s * jb1, jb, kzz
 
-    def near(u, v, at_u, at_v):
-        # as for Airy, the midpoint is u on the exact diagonal
-        m = 0.5 * (u + v)
-        s = np.sqrt(m)
-        _, jb, jb1 = at_u
-        off = u != v
-        if off.any():
-            jb[off], jb1[off] = bessel_j(b, s[off]), bessel_j(b + 1, s[off])
-        jp = _j_prime(b, jb, jb1, s)
-        return (jp * jp + (1.0 - b * b / m) * jb * jb) / 4.0
-
-    return _integrable_kernel(u, v, nodes, near)
+    return _integrable_kernel(u, v, nodes)
 
 
 def sine_kernel(u, v):

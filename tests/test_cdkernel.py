@@ -1,9 +1,12 @@
+import functools
+import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import jrmt.cdkernel
 from jrmt.cdkernel import (
     KernelSpec,
     finite_profile,
@@ -14,12 +17,11 @@ from jrmt.cdkernel import (
     rescaled,
     soft_edge,
 )
-from jrmt.errors import DomainError, ParameterError
+from jrmt.errors import DomainError, ParameterError, RegimeError
 from jrmt.fredholm import gauss_legendre
 from jrmt.limits import (
     DIAG_TOL,
     NODE_BLOCK,
-    _node_blocks,
     airy_kernel,
     airy_prime,
     bessel_kernel,
@@ -238,27 +240,76 @@ def test_limit_kernels_broadcast_vectors_equal_meshgrid_bitwise(fn, lo, hi):
     _assert_broadcast_equals_meshgrid(fn, xs, ys)
 
 
+# sha256 of the values at distinct pairs 0.5 and 0.9 DIAG_TOL apart, one end
+# at each of 16 Gauss nodes: the near rules must keep their bits however
+# they obtain their node values
+CLOSE_PAIR_PINS = [
+    pytest.param(
+        airy_kernel, -8.0, 10.0, "4caf8ef025ed22e5a646ec8d36100e12f4a7b9c68f11423105de334c4d0a58e0", id="airy"
+    ),
+    pytest.param(
+        functools.partial(bessel_kernel, 0), 0.25, 16.0,
+        "a51b144a6a3b3e779b2825afa1b1cf0f34ac32a95fd4bbbcfac114cd213a174b", id="bessel0",
+    ),
+    pytest.param(
+        functools.partial(bessel_kernel, 2), 0.25, 16.0,
+        "a21d55e5456d3a076095ac5c5274571d4db4fac091751f5d2291e960cc72a0e9", id="bessel2",
+    ),
+] + [
+    pytest.param(
+        functools.partial(kernel, KernelSpec(n, a, b)), -0.999, 0.97, digest, id=f"cd-{n}-{a:g}-{b:g}"
+    )
+    for n, a, b, digest in [
+        (10, 3.0, 1.5, "7f0b7812b254d0920910df5853a62256902833667425aae8d9978601d19db203"),
+        (100, 50.0, 50.0, "dff5eabfc11ac8da8aaca372961013c2986973d34678c2f89f2f32d2c921ab98"),
+        (400, 200.0, 100.0, "c7e979e227603c9d3fb9c8b4e6257869b2880ea1819fb07827132a201672af0f"),
+        (400, 200.0, 2.0, "35b4c442175fbf936777fdb7e3cdb29e035d1a453583ee099261d03a545aa133"),
+    ]
+]
+
+
+@pytest.mark.parametrize("fn,lo,hi,digest", CLOSE_PAIR_PINS)
+def test_close_pair_values_are_bitwise_pinned(fn, lo, hi, digest):
+    xs = gauss_legendre(16, lo, hi)[0]
+    ys = np.concatenate([xs + 0.5 * DIAG_TOL, xs + 0.9 * DIAG_TOL])
+    assert hashlib.sha256(fn(np.tile(xs, 2), ys).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "fn, lo, hi",
+    [(airy_kernel, -8.0, 10.0), (functools.partial(bessel_kernel, 0), 0.25, 16.0),
+     (functools.partial(bessel_kernel, 2), 0.25, 16.0)],
+    ids=["airy", "bessel0", "bessel2"],
+)
+def test_limit_kernels_at_close_pairs_are_the_diagonal_at_the_midpoint(fn, lo, hi):
+    us = np.linspace(lo, hi, 9)
+    for gap in (0.5 * DIAG_TOL, 0.9 * DIAG_TOL):
+        mid = 0.5 * (us + (us + gap))
+        assert np.array_equal(fn(us, us + gap), fn(mid, mid))
+        assert np.array_equal(fn(us + gap, us), fn(mid, mid))
+
+
+def test_kernel_runs_the_gram_sum_only_near_the_diagonal(monkeypatch):
+    calls, sums = [], []
+    rows, halving_sum = jrmt.cdkernel.jacobi_rows, jrmt.cdkernel._halving_sum
+    monkeypatch.setattr(
+        jrmt.cdkernel, "jacobi_rows", lambda n, a, b, x: calls.append(np.shape(x)) or rows(n, a, b, x)
+    )
+    monkeypatch.setattr(jrmt.cdkernel, "_halving_sum", lambda t: sums.append(t.shape) or halving_sum(t))
+    spec = KernelSpec(100, 50.0, 25.0)
+    xs, ys = gauss_legendre(64, -0.9, 0.0)[0], gauss_legendre(64, 0.1, 0.9)[0]
+    kernel(spec, xs[:, None], ys[None, :])
+    # one recurrence on the 128 distinct abscissae, whose last rows alone serve
+    assert (calls, sums) == ([(128,)], [])
+    calls.clear()
+    kernel(spec, xs, xs + 0.5 * DIAG_TOL)
+    # 64 distinct close pairs: the node values of both ends, then the rows
+    # at both ends again, in one recurrence, for one Gram sum over k < n
+    assert (calls, sums) == ([(128,), (128,)], [(100, 64)])
+
+
 # ---------------------------------------------------------------------------
 # node blocks
-
-
-def test_node_blocks_cut_only_between_distant_neighbours():
-    rng = np.random.default_rng(5)
-    # clusters of points closer than DIAG_TOL, and one run of closer
-    # neighbours longer than a block
-    z = np.sort(np.concatenate([
-        rng.uniform(-0.9, 0.9, 700),
-        0.3 + 0.5 * DIAG_TOL * np.arange(5),
-        0.95 + 0.5 * DIAG_TOL * np.arange(NODE_BLOCK + 40),
-    ]))
-    bounds = _node_blocks(z)
-    assert bounds[0] == 0 and bounds[-1] == z.size
-    sizes = np.diff(bounds)
-    assert (sizes > 0).all()
-    assert all(z[c] - z[c - 1] >= DIAG_TOL for c in bounds[1:-1])
-    # only the run that no cut can split exceeds a block
-    assert (sizes > NODE_BLOCK).sum() == 1
-    assert _node_blocks(z[:NODE_BLOCK]) == [0, NODE_BLOCK]
 
 
 def test_values_over_several_blocks_equal_values_per_block():
@@ -269,7 +320,7 @@ def test_values_over_several_blocks_equal_values_per_block():
     ys = xs + 0.5 * DIAG_TOL
     xx = np.concatenate([xs, xs])
     yy = np.concatenate([xs, ys])
-    assert len(_node_blocks(np.unique(np.concatenate([xx, yy])))) > 3
+    assert np.unique(np.concatenate([xx, yy])).size > 3 * NODE_BLOCK
     whole = kernel(spec, xx, yy)
     chunks = [slice(k, k + NODE_BLOCK // 2) for k in range(0, xx.size, NODE_BLOCK // 2)]
     assert np.array_equal(whole, np.concatenate([kernel(spec, xx[c], yy[c]) for c in chunks]))
@@ -279,7 +330,7 @@ def test_values_over_several_blocks_equal_values_per_block():
 def test_density_on_a_large_grid_takes_bounded_memory():
     # P_0..P_400 as mantissas and exponents take 6.4 kB per node; with the
     # step multipliers and the Gram sum's terms one unblocked call on 10^4
-    # nodes peaked at 290 MB, and node blocks of NODE_BLOCK keep it near 9 MB
+    # nodes peaked at 290 MB, and node blocks of NODE_BLOCK keep it near 5 MB
     xs = np.linspace(-0.9, 0.9, 10_000)
     spec = KernelSpec(400, 200.0, 100.0)
     tracemalloc.start()
@@ -389,10 +440,16 @@ def test_soft_diagonal_target():
 
 def test_soft_rejects_tiny_parameters():
     # with a < 1 the turning point leaves (-1, 1): no square-root edge
-    from jrmt.errors import RegimeError
-
     with pytest.raises(RegimeError):
         soft_edge(KernelSpec(50, 0.2, 0.1))
+
+
+@pytest.mark.parametrize("n,a,b", [(266, 0.0, 188.0), (100, 1.0, 20.0)])
+def test_soft_rejects_a_hard_upper_edge_with_the_lower_turning_point_inside(n, a, b):
+    # with a <= 1 the upper zero of chi lies at or past 1 while the lower
+    # one stays inside (-1, 1); the lower one is no soft edge
+    with pytest.raises(RegimeError):
+        soft_edge(KernelSpec(n, a, b))
 
 
 # ---------------------------------------------------------------------------

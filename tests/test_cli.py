@@ -203,6 +203,12 @@ def test_angles_output(capsys):
     assert 0.0 < payload["predicted_cos2"] < 1.0
 
 
+def test_kernel_soft_with_a_hard_upper_edge_is_a_usage_error(capsys):
+    argv = ["kernel", "--regime", "soft", "--n", "266", "--a", "0", "--b", "188", "--ugrid=0:0.65:2"]
+    assert main(argv) == 2
+    assert "turning point" in capsys.readouterr().err
+
+
 def test_angles_rejects_bad_ranks():
     assert main(["angles", "--n", "10", "--q", "11", "--qprime", "2"]) == 2
 
