@@ -128,22 +128,20 @@ def kernel(spec: KernelSpec, x, y):
     """K_n^{a,b}(x, y) for x, y in (-1, 1), on scalars or arrays that broadcast.
 
     One recurrence (:func:`~jrmt.orthopoly.jacobi_rows`) per block of
-    distinct abscissae serves the quotient and the diagonal.  Away from the diagonal the value
-    is the Christoffel-Darboux ratio (f(x) g(y) - g(x) f(y)) / (x - y) with
-    f, g = sqrt(gamma_n w) (P_n, P_{n-1}).  Within ``DIAG_TOL`` the ratio
-    cancels catastrophically, so the exact sum sqrt(w(x) w(y)) sum_{k<n}
-    P_k(x) P_k(y) / h_k is used instead: on the diagonal from the block's
-    own rows, and at a distinct close pair from rows recomputed at its two
-    ends.  Each term is scaled on its own, and the terms are added in an
-    order fixed by n.
+    distinct abscissae serves the quotient and the diagonal.  Away from the
+    diagonal the value is the Christoffel-Darboux ratio (f(x) g(y) - g(x)
+    f(y)) / (x - y) with f, g = sqrt(gamma_n w) (P_n, P_{n-1}).  Within
+    ``DIAG_TOL`` the ratio cancels catastrophically, so the exact sum
+    sqrt(w(x) w(y)) sum_{k<n} P_k(x) P_k(y) / h_k is used instead: on the
+    diagonal from the block's own rows, formed at every abscissa, and at a
+    distinct close pair from rows recomputed at its two ends.  Each term is
+    scaled on its own, and the terms are added in an order fixed by n.
     """
     _check_open_interval(x, y)
     n, a, b = spec.n, spec.a, spec.b
     log_gam = log_gamma_n(n, a, b)
-
-    @functools.cache
-    def inv_norms():  # 1/h_k, k < n, split; only in a call with a Gram sum
-        return tuple(v[:, None] for v in _split(-_log_norms(n, a, b)))
+    # 1/h_k, k < n, split
+    kh, ch = (v[:, None] for v in _split(-_log_norms(n, a, b)))
 
     def rows(z):
         m, e = jacobi_rows(n, a, b, z)
@@ -154,19 +152,13 @@ def kernel(spec: KernelSpec, x, y):
         # exponents of the polynomial values term by term, and the rest of
         # the weight factor, common to a pair, comes last
         (mx, ex, wx), (my, ey, wy) = rows_x, rows_y
-        kh, ch = inv_norms()
         kw, cw = _split(wx + wy)
         return cw * _halving_sum(np.ldexp(mx[:n] * my[:n] * ch, ex[:n] + ey[:n] + kh + kw))
 
-    def nodes(z, on):
-        m, e, lw = rows(z)
+    def nodes(z):
+        own = m, e, lw = rows(z)
         log_c = 0.5 * log_gam + lw
-        kzz = np.empty(z.size)
-        if on.any():
-            cols = slice(None) if on.all() else on
-            own = m[:, cols], e[:, cols], lw[cols]
-            kzz[cols] = gram(own, own)
-        return _scaled(m[n], log_c, e[n]), _scaled(m[n - 1], log_c, e[n - 1]), kzz
+        return _scaled(m[n], log_c, e[n]), _scaled(m[n - 1], log_c, e[n - 1]), gram(own, own)
 
     def near(lo, hi):
         # one recurrence on both ends

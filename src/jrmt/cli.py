@@ -98,6 +98,12 @@ def _check_out(path: str | None) -> None:
         raise ParameterError(f"--out directory does not exist: {path}")
 
 
+def _config(args, **resolved) -> dict:
+    """Every parsed option that is set, bar ``func`` and ``out``, plus the resolved entries."""
+    given = {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
+    return {**given, **resolved}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -105,15 +111,9 @@ def _check_out(path: str | None) -> None:
 def cmd_sample(args) -> None:
     _check_trials(args.trials)
     plan = reduce_ranks(args.n, args.q, args.qtilde)
-    config = {
-        "command": "sample",
-        "n": args.n,
-        "q": args.q,
-        "qtilde": args.qtilde,
-        "route": args.route,
-        "trials": args.trials,
-        "seed": args.seed,
-        "plan": {
+    config = _config(
+        args,
+        plan={
             "canonical": None
             if plan.canonical is None
             else [plan.canonical.q, plan.canonical.q_tilde],
@@ -122,8 +122,8 @@ def cmd_sample(args) -> None:
             "ones": plan.ones,
             "zeros": plan.zeros,
         },
-        "note": "eigenvalues of the compressed q x q block, ascending, support [0, 1]",
-    }
+        note="eigenvalues of the compressed q x q block, ascending, support [0, 1]",
+    )
 
     def one_trial(t: int) -> np.ndarray:
         stream = SeededStream(args.seed, t)
@@ -147,14 +147,7 @@ def cmd_density(args) -> None:
         raise ParameterError("--grid must lie strictly inside (-1, 1)")
     spec = KernelSpec(args.n, args.a, args.b)
     prof = finite_profile(spec)
-    config = {
-        "command": "density",
-        "n": args.n,
-        "a": args.a,
-        "b": args.b,
-        "grid": args.grid,
-        "support": [prof.r, prof.s],
-    }
+    config = _config(args, support=[prof.r, prof.s])
     rows = np.column_stack([xs, one_point_density(spec, xs), limit_density(prof, xs)])
     _emit(args.out, _csv_text(config, ["x", "finite_n_density", "limit_f"], rows))
 
@@ -163,17 +156,9 @@ def cmd_kernel(args) -> None:
     us = _parse_grid(args.ugrid, "--ugrid")
     vs = _parse_grid(args.vgrid, "--vgrid") if args.vgrid else us
     spec = KernelSpec(args.n, args.a, args.b)
-    config = {
-        "command": "kernel",
-        "regime": args.regime,
-        "n": args.n,
-        "a": args.a,
-        "b": args.b,
-        "ugrid": args.ugrid,
-        "vgrid": args.vgrid or args.ugrid,
-    }
     centre, scale, limit = local_scaling(spec, args.regime, args.x)
-    config.update((k, val) for k, val in zip(_SCALING_KEYS[args.regime], (centre, scale)) if k)
+    scaling = {k: val for k, val in zip(_SCALING_KEYS[args.regime], (centre, scale)) if k}
+    config = _config(args, vgrid=args.vgrid or args.ugrid, **scaling)
     u, v = us[:, None], vs[None, :]
     values = rescaled(spec, args.regime, u, v, args.x), limit(u, v)
     rows = np.column_stack([g.ravel() for g in np.broadcast_arrays(u, v, *values)])
@@ -184,22 +169,13 @@ def cmd_gap(args) -> None:
     _check_quad(args.quad)
     spec = KernelSpec(args.n, args.a, args.b)
     value = largest_eval_cdf(spec, args.x, m=args.quad)
-    config = {
-        "command": "gap",
-        "n": args.n,
-        "a": args.a,
-        "b": args.b,
-        "x": args.x,
-        "quad": args.quad,
-    }
-    _emit(args.out, _json_text(config, {"gap": value}))
+    _emit(args.out, _json_text(_config(args), {"gap": value}))
 
 
 def cmd_tw(args) -> None:
     _check_quad(args.quad)
     value = tracy_widom_cdf(args.t, m=args.quad, tail=args.tail)
-    config = {"command": "tw", "t": args.t, "quad": args.quad, "tail": args.tail}
-    _emit(args.out, _json_text(config, {"tw_cdf": value}))
+    _emit(args.out, _json_text(_config(args), {"tw_cdf": value}))
 
 
 def cmd_angles(args) -> None:
@@ -218,14 +194,6 @@ def cmd_angles(args) -> None:
 
     with one_blas_thread():
         cos2 = np.array([one_trial(t) for t in range(args.trials)])
-    config = {
-        "command": "angles",
-        "n": args.n,
-        "q": args.q,
-        "qprime": args.qprime,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
     result = {
         "predicted_cos2": predicted,
         "predicted_angle": theta,
@@ -236,7 +204,7 @@ def cmd_angles(args) -> None:
             "std": float(cos2.std()),
         },
     }
-    _emit(args.out, _json_text(config, result))
+    _emit(args.out, _json_text(_config(args), result))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         return NUMERIC_EXIT
     except JrmtError as e:
         print(f"jrmt: {e}", file=sys.stderr)
+        return USAGE_EXIT
+    except MemoryError as e:
+        print(f"jrmt: size does not fit in memory: {e}", file=sys.stderr)
         return USAGE_EXIT
     return 0
 

@@ -51,26 +51,26 @@ _MASS_QUAD = 256
 def _integrable_kernel(x, y, nodes: Callable, near: Callable | None = None):
     """(f(x) g(y) - g(x) f(y)) / (x - y) on broadcast x, y.
 
-    ``nodes(z, on)`` returns three arrays of node values at a 1-d array z of
-    distinct sorted abscissae: f(z), g(z) and the diagonal K(z, z), the last
-    needed only where the boolean mask ``on`` is true.  Every distinct value
-    of the unbroadcast x and y is evaluated once: a column and a row of m
-    nodes give 2m values, not the 2m^2 of their meshgrid, and the quotient
-    is formed from f and g by broadcasting.  ``nodes`` is called on slices
-    of at most ``NODE_BLOCK`` abscissae, so large node values take bounded
-    memory.  On a distinct pair with |x - y| < ``DIAG_TOL`` the quotient
-    cancels catastrophically, and ``near(lo, hi)`` gives the kernel there
-    from the two ends, lo < hi, of at most ``NODE_BLOCK`` such pairs; by
-    default it is the diagonal at the midpoint, the third value of
-    ``nodes(0.5 * (lo + hi))``.  Every operation is elementwise and the
-    quotient is exactly antisymmetric in its numerator and its denominator,
-    so K(x, y) and K(y, x) are bitwise equal and an entry does not depend
-    on the other entries asked for with it.  Scalar in, scalar out.
+    ``nodes(z)`` returns three arrays of node values at a 1-d array z of
+    distinct sorted abscissae: f(z), g(z) and the diagonal K(z, z).  Every
+    distinct value of the unbroadcast x and y is evaluated once: a column
+    and a row of m nodes give 2m values, not the 2m^2 of their meshgrid, and
+    the quotient is formed from f and g by broadcasting.  ``nodes`` is
+    called on slices of at most ``NODE_BLOCK`` abscissae, so large node
+    values take bounded memory.  On a distinct pair with |x - y| <
+    ``DIAG_TOL`` the quotient cancels catastrophically, and ``near(lo, hi)``
+    gives the kernel there from the two ends, lo < hi, of at most
+    ``NODE_BLOCK`` such pairs; by default it is the diagonal at the
+    midpoint, ``nodes(0.5 * (lo + hi))[2]``.  Every operation is elementwise
+    and the quotient is exactly antisymmetric in its numerator and its
+    denominator, so K(x, y) and K(y, x) are bitwise equal and an entry does
+    not depend on the other entries asked for with it.  Scalar in, scalar
+    out.
     """
     if near is None:
 
         def near(lo, hi):
-            return nodes(0.5 * (lo + hi), np.ones(lo.size, dtype=bool))[2]
+            return nodes(0.5 * (lo + hi))[2]
 
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -80,12 +80,10 @@ def _integrable_kernel(x, y, nodes: Callable, near: Callable | None = None):
     close = np.abs(d) < DIAG_TOL
     # z is sorted, so the lower point of a pair has the lower index
     lo, hi = np.minimum(i, j)[close], np.maximum(i, j)[close]
-    on = np.zeros(z.size, dtype=bool)
-    on[lo[lo == hi]] = True
     f, g, kzz = np.empty(z.size), np.empty(z.size), np.empty(z.size)
     for s in range(0, z.size, NODE_BLOCK):
         t = s + NODE_BLOCK
-        f[s:t], g[s:t], kzz[s:t] = nodes(z[s:t], on[s:t])
+        f[s:t], g[s:t], kzz[s:t] = nodes(z[s:t])
     # the diagonal, then each block of distinct pairs overwritten by ``near``
     close_vals = kzz[lo]
     pairs = np.flatnonzero(lo != hi)
@@ -108,7 +106,6 @@ class LimitProfile:
 
     A: float
     B: float
-    D: float
     r: float
     s: float
 
@@ -125,7 +122,7 @@ def edge_profile(alpha: float, beta: float) -> LimitProfile:
     a_ = alpha / den
     b_ = beta / den
     d = math.sqrt((1 + a_ + b_) * (1 - a_ - b_) * (1 - a_ + b_) * (1 + a_ - b_))
-    return LimitProfile(a_, b_, d, b_ * b_ - a_ * a_ - d, b_ * b_ - a_ * a_ + d)
+    return LimitProfile(a_, b_, b_ * b_ - a_ * a_ - d, b_ * b_ - a_ * a_ + d)
 
 
 def limit_density(profile: LimitProfile, x):
@@ -252,8 +249,7 @@ def airy_prime(x):
     return scipy.special.airy(x)[1]
 
 
-def _airy_nodes(z, on):
-    # the diagonal is three products, cheaper than selecting the nodes on it
+def _airy_nodes(z):
     ai, aip = scipy.special.airy(z)[:2]
     return ai, aip, aip * aip - z * ai * ai
 
@@ -307,20 +303,21 @@ def bessel_kernel(b: int, u, v):
     su = sqrt(u), sv = sqrt(v); expanding J' through the order recurrence
     gives the integrable form with node values f(u) = su J_{b+1}(su) / 2 and
     g(u) = J_b(su) used off the diagonal.  The confluent diagonal is
-    (J_b'(su)^2 + (1 - b^2/u) J_b(su)^2) / 4, taken within ``DIAG_TOL`` of
-    the diagonal at the midpoint.  Accepts scalars or arrays that broadcast.
+    (J_b'(su)^2 + (1 - b^2/u) J_b(su)^2) / 4, formed at every node and
+    taken within ``DIAG_TOL`` of the diagonal at the midpoint.  At a tiny u
+    b^2/u overflows and that diagonal is not finite, which matters only if
+    the call asks for F_b(u, u).  Accepts scalars or arrays that broadcast.
     """
     b = _check_order(b)
     if (np.asarray(u) <= 0).any() or (np.asarray(v) <= 0).any():
         raise DomainError("hard-edge kernel needs u, v > 0")
 
-    def nodes(z, on):
+    def nodes(z):
         s = np.sqrt(z)
         jb, jb1 = bessel_j(b, s), bessel_j(b + 1, s)
-        # only where asked: b^2 / z overflows at a tiny z off the diagonal
-        kzz, jbd = np.zeros(z.size), jb[on]
-        jp = _j_prime(b, jbd, jb1[on], s[on])
-        kzz[on] = (jp * jp + (1.0 - b * b / z[on]) * jbd * jbd) / 4.0
+        jp = _j_prime(b, jb, jb1, s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            kzz = (jp * jp + (1.0 - b * b / z) * jb * jb) / 4.0
         return 0.5 * s * jb1, jb, kzz
 
     return _integrable_kernel(u, v, nodes)

@@ -289,7 +289,7 @@ def test_limit_kernels_at_close_pairs_are_the_diagonal_at_the_midpoint(fn, lo, h
         assert np.array_equal(fn(us + gap, us), fn(mid, mid))
 
 
-def test_kernel_runs_the_gram_sum_only_near_the_diagonal(monkeypatch):
+def test_kernel_runs_one_gram_sum_per_recurrence(monkeypatch):
     calls, sums = [], []
     rows, halving_sum = jrmt.cdkernel.jacobi_rows, jrmt.cdkernel._halving_sum
     monkeypatch.setattr(
@@ -299,13 +299,15 @@ def test_kernel_runs_the_gram_sum_only_near_the_diagonal(monkeypatch):
     spec = KernelSpec(100, 50.0, 25.0)
     xs, ys = gauss_legendre(64, -0.9, 0.0)[0], gauss_legendre(64, 0.1, 0.9)[0]
     kernel(spec, xs[:, None], ys[None, :])
-    # one recurrence on the 128 distinct abscissae, whose last rows alone serve
-    assert (calls, sums) == ([(128,)], [])
+    # one recurrence on the 128 distinct abscissae gives f, g and the
+    # diagonal, a Gram sum over k < n, at each of them
+    assert (calls, sums) == ([(128,)], [(100, 128)])
     calls.clear()
+    sums.clear()
     kernel(spec, xs, xs + 0.5 * DIAG_TOL)
     # 64 distinct close pairs: the node values of both ends, then the rows
-    # at both ends again, in one recurrence, for one Gram sum over k < n
-    assert (calls, sums) == ([(128,), (128,)], [(100, 64)])
+    # at both ends again, in one recurrence, for one Gram sum per pair
+    assert (calls, sums) == ([(128,), (128,)], [(100, 128), (100, 64)])
 
 
 # ---------------------------------------------------------------------------

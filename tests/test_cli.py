@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jrmt.cli import main
+from jrmt.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -261,6 +261,57 @@ def test_nonfinite_parameters_are_usage_errors(argv):
     assert "Traceback" not in err.getvalue()
     assert "RuntimeWarning" not in err.getvalue()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "argv, resolved",
+    [
+        (["sample", "--n", "20", "--q", "5", "--qtilde", "8", "--route", "tridiagonal"],
+         {"plan", "note"}),
+        (["density", "--n", "12", "--a", "6", "--b", "3", "--grid=-0.5:0.5:3"], {"support"}),
+        (["kernel", "--regime", "bulk", "--n", "40", "--a", "20", "--b", "10", "--ugrid=-1:1:2"],
+         {"vgrid", "x"}),
+        (["kernel", "--regime", "bulk", "--n", "40", "--a", "20", "--b", "10", "--x", "0.1",
+          "--ugrid=-1:1:2", "--vgrid=0:1:2"], {"vgrid", "x"}),
+        (["kernel", "--regime", "soft", "--n", "40", "--a", "20", "--b", "10", "--ugrid=-1:1:2"],
+         {"vgrid", "edge", "scale"}),
+        (["kernel", "--regime", "hard", "--n", "40", "--a", "20", "--b", "2", "--ugrid=1:2:2"],
+         {"vgrid", "scale"}),
+        (["gap", "--n", "12", "--a", "6", "--b", "3", "--x", "0.5", "--quad", "16"], set()),
+        (["tw", "--t", "0", "--quad", "16"], set()),
+        (["angles", "--n", "20", "--q", "4", "--qprime", "5", "--trials", "3"], set()),
+    ],
+    ids=["sample", "density", "kernel-bulk", "kernel-bulk-x-vgrid", "kernel-soft", "kernel-hard",
+         "gap", "tw", "angles"],
+)
+def test_config_holds_every_set_option_and_the_resolved_keys(argv, resolved, capsys):
+    # a new flag must reach the config of every output without a hand-kept list
+    given = {k: v for k, v in vars(build_parser().parse_args(argv)).items() if v is not None}
+    del given["func"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    config = json.loads(out[1:].split("\n")[0]) if out.startswith("#") else json.loads(out)["config"]
+    assert set(config) == set(given) | resolved
+    assert all(config[k] == v for k, v in given.items() if k not in resolved)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--n", "5", "--a", "1", "--b", "1", "--grid=-0.5:0.5:100000000000000000"],
+        ["kernel", "--regime", "bulk", "--n", "5", "--a", "1", "--b", "1",
+         "--ugrid=-1:1:100000000000000000"],
+        ["sample", "--n", "100000000000000000", "--q", "1", "--qtilde", "1"],
+    ],
+    ids=["density", "kernel", "sample"],
+)
+def test_a_size_beyond_memory_is_a_usage_error(argv, capsys):
+    # 10^17 doubles exceed any address space, so the allocation is refused at once
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jrmt: ")
+    assert "Traceback" not in captured.err
 
 
 def test_usage_error_exit_code():

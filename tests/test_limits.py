@@ -99,8 +99,7 @@ BESSEL_WIDE_REFERENCE = [
 
 def test_profile_trivial_parameters():
     p = edge_profile(0.0, 0.0)
-    assert (p.A, p.B, p.D) == (0.0, 0.0, 1.0)
-    assert (p.r, p.s) == (-1.0, 1.0)
+    assert (p.A, p.B, p.r, p.s) == (0.0, 0.0, -1.0, 1.0)
 
 
 def test_profile_symmetric_parameters():
@@ -335,6 +334,15 @@ def test_bessel_kernel_diagonal_two_path():
     assert confluent > 0
     two_sided = bessel_kernel(0, 1.0 + 1e-4, 1.0 - 1e-4)
     assert abs(confluent - two_sided) < 1e-6
+
+
+def test_bessel_kernel_off_the_diagonal_at_a_tiny_argument(recwarn):
+    # b^2/u overflows at u = 1e-320, so the node's own diagonal is not
+    # finite; the off-diagonal value never reads it
+    value = bessel_kernel(2, 1e-320, 1.0)
+    assert math.isfinite(value)
+    assert value == bessel_kernel(2, 1.0, 1e-320)
+    assert not recwarn.list
 
 
 def test_bessel_kernel_rejects_nonpositive():
