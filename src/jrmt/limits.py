@@ -219,12 +219,9 @@ def wishart_ratio_density(alpha: float, beta: float) -> tuple[FreeDensity, float
     if not (1.0 <= alpha < math.inf and 1.0 <= beta < math.inf):
         raise ParameterError(f"column ratios must be finite and >= 1, got {alpha}, {beta}")
     tot = alpha + beta
-    lam_minus = (
-        math.sqrt(alpha / tot * (1.0 - 1.0 / tot)) - math.sqrt(1.0 / tot * (1.0 - alpha / tot))
-    ) ** 2
-    lam_plus = (
-        math.sqrt(alpha / tot * (1.0 - 1.0 / tot)) + math.sqrt(1.0 / tot * (1.0 - alpha / tot))
-    ) ** 2
+    p = math.sqrt(alpha / tot * (1.0 - 1.0 / tot))
+    q = math.sqrt(1.0 / tot * (1.0 - alpha / tot))
+    lam_minus, lam_plus = (p - q) ** 2, (p + q) ** 2
 
     atoms = []
     if alpha > 1.0:
@@ -283,17 +280,13 @@ def bessel_j(b: int, z):
     return scipy.special.jv(b, z)
 
 
-def _j_prime(b: int, jb, jb1, z):
-    # J_b'(z) from J_b(z) and J_{b+1}(z) by the order recurrence
-    return -jb1 if b == 0 else -jb1 + b * jb / z
-
-
 def bessel_j_prime(b: int, z):
     """J_b'(z) = -J_{b+1}(z) + b J_b(z) / z for z > 0."""
     z = np.asarray(z, dtype=float)
     if (np.atleast_1d(z) <= 0).any():
         raise DomainError("derivative recurrence needs z > 0")
-    return _j_prime(b, bessel_j(b, z), bessel_j(b + 1, z), z)
+    jb, jb1 = bessel_j(b, z), bessel_j(b + 1, z)
+    return -jb1 if b == 0 else -jb1 + b * jb / z
 
 
 def bessel_kernel(b: int, u, v):
@@ -302,11 +295,12 @@ def bessel_kernel(b: int, u, v):
     F_b(u,v) = (J_b(su) sv J_b'(sv) - J_b(sv) su J_b'(su)) / (2(u-v)) with
     su = sqrt(u), sv = sqrt(v); expanding J' through the order recurrence
     gives the integrable form with node values f(u) = su J_{b+1}(su) / 2 and
-    g(u) = J_b(su) used off the diagonal.  The confluent diagonal is
-    (J_b'(su)^2 + (1 - b^2/u) J_b(su)^2) / 4, formed at every node and
-    taken within ``DIAG_TOL`` of the diagonal at the midpoint.  At a tiny u
-    b^2/u overflows and that diagonal is not finite, which matters only if
-    the call asks for F_b(u, u).  Accepts scalars or arrays that broadcast.
+    g(u) = J_b(su) used off the diagonal.  The diagonal is Tracy-Widom's
+    (J_b^2 - J_{b-1} J_{b+1}) / 4 at su with J_{b-1} = (2b/su) J_b - J_{b+1},
+    that is (J_b^2 + J_{b+1}^2 - (2b/su) J_b J_{b+1}) / 4: it needs only the
+    node values and stays finite and accurate as u -> 0.  It is formed at
+    every node and taken within ``DIAG_TOL`` of the diagonal at the midpoint.
+    Accepts scalars or arrays that broadcast.
     """
     b = _check_order(b)
     if (np.asarray(u) <= 0).any() or (np.asarray(v) <= 0).any():
@@ -314,11 +308,8 @@ def bessel_kernel(b: int, u, v):
 
     def nodes(z):
         s = np.sqrt(z)
-        jb, jb1 = bessel_j(b, s), bessel_j(b + 1, s)
-        jp = _j_prime(b, jb, jb1, s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            kzz = (jp * jp + (1.0 - b * b / z) * jb * jb) / 4.0
-        return 0.5 * s * jb1, jb, kzz
+        jb, jb1 = scipy.special.jv(b, s), scipy.special.jv(b + 1, s)
+        return 0.5 * s * jb1, jb, (jb * jb + jb1 * jb1 - 2.0 * b / s * jb * jb1) / 4.0
 
     return _integrable_kernel(u, v, nodes)
 

@@ -1,8 +1,9 @@
 """Regenerate the frozen reference tables in test_limits.py and test_cdkernel.py.
 
 Independent arbitrary-precision evaluation (mpmath: 40 significant digits
-for the special functions, 60 for the finite-n kernel); run manually when a
-spot-point list changes, and paste the output over the tables:
+for the special functions, 50 for the Bessel-kernel diagonal, 60 for the
+finite-n kernel); run manually when a spot-point list changes, and paste the
+output over the tables:
 
     python tests/make_special_refs.py
 """
@@ -33,6 +34,24 @@ def _bessel_table(name, points):
     print(f"{name} = [")
     for b, z in points:
         print(f'    ({b}, {z!r}, "{mp.nstr(mp.besselj(b, mp.mpf(z)), 40)}"),')
+    print("]\n")
+
+
+# orders of the Bessel-kernel diagonal, each at 25 geometric points of u
+# from 1e-12 to 400
+BESSEL_DIAG_ORDERS = [0, 1, 2, 4]
+BESSEL_DIAG_POINTS = [float(mp.mpf(10) ** -12 * mp.mpf(4e14) ** (mp.mpf(k) / 24)) for k in range(25)]
+
+
+def _bessel_diag_table():
+    """F_b(u, u) = (J_b(su)^2 - J_{b-1}(su) J_{b+1}(su)) / 4 with su = sqrt(u)."""
+    print("BESSEL_DIAG_REFERENCE = [")
+    with mp.workdps(50):
+        for b in BESSEL_DIAG_ORDERS:
+            for u in BESSEL_DIAG_POINTS:
+                s = mp.sqrt(mp.mpf(u))
+                val = (mp.besselj(b, s) ** 2 - mp.besselj(b - 1, s) * mp.besselj(b + 1, s)) / 4
+                print(f'    ({b}, {u!r}, "{mp.nstr(val, 25)}"),')
     print("]\n")
 
 
@@ -111,6 +130,7 @@ def main():
     _airy_table("AI_DECAY_REFERENCE", AI_DECAY_POINTS, 0)
     _airy_table("AIP_DECAY_REFERENCE", AI_DECAY_POINTS, 1)
     _bessel_table("BESSEL_WIDE_REFERENCE", J_WIDE_POINTS)
+    _bessel_diag_table()
     _cd_table()
 
 

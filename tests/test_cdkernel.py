@@ -253,7 +253,7 @@ CLOSE_PAIR_PINS = [
     ),
     pytest.param(
         functools.partial(bessel_kernel, 2), 0.25, 16.0,
-        "a21d55e5456d3a076095ac5c5274571d4db4fac091751f5d2291e960cc72a0e9", id="bessel2",
+        "7d1414eded0236a2b261587099dc9355fcbe01872878f5aa8c233c26bab2fcf4", id="bessel2",
     ),
 ] + [
     pytest.param(

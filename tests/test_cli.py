@@ -157,7 +157,7 @@ def test_kernel_soft_runs(tmp_path):
         (["kernel", "--regime", "soft", "--n", "100", "--a", "50", "--b", "25", "--ugrid=-2:1:4"],
          "a6eaf5e4866d07b267676eb78282db2b3cd6d88dce5fac63689413d5aba3559e"),
         (["kernel", "--regime", "hard", "--n", "100", "--a", "50", "--b", "2", "--ugrid", "1:4:3"],
-         "d0cb128245079397c46322f0bc8ac6145c8474bf9c619375db9b6e801f0abdbd"),
+         "55d66fa6a610f3231842185714a1bfa8b255d857233926eecf0b4c41e5411b91"),
         (["density", "--n", "12", "--a", "6", "--b", "3", "--grid=-0.5:0.5:5"],
          "30d46c56b1abfd23c31b5e3e0dcd37cd8d0cab1f207384fb944f27964bec8337"),
     ],

@@ -92,6 +92,111 @@ BESSEL_WIDE_REFERENCE = [
     (60, 40.0, "0.0000001309267138298198860009467479974075797935"),
 ]
 
+# F_b(u, u) = (J_b(sqrt u)^2 - J_{b-1}(sqrt u) J_{b+1}(sqrt u)) / 4 at 50
+# digits, 25 geometric points of u from 1e-12 to 400 for each order
+BESSEL_DIAG_REFERENCE = [
+    (0, 1e-12, "0.2499999999999375"),
+    (0, 4.059001074700604e-12, "0.2499999999997463124328313"),
+    (0, 1.6475489724420658e-11, "0.2499999999989702818922258"),
+    (0, 6.687403049764221e-11, "0.2499999999958203730939323"),
+    (0, 2.7144176165949065e-10, "0.2499999999830348898968575"),
+    (0, 1.1017824022944977e-09, "0.2499999999311385998660777"),
+    (0, 4.4721359549995795e-09, "0.2499999997204915029687763"),
+    (0, 1.8152404647550503e-08, "0.2499999988654747121023888"),
+    (0, 7.368062997280773e-08, "0.2499999953949606691122918"),
+    (0, 2.990697562442441e-07, "0.2499999813081409335059706"),
+    (0, 1.2139244620058345e-06, "0.2499999241297326372328056"),
+    (0, 4.9273206958870345e-06, "0.2499996920426461826926278"),
+    (0, 2e-05, "0.2499987500031249956596238"),
+    (0, 8.118002149401207e-05, "0.24999492630014223938334"),
+    (0, 0.0003295097944884131, "0.2499794064860805693334063"),
+    (0, 0.0013374806099528441, "0.2499164214360048367496415"),
+    (0, 0.005428835233189813, "0.2496609279631093601289398"),
+    (0, 0.022035648045889956, "0.2486265597116309805520103"),
+    (0, 0.08944271909999159, "0.2444719433650334340439379"),
+    (0, 0.3630480929510101, "0.2283136592727484956180563"),
+    (0, 1.4736125994561546, "0.1732353467381441336505408"),
+    (0, 5.981395124884882, "0.06514699912228892361019056"),
+    (0, 24.278489240116688, "0.03547698954170217655814503"),
+    (0, 98.5464139177407, "0.01560379612274900371237372"),
+    (0, 400.0, "0.008090976246297265478718638"),
+    (1, 1e-12, "3.124999999999479103812441e-14"),
+    (1, 4.059001074700604e-12, "1.268437835843080532528919e-13"),
+    (1, 1.6475489724420658e-11, "5.148590538867317931369377e-13"),
+    (1, 6.687403049764221e-11, "2.089813453028026585183194e-12"),
+    (1, 2.7144176165949065e-10, "8.482555051475329618676221e-12"),
+    (1, 1.1017824022944977e-09, "3.443070006538053066673287e-11"),
+    (1, 4.4721359549995795e-09, "1.397542484895701921530785e-10"),
+    (1, 1.8152404647550503e-08, "5.672626435197563834049767e-10"),
+    (1, 7.368062997280773e-08, "2.302519658375058283381966e-9"),
+    (1, 2.990697562442441e-07, "9.345929416785144521884332e-9"),
+    (1, 1.2139244620058345e-06, "3.793513176261743431131565e-8"),
+    (1, 4.9273206958870345e-06, "0.0000001539786452960537136116696"),
+    (1, 2e-05, "0.0000006249979166699219230883753"),
+    (1, 8.118002149401207e-05, "0.000002536841347968639518751984"),
+    (1, 0.0003295097944884131, "0.00001029661558865029644321937"),
+    (1, 0.0013374806099528441, "0.00004178695308459373171356438"),
+    (1, 0.005428835233189813, "0.0001694976648124139098089217"),
+    (1, 0.022035648045889956, "0.0006860893414422027119246511"),
+    (1, 0.08944271909999159, "0.002753708248004857505909273"),
+    (1, 0.3630480929510101, "0.0106779186885403368594464"),
+    (1, 1.4736125994561546, "0.03595685162440775501578994"),
+    (1, 5.981395124884882, "0.06733989966107456754468882"),
+    (1, 24.278489240116688, "0.02897693739573048764842554"),
+    (1, 98.5464139177407, "0.01635574682600207115273298"),
+    (1, 400.0, "0.007811906742989668802485895"),
+    (2, 1e-12, "1.302083333333170520538145e-27"),
+    (2, 4.059001074700604e-12, "2.145246057866184362890051e-26"),
+    (2, 1.6475489724420658e-11, "3.534397938267339343126978e-25"),
+    (2, 6.687403049764221e-11, "5.823093691357026368250991e-24"),
+    (2, 2.7144176165949065e-10, "9.59383202738381897776396e-23"),
+    (2, 1.1017824022944977e-09, "1.580630809685741340481608e-21"),
+    (2, 4.4721359549995795e-09, "2.604166665210893346971314e-20"),
+    (2, 1.8152404647550503e-08, "4.290492105999202097831508e-19"),
+    (2, 7.368062997280773e-08, "7.068795811445069465467174e-18"),
+    (2, 2.990697562442441e-07, "1.164618694743361094826072e-16"),
+    (2, 1.2139244620058345e-06, "1.918766114387204230418162e-15"),
+    (2, 4.9273206958870345e-06, "3.161259672738694802090607e-14"),
+    (2, 2e-05, "5.208320312515191813483483e-13"),
+    (2, 8.118002149401207e-05, "8.580897156320893037800053e-12"),
+    (2, 0.0003295097944884131, "1.413700945492200173208927e-10"),
+    (2, 0.0013374806099528441, "2.32884809319766479830963e-9"),
+    (2, 0.005428835233189813, "3.834929468950045351169353e-8"),
+    (2, 0.022035648045889956, "0.0000006305130495505361646778542"),
+    (2, 0.08944271909999159, "0.0000103008104949521083927838"),
+    (2, 0.3630480929510101, "0.0001639942286429527341502242"),
+    (2, 1.4736125994561546, "0.002349183000878241297713214"),
+    (2, 5.981395124884882, "0.02165451535227554970104187"),
+    (2, 24.278489240116688, "0.03129749605963104914908161"),
+    (2, 98.5464139177407, "0.01556520846507781448607528"),
+    (2, 400.0, "0.008079809580079503999133398"),
+    (4, 1e-12, "3.390842013888606045916264e-55"),
+    (4, 4.059001074700604e-12, "9.204161297587035472766743e-53"),
+    (4, 1.6475489724420658e-11, "2.498393757212544194831077e-50"),
+    (4, 6.687403049764221e-11, "6.781684027739986317301036e-48"),
+    (4, 2.7144176165949065e-10, "1.840832259476390158544184e-45"),
+    (4, 1.1017824022944977e-09, "4.996787513973166613758857e-43"),
+    (4, 4.4721359549995795e-09, "1.356336805050078779768485e-40"),
+    (4, 1.8152404647550503e-08, "3.681664513466804345021079e-38"),
+    (4, 7.368062997280773e-08, "9.99357496750282078672288e-36"),
+    (4, 2.990697562442441e-07, "2.712673543504559588583964e-33"),
+    (4, 1.2139244620058345e-06, "7.363328293195054012410329e-31"),
+    (4, 4.9273206958870345e-06, "1.998714185080453787790543e-28"),
+    (4, 2e-05, "5.425338179983958244951986e-26"),
+    (4, 8.118002149401207e-05, "1.472655845059370402453889e-23"),
+    (4, 0.0003295097944884131, "3.997320246938004628556664e-21"),
+    (4, 0.0013374806099528441, "1.084948512520268959311444e-18"),
+    (4, 0.005428835233189813, "2.94399942270520511759855e-16"),
+    (4, 0.022035648045889956, "7.980191731861128371758788e-14"),
+    (4, 0.08944271909999159, "2.154020340634312640529579e-11"),
+    (4, 0.3630480929510101, "5.714966308009677321478225e-9"),
+    (4, 1.4736125994561546, "0.000001413581875747620814577004"),
+    (4, 5.981395124884882, "0.0002617568774498554024276964"),
+    (4, 24.278489240116688, "0.01375145370991750548303029"),
+    (4, 98.5464139177407, "0.01551430416563815554198013"),
+    (4, 400.0, "0.008006448436234490914003199"),
+]
+
 
 # ---------------------------------------------------------------------------
 # edge profile and limit density
@@ -336,12 +441,19 @@ def test_bessel_kernel_diagonal_two_path():
     assert abs(confluent - two_sided) < 1e-6
 
 
+def test_bessel_kernel_diagonal_reference_values():
+    for b, u, ref in BESSEL_DIAG_REFERENCE:
+        assert abs(bessel_kernel(b, u, u) / float(ref) - 1.0) < 1e-13, f"F_{b}({u}, {u})"
+
+
 def test_bessel_kernel_off_the_diagonal_at_a_tiny_argument(recwarn):
-    # b^2/u overflows at u = 1e-320, so the node's own diagonal is not
-    # finite; the off-diagonal value never reads it
+    # off the diagonal and on it, down to a subnormal u
     value = bessel_kernel(2, 1e-320, 1.0)
     assert math.isfinite(value)
     assert value == bessel_kernel(2, 1.0, 1e-320)
+    for u in (1e-200, 1e-320):
+        diag = bessel_kernel(2, u, u)
+        assert math.isfinite(diag) and diag >= 0.0
     assert not recwarn.list
 
 
