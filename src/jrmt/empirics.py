@@ -37,7 +37,7 @@ def worker_count() -> int:
     """Number of workers that run trials: always 1.
 
     Trials run serially on one worker, with BLAS on one thread inside the
-    CLI's trial loops (``matalg.one_blas_thread``).  The function stays only
+    trial loop of ``jrmt sample`` (``matalg.one_blas_thread``).  The function stays only
     for the benchmark's environment line, which reports it.
     """
     return 1

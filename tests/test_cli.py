@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jrmt.cli import build_parser, main
+from jrmt.empirics import EmpiricalSample, ks_distance
+from jrmt.ensembles import sample_largest
+from jrmt.matalg import principal_cosines
+from jrmt.randgen import SeededStream, random_isometry
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -169,6 +174,13 @@ def test_kernel_and_density_stdout_pinned(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_angles_stdout_pinned(capsys):
+    argv = ["angles", "--n", "200", "--q", "50", "--qprime", "60", "--trials", "50", "--seed", "3"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "3fa7dd73ae70a62001c4662ac73a4ef07f4256bb0520b38b69b398a06d68d985"
+
+
 @pytest.mark.parametrize("regime, b", [("soft", "25"), ("hard", "2")])
 def test_kernel_rejects_x_at_an_edge(regime, b, capsys):
     # --x sets the bulk centre; an edge fixes its own and must not drop the value
@@ -201,6 +213,37 @@ def test_angles_output(capsys):
     stats = payload["max_cos2"]
     assert 0.0 < stats["min"] <= stats["mean"] <= stats["max"] <= 1.0
     assert 0.0 < payload["predicted_cos2"] < 1.0
+
+
+def test_angles_is_symmetric_in_the_two_ranks(capsys):
+    payloads = []
+    for q, qp in [("50", "60"), ("60", "50")]:
+        assert main(["angles", "--n", "200", "--q", q, "--qprime", qp, "--trials", "30"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    for key in ("max_cos2", "predicted_cos2"):
+        assert json.dumps(payloads[0][key]) == json.dumps(payloads[1][key])
+
+
+@pytest.mark.parametrize("n, q, qp", [(200, 50, 60), (60, 15, 18)])
+def test_angles_draws_match_the_geometric_principal_angles_in_law(n, q, qp, capsys):
+    # the CLI's per-trial draw is the top eigenvalue of the compressed projector
+    # block; the geometric route takes the largest principal cosine of two Haar
+    # subspaces.  Same law: a two-sample KS below its p = 1e-6 bound.
+    trials, seed = 400, 41
+    argv = ["angles", "--n", n, "--q", q, "--qprime", qp, "--trials", trials, "--seed", seed]
+    assert main([str(a) for a in argv]) == 0
+    stats = json.loads(capsys.readouterr().out)["max_cos2"]
+    tops = np.array([sample_largest(SeededStream(seed, t), n, q, qp) for t in range(trials)])
+    assert (stats["min"], stats["max"], stats["mean"]) == (tops.min(), tops.max(), tops.mean())
+    geometric = [
+        principal_cosines(
+            random_isometry(SeededStream(42, 2 * t), n, q),
+            random_isometry(SeededStream(42, 2 * t + 1), n, qp),
+        )[0] ** 2
+        for t in range(trials)
+    ]
+    d = ks_distance(EmpiricalSample.from_values(tops), EmpiricalSample.from_values(geometric))
+    assert d < math.sqrt(math.log(2 / 1e-6) / 2) * math.sqrt(2 / trials)
 
 
 def test_kernel_soft_with_a_hard_upper_edge_is_a_usage_error(capsys):
@@ -279,7 +322,7 @@ def test_nonfinite_parameters_are_usage_errors(argv):
          {"vgrid", "scale"}),
         (["gap", "--n", "12", "--a", "6", "--b", "3", "--x", "0.5", "--quad", "16"], set()),
         (["tw", "--t", "0", "--quad", "16"], set()),
-        (["angles", "--n", "20", "--q", "4", "--qprime", "5", "--trials", "3"], set()),
+        (["angles", "--n", "20", "--q", "4", "--qprime", "5", "--trials", "3"], {"note"}),
     ],
     ids=["sample", "density", "kernel-bulk", "kernel-bulk-x-vgrid", "kernel-soft", "kernel-hard",
          "gap", "tw", "angles"],
