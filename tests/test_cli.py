@@ -174,6 +174,24 @@ def test_kernel_and_density_stdout_pinned(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("--n 48 --q 12 --qtilde 18 --route wishart --trials 20 --seed 7",
+         "15497a21bf4f9da2def36aa2c859dc9525de787bf76ea5f93fd05eba9a0bc261"),
+        ("--n 10 --q 4 --qtilde 8 --route wishart --trials 5 --seed 1",
+         "afe9e3baa681e7039437237501bb5565b457ea94f5c8af29b9292cd96807d93f"),
+        ("--n 48 --q 12 --qtilde 18 --route tridiagonal --trials 20 --seed 7",
+         "406aa9386fee567c756868a5dfc72ccd78aa2b18c927599e131feb1061da112f"),
+    ],
+    ids=["wishart", "wishart-reflected", "tridiagonal"],
+)
+def test_sample_stdout_pinned(argv, digest, capsys):
+    # the exact bytes of `jrmt sample`, config line included, are pinned
+    assert main(["sample", *argv.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_angles_stdout_pinned(capsys):
     argv = ["angles", "--n", "200", "--q", "50", "--qprime", "60", "--trials", "50", "--seed", "3"]
     assert main(argv) == 0
