@@ -1,6 +1,6 @@
 """Three constructions, one law.
 
-Compressing a uniformly rotated rank-q_tilde projector onto a fixed rank-q
+Compressing a fixed rank-q_tilde projector onto a uniformly rotated rank-q
 subspace of C^n gives the same eigenvalue distribution as the Wishart ratio
 (X+X')^{-1/2} X (X+X')^{-1/2} and as the tridiagonal beta-Jacobi model at
 beta = 2, which needs only 2q - 1 Beta variables per draw.  This script pools
@@ -10,15 +10,13 @@ histogram comparison.
 
 import numpy as np
 
-from jrmt import EmpiricalSample, SeededStream, ks_distance, sample_spectrum
+from jrmt import EmpiricalSample, SeededStream, ks_distance, sample_spectra
 
 N, Q, QT = 48, 12, 18
 TRIALS = 1000
 
 pooled = {
-    route: np.concatenate(
-        [sample_spectrum(SeededStream(seed, t), N, Q, QT, route) for t in range(TRIALS)]
-    )
+    route: sample_spectra([SeededStream(seed, t) for t in range(TRIALS)], N, Q, QT, route).ravel()
     for seed, route in ((1, "projector"), (2, "wishart"), (3, "tridiagonal"))
 }
 proj, wish, tri = pooled["projector"], pooled["wishart"], pooled["tridiagonal"]

@@ -9,7 +9,7 @@ diagonal, and the limit curve are compared on one grid.
 import numpy as np
 
 from jrmt import KernelSpec, SeededStream, edge_profile, limit_density, one_blas_thread, one_point_density
-from jrmt import sample_spectrum
+from jrmt import sample_spectra
 
 ALPHA, BETA = 0.5, 0.25
 N = 48
@@ -21,13 +21,9 @@ print(f"support of the limit density: [{prof.r:.4f}, {prof.s:.4f}]")
 # one BLAS thread: faster at this size, and the draws' bits do not depend
 # on the thread count
 with one_blas_thread():
-    draws = np.concatenate(
-        [
-            2.0 * sample_spectrum(SeededStream(7, t), 2 * N + int((ALPHA + BETA) * N),
-                                  N, N + int(BETA * N), "wishart") - 1.0
-            for t in range(400)
-        ]
-    )
+    spectra = sample_spectra([SeededStream(7, t) for t in range(400)],
+                             2 * N + int((ALPHA + BETA) * N), N, N + int(BETA * N), "wishart")
+draws = (2.0 * spectra - 1.0).ravel()
 
 grid = np.linspace(prof.r + 0.02, prof.s - 0.02, 13)
 width = 0.08

@@ -8,16 +8,15 @@ kernel on [t, infinity).
 
 import numpy as np
 
-from jrmt import KernelSpec, SeededStream, largest_eval_cdf, sample_spectrum, tracy_widom_cdf
+from jrmt import KernelSpec, SeededStream, largest_eval_cdf, sample_spectra, tracy_widom_cdf
 from jrmt.cdkernel import finite_profile
 
 N, A, B = 12, 6, 3
 spec = KernelSpec(N, float(A), float(B))
 prof = finite_profile(spec)
 
-draws = np.array(
-    [sample_spectrum(SeededStream(5, t), A + 2 * N + B, N, N + B, "wishart")[-1] for t in range(3000)]
-)
+streams = [SeededStream(5, t) for t in range(3000)]
+draws = sample_spectra(streams, A + 2 * N + B, N, N + B, "wishart")[:, -1]
 sym = 2.0 * draws - 1.0
 
 print(f"size-{N} ensemble, band edge near {prof.s:.4f}")

@@ -46,6 +46,7 @@ from .ensembles import (
     projector_product,
     reduce_ranks,
     sample_largest,
+    sample_spectra,
     sample_spectrum,
 )
 from .errors import (

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .cdkernel import KernelSpec, finite_profile, local_scaling, one_point_density, rescaled
-from .ensembles import reduce_ranks, sample_largest, sample_spectrum
+from .ensembles import reduce_ranks, sample_largest, sample_spectra
 from .errors import JrmtError, NumericError, ParameterError
 from .fredholm import largest_eval_cdf, tracy_widom_cdf
 from .limits import banach_angle, limit_density
@@ -33,10 +33,6 @@ NUMERIC_EXIT = 3
 MAX_QUAD = 2048  # the Nystrom matrix is quad x quad: quad^2 kernel entries, an O(quad^3) det
 # config keys of `jrmt kernel` that report the (centre, scale) of its regime
 _SCALING_KEYS = {"bulk": ("x", None), "soft": ("edge", "scale"), "hard": (None, "scale")}
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -59,11 +55,10 @@ def _emit(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(config: dict, header: list[str], rows: list[list[float]]) -> str:
-    lines = ["# " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _csv_text(config: dict, header: list[str], rows) -> str:
+    row_format = ",".join(["%.17g"] * len(header))  # the bytes of f"{v:.17g}" per value
+    lines = ["# " + json.dumps(config, sort_keys=True), ",".join(header)]
+    lines.extend(row_format % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -124,21 +119,16 @@ def cmd_sample(args) -> None:
         },
         note="eigenvalues of the compressed q x q block, ascending, support [0, 1]",
     )
-
-    def one_trial(t: int) -> np.ndarray:
-        stream = SeededStream(args.seed, t)
-        if plan.canonical is None:
-            vals = np.empty(0)
-        else:
-            vals = sample_spectrum(
-                stream, args.n, plan.canonical.q, plan.canonical.q_tilde, route=args.route
+    if plan.canonical is None:
+        vals = np.empty((args.trials, 0))
+    else:
+        streams = [SeededStream(args.seed, t) for t in range(args.trials)]
+        with one_blas_thread():
+            vals = sample_spectra(
+                streams, args.n, plan.canonical.q, plan.canonical.q_tilde, route=args.route
             )
-        return plan.apply(vals)
-
-    with one_blas_thread():
-        rows = [one_trial(t) for t in range(args.trials)]
     header = [f"lambda_{i+1}" for i in range(args.q)]
-    _emit(args.out, _csv_text(config, header, [list(r) for r in rows]))
+    _emit(args.out, _csv_text(config, header, plan.apply(vals)))
 
 
 def cmd_density(args) -> None:

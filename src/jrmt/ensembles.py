@@ -1,7 +1,8 @@
 """Three constructions of the Jacobi unitary ensemble, plus rank normalization.
 
-Route one compresses a uniformly rotated rank-q_tilde projector onto a fixed
-rank-q coordinate projector; route two is the Wishart ratio
+Route one compresses a fixed rank-q_tilde coordinate projector onto a
+uniformly rotated rank-q subspace, which by unitary invariance has the law of
+a rotated rank-q_tilde projector compressed onto a fixed rank-q one; route two is the Wishart ratio
 (X + X')^{-1/2} X (X + X')^{-1/2}; route three is the Edelman-Sutton
 beta-Jacobi matrix model at beta = 2 ("The beta-Jacobi matrix model, the CS
 decomposition, and generalized singular value problems", FoCM 2008), whose
@@ -18,16 +19,23 @@ compressed projector entry is a Beta(q_tilde, n - q_tilde) variable, which is
 X/(X+X') with X of shape parameter q_tilde, and which is also the
 tridiagonal model's single entry c_1^2 ~ Beta(alpha + 1, gamma + 1).  The
 distributional tests verify all three routes against each other.
+
+``sample_spectra`` draws one spectrum per ``SeededStream``: each trial takes
+all of its randomness from its own stream, and the linear algebra runs once
+per stack of trials on (trials, ., .) arrays.  The stacked LAPACK calls run
+the same routine on every slice, so at one BLAS thread a trial's bits depend
+on its ``(seed, stream_id)`` alone, not on the stack it fell in.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .randgen import SeededStream, _ginibre, _haar
 
 __all__ = [
@@ -35,6 +43,7 @@ __all__ = [
     "ReductionPlan",
     "projector_product",
     "reduce_ranks",
+    "sample_spectra",
     "sample_spectrum",
     "sample_largest",
 ]
@@ -42,7 +51,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProjectorPair:
-    """Ambient dimension n, fixed rank q, rotated rank q_tilde."""
+    """Ambient dimension n and the ranks q and q_tilde of the two projectors.
+
+    The compressed block is q x q.  Which projector is rotated does not
+    change its law; ``projector_product`` rotates the rank-q one.
+    """
 
     n: int
     q: int
@@ -53,13 +66,54 @@ class ProjectorPair:
             raise ParameterError(f"need 1 <= q, q_tilde <= n, got {self}")
 
 
-def _wishart_pair(gen, n: int, q: int, q_tilde: int) -> tuple[np.ndarray, np.ndarray]:
-    # middle factor first: q_tilde columns, then the complementary n - q_tilde
-    w1 = _ginibre(gen, q, q_tilde, 1.0 / q)
-    w2 = _ginibre(gen, q, n - q_tilde, 1.0 / q)
-    x = w1 @ w1.conj().T
-    xp = w2 @ w2.conj().T
-    return 0.5 * (x + x.conj().T), 0.5 * (xp + xp.conj().T)
+# complex Gaussian entries drawn for one stack of trials; a dense-route trial
+# draws n * q of them, so a stack holds max(1, _STACK_ENTRIES // (n * q)) trials
+# and its arrays stay a few MB whatever the trial count
+_STACK_ENTRIES = 2**17
+
+
+def _ct(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + _ct(m))
+
+
+def _projector_blocks(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
+    # V = first q columns of a Haar unitary per generator; the block is
+    # V[:q_tilde]^H V[:q_tilde], the compression of the coordinate projector
+    # of rank q_tilde onto the rotated rank-q subspace
+    z = np.empty((len(gens), n, q), dtype=complex)
+    for i, gen in enumerate(gens):
+        _ginibre(gen, n, q, 1.0, out=z[i])
+    v = _haar(z)[:, :q_tilde, :]
+    return _hermitian(_ct(v) @ v)
+
+
+def _projector_spectra(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
+    return np.linalg.eigvalsh(_projector_blocks(gens, n, q, q_tilde))
+
+
+def _wishart_spectra(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
+    # per generator, the middle factor first: q_tilde columns, then the
+    # complementary n - q_tilde
+    w1 = np.empty((len(gens), q, q_tilde), dtype=complex)
+    w2 = np.empty((len(gens), q, n - q_tilde), dtype=complex)
+    for i, gen in enumerate(gens):
+        _ginibre(gen, q, q_tilde, 1.0 / q, out=w1[i])
+        _ginibre(gen, q, n - q_tilde, 1.0 / q, out=w2[i])
+    x, xp = _hermitian(w1 @ _ct(w1)), _hermitian(w2 @ _ct(w2))
+    # the LAPACK routine and arguments of scipy.linalg.eigh(x[i], y[i],
+    # eigvals_only=True), called on each slice without eigh's per-call checks
+    y = x + xp
+    hegvd = scipy.linalg.get_lapack_funcs("hegvd", (x,))
+    out = np.empty((len(gens), q))
+    for i in range(len(gens)):
+        out[i], _, info = hegvd(x[i], y[i], jobz="N")
+        if info != 0:
+            raise NumericError(f"hegvd failed with info={info} on the Wishart pencil")
+    return out
 
 
 def _check_canonical(n: int, q: int, q_tilde: int) -> None:
@@ -70,17 +124,18 @@ def _check_canonical(n: int, q: int, q_tilde: int) -> None:
 
 
 def projector_product(stream: SeededStream, pair: ProjectorPair) -> np.ndarray:
-    """Projector-route sample: compression of pi pt pi onto range(pi).
+    """Projector-route sample: the q x q block whose eigenvalues are those of
+    the compression of a fixed rank-q_tilde projector onto a uniformly
+    rotated rank-q subspace.
 
-    With the fixed projector chosen as diag(1_q, 0), the compression is the
-    top-left q x q block of the rotated projector, so only the first q_tilde
-    columns of the Haar unitary are ever formed.
+    With V the first q columns of a Haar unitary and the fixed projector
+    diag(1_{q_tilde}, 0), the block is V[:q_tilde]^H V[:q_tilde].  By unitary
+    invariance it has the law of the compression of a rotated rank-q_tilde
+    projector onto a fixed rank-q one, at the cost of a QR of n x q rather
+    than n x q_tilde.  The projector route of ``sample_spectra`` takes the
+    eigenvalues of exactly this matrix.
     """
-    n, q, qt = pair.n, pair.q, pair.q_tilde
-    u = _haar(stream.generator(), n, cols=qt)
-    block_rows = u[:q, :]
-    m = block_rows @ block_rows.conj().T
-    return 0.5 * (m + m.conj().T)
+    return _projector_blocks([stream.generator()], pair.n, pair.q, pair.q_tilde)[0]
 
 
 @dataclass(frozen=True)
@@ -147,21 +202,68 @@ def reduce_ranks(n: int, q: int, q_tilde: int) -> ReductionPlan:
     return ReductionPlan(ProjectorPair(n, cq, cqt), emap, kept, ones, zeros)
 
 
-def _beta_jacobi(gen, n: int, q: int, q_tilde: int, **select) -> np.ndarray:
+def _beta_jacobi(gens: list, n: int, q: int, q_tilde: int, **select) -> np.ndarray:
     # Edelman-Sutton model at beta = 2: c_k^2 ~ Beta(alpha + k, gamma + k) for
     # k = q..1 and c'_k^2 ~ Beta(k, alpha + gamma + 1 + k) for k = q-1..1 set
     # the upper-bidiagonal B; the spectrum is that of the tridiagonal B^T B
     alpha, gamma = q_tilde - q, n - q - q_tilde
     k = np.arange(q, 0, -1)
-    c2 = gen.beta(alpha + k, gamma + k)
-    cp2 = gen.beta(k[1:], alpha + gamma + 1 + k[1:])
+    c2 = np.empty((len(gens), q))
+    cp2 = np.empty((len(gens), q - 1))
+    for i, gen in enumerate(gens):
+        c2[i] = gen.beta(alpha + k, gamma + k)
+        cp2[i] = gen.beta(k[1:], alpha + gamma + 1 + k[1:])
     c, s = np.sqrt(c2), np.sqrt(1.0 - c2)
     cp, sp = np.sqrt(cp2), np.sqrt(1.0 - cp2)
-    d = c * np.concatenate(([1.0], sp))  # (c_q, c_{q-1} s'_{q-1}, ..., c_1 s'_1)
-    e = -s[:-1] * cp  # (-s_q c'_{q-1}, ..., -s_2 c'_1)
+    # d = (c_q, c_{q-1} s'_{q-1}, ..., c_1 s'_1) per row
+    d = c * np.concatenate((np.ones((len(gens), 1)), sp), axis=1)
+    e = -s[:, :-1] * cp  # (-s_q c'_{q-1}, ..., -s_2 c'_1)
     diag = d * d
-    diag[1:] += e * e
-    return scipy.linalg.eigvalsh_tridiagonal(diag, d[:-1] * e, check_finite=False, **select)
+    diag[:, 1:] += e * e
+    off = d[:, :-1] * e
+    return np.array(
+        [scipy.linalg.eigvalsh_tridiagonal(a, b, check_finite=False, **select) for a, b in zip(diag, off)]
+    )
+
+
+_ROUTES = {"projector": _projector_spectra, "wishart": _wishart_spectra, "tridiagonal": _beta_jacobi}
+
+
+def sample_spectra(
+    streams: Sequence[SeededStream], n: int, q: int, q_tilde: int, route: str = "projector"
+) -> np.ndarray:
+    """Sorted (ascending) eigenvalues of one draw per stream in the canonical
+    regime, as a (len(streams), q) array.
+
+    ``route`` is "projector", "wishart" or "tridiagonal".  The projector
+    route takes the eigenvalues of ``projector_product``: the compression of
+    a fixed rank-q_tilde projector onto a Haar-rotated rank-q subspace.  For
+    the Wishart route the spectrum is computed from the definite pencil
+    (X, X + X'), which has exactly the eigenvalues of the ratio matrix
+    without forming the inverse square root.  The tridiagonal route costs
+    O(q) random variables and one q x q symmetric tridiagonal eigenproblem.
+
+    Row t takes all of its randomness from ``streams[t]``, in the same order
+    whatever the other streams.  The linear algebra runs once per stack of
+    trials: QR, matrix products and the Hermitian eigensolver on
+    (trials, ., .) arrays, and one LAPACK call per slice for the Wishart
+    pencil and the tridiagonal matrix.  Each slice goes through the same
+    routine it would alone, so row t does not depend on the other streams
+    or on the stack size.  The dense routes (projector and Wishart)
+    are bitwise reproducible per ``(seed, stream_id)`` only at a fixed BLAS
+    thread count: their last bits change with it.  Library code that needs
+    the same bytes whatever the thread count draws inside
+    ``matalg.one_blas_thread()``, as the CLI does.
+    """
+    _check_canonical(n, q, q_tilde)
+    if route not in _ROUTES:
+        raise ParameterError(f"unknown route {route!r}")
+    draw = _ROUTES[route]
+    out = np.empty((len(streams), q))
+    size = max(1, _STACK_ENTRIES // (n * q))
+    for lo in range(0, len(streams), size):
+        out[lo : lo + size] = draw([s.generator() for s in streams[lo : lo + size]], n, q, q_tilde)
+    return out
 
 
 def sample_spectrum(
@@ -169,27 +271,13 @@ def sample_spectrum(
 ) -> np.ndarray:
     """Sorted (ascending) eigenvalues of one draw in the canonical regime.
 
-    ``route`` is "projector", "wishart" or "tridiagonal".  For the Wishart
-    route the spectrum is computed from the definite pencil (X, X + X'),
-    which has exactly the eigenvalues of the ratio matrix without forming the
-    inverse square root.  The tridiagonal route costs O(q) random variables
-    and one q x q symmetric tridiagonal eigenproblem.
-
-    The dense routes (projector and Wishart) are bitwise reproducible per
-    ``(seed, stream_id)`` only at a fixed BLAS thread count: their last bits
-    change with it.  Library code that needs the same bytes whatever the
-    thread count draws inside ``matalg.one_blas_thread()``, as the CLI does.
+    The one-stream case of ``sample_spectra``, which describes the routes
+    (the projector route rotates the rank-q projector) and the stacked
+    linear algebra.  Inside ``matalg.one_blas_thread()`` the result depends
+    on ``(seed, stream_id)`` alone and equals, bit for bit, the row that
+    ``sample_spectra`` draws from the same stream in any stack.
     """
-    _check_canonical(n, q, q_tilde)
-    if route == "projector":
-        m = projector_product(stream, ProjectorPair(n, q, q_tilde))
-        return np.linalg.eigvalsh(m)
-    if route == "wishart":
-        x, xp = _wishart_pair(stream.generator(), n, q, q_tilde)
-        return scipy.linalg.eigh(x, x + xp, eigvals_only=True, check_finite=False)
-    if route == "tridiagonal":
-        return _beta_jacobi(stream.generator(), n, q, q_tilde)
-    raise ParameterError(f"unknown route {route!r}")
+    return sample_spectra([stream], n, q, q_tilde, route)[0]
 
 
 def sample_largest(stream: SeededStream, n: int, q: int, q_tilde: int) -> float:
@@ -200,5 +288,6 @@ def sample_largest(stream: SeededStream, n: int, q: int, q_tilde: int) -> float:
     alone: O(q) work per draw, where a dense route costs O(n q^2).
     """
     _check_canonical(n, q, q_tilde)
-    top = _beta_jacobi(stream.generator(), n, q, q_tilde, select="i", select_range=(q - 1, q - 1))
-    return float(top[0])
+    gens = [stream.generator()]
+    top = _beta_jacobi(gens, n, q, q_tilde, select="i", select_range=(q - 1, q - 1))
+    return float(top[0, 0])

@@ -50,26 +50,29 @@ class SeededStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def _ginibre(gen: np.random.Generator, rows: int, cols: int, variance: float) -> np.ndarray:
-    # real and imaginary parts independent N(0, variance/2)
+def _ginibre(
+    gen: np.random.Generator, rows: int, cols: int, variance: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    # real and imaginary parts independent N(0, variance/2), the real part
+    # drawn first; written into ``out`` (rows x cols complex) when given
+    z = np.empty((rows, cols), dtype=complex) if out is None else out
     scale = np.sqrt(variance / 2.0)
-    re = gen.standard_normal((rows, cols))
-    im = gen.standard_normal((rows, cols))
-    return scale * (re + 1j * im)
+    np.multiply(gen.standard_normal((rows, cols)), scale, out=z.real)
+    np.multiply(gen.standard_normal((rows, cols)), scale, out=z.imag)
+    return z
 
 
-def _haar(gen: np.random.Generator, n: int, cols: int) -> np.ndarray:
-    """First ``cols`` columns of a Haar unitary: QR of an n x cols Ginibre
-    matrix with the R-diagonal phase correction.
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Haar isometries from a stack of n x cols Ginibre matrices: QR of each
+    with the R-diagonal phase correction.
 
     Plain QR output is not Haar distributed: the factorization is only unique
     up to phases.  Dividing column j of Q by the phase of R_jj fixes the
     convention R_jj > 0 and makes the law exactly the Haar measure.
     """
-    z = _ginibre(gen, n, cols, 1.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_isometry(stream: SeededStream, n: int, cols: int) -> np.ndarray:
@@ -80,4 +83,4 @@ def random_isometry(stream: SeededStream, n: int, cols: int) -> np.ndarray:
     """
     if n < 1 or cols < 1 or cols > n:
         raise ParameterError(f"need 1 <= cols <= n, got n={n}, cols={cols}")
-    return _haar(stream.generator(), n, cols=cols)
+    return _haar(_ginibre(stream.generator(), n, cols, 1.0))

@@ -183,8 +183,10 @@ def test_kernel_and_density_stdout_pinned(argv, digest, capsys):
          "afe9e3baa681e7039437237501bb5565b457ea94f5c8af29b9292cd96807d93f"),
         ("--n 48 --q 12 --qtilde 18 --route tridiagonal --trials 20 --seed 7",
          "406aa9386fee567c756868a5dfc72ccd78aa2b18c927599e131feb1061da112f"),
+        ("--n 48 --q 12 --qtilde 18 --route projector --trials 20 --seed 7",
+         "8e730d4208a1ce203f3a7c0b65444753e5a2f93b3833fc8504f8ad35641cc953"),
     ],
-    ids=["wishart", "wishart-reflected", "tridiagonal"],
+    ids=["wishart", "wishart-reflected", "tridiagonal", "projector"],
 )
 def test_sample_stdout_pinned(argv, digest, capsys):
     # the exact bytes of `jrmt sample`, config line included, are pinned

@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from jrmt.empirics import EmpiricalSample, ks_against_cdf, ks_distance
+from jrmt import ensembles
 from jrmt.ensembles import (
     ProjectorPair,
     projector_product,
     reduce_ranks,
     sample_largest,
+    sample_spectra,
     sample_spectrum,
 )
 from jrmt.errors import ParameterError
@@ -82,6 +85,99 @@ def test_sample_largest_matches_full_spectrum():
         full = sample_spectrum(SeededStream(77, t), 20, 5, 8, "tridiagonal")
         top = sample_largest(SeededStream(77, t), 20, 5, 8)
         assert top == pytest.approx(full[-1], rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# stacked draws
+
+
+def _stack_size(n, q):
+    return max(1, ensembles._STACK_ENTRIES // (n * q))
+
+
+@pytest.mark.parametrize("route", ["projector", "wishart", "tridiagonal"])
+@pytest.mark.parametrize("n,q,qt,trials,stacks", [(10, 3, 6, 7, 1), (200, 50, 60, 30, 3)])
+def test_sample_spectra_rows_equal_single_stream_draws_bitwise(route, n, q, qt, trials, stacks):
+    assert -(-trials // _stack_size(n, q)) == stacks
+    streams = [SeededStream(61, t) for t in range(trials)]
+    with one_blas_thread():
+        rows = sample_spectra(streams, n, q, qt, route)
+        singles = [sample_spectrum(s, n, q, qt, route) for s in streams]
+    assert rows.shape == (trials, q)
+    for row, single in zip(rows, singles):
+        assert row.tobytes() == single.tobytes()
+
+
+def test_sample_spectra_rejects_bad_input():
+    with pytest.raises(ParameterError):
+        sample_spectra([SeededStream(0)], 10, 4, 8, "wishart")  # q + q_tilde > n
+    with pytest.raises(ParameterError):
+        sample_spectra([SeededStream(0)], 10, 3, 6, "haar")
+    assert sample_spectra([], 10, 3, 6, "projector").shape == (0, 3)
+
+
+def _ks_bound(m, n):
+    # two-sample KS critical value at p = 1e-6
+    return math.sqrt(math.log(2 / 1e-6) / 2) * math.sqrt((m + n) / (m * n))
+
+
+def _assert_same_law(a, b, trials):
+    # pooled spectra with the bound of the pooled counts, top eigenvalues
+    # with the bound of the draw counts
+    pooled = ks_distance(EmpiricalSample.from_values(a.ravel()), EmpiricalSample.from_values(b.ravel()))
+    assert pooled < _ks_bound(a.size, b.size)
+    top = ks_distance(EmpiricalSample.from_values(a[:, -1]), EmpiricalSample.from_values(b[:, -1]))
+    assert top < _ks_bound(trials, trials)
+
+
+@pytest.mark.parametrize("n,q,qt", [(48, 12, 18), (60, 12, 30)])
+def test_projector_route_matches_tridiagonal_route_in_law(n, q, qt):
+    trials = 3000
+    with one_blas_thread():
+        proj = sample_spectra([SeededStream(71, t) for t in range(trials)], n, q, qt, "projector")
+    tri = sample_spectra([SeededStream(72, t) for t in range(trials)], n, q, qt, "tridiagonal")
+    assert proj.mean() == pytest.approx(qt / n, abs=0.01)
+    _assert_same_law(proj, tri, trials)
+
+
+def test_projector_block_off_the_canonical_regime_matches_the_reduced_tridiagonal_route():
+    # (10, 4, 8) reflects onto the canonical pair (2, 4): the raw block of the
+    # rotated rank-4 projector against 8 coordinates, and the mapped canonical
+    # draws, agree on their random eigenvalues (the two forced 1s dropped)
+    n, q, qt, trials = 10, 4, 8, 3000
+    plan = reduce_ranks(n, q, qt)
+    assert plan.eigen_map == "reflect"
+    random_part = slice(plan.zeros, plan.zeros + plan.kept_count)
+    with one_blas_thread():
+        direct = np.array(
+            [
+                np.linalg.eigvalsh(projector_product(SeededStream(73, t), ProjectorPair(n, q, qt)))
+                for t in range(trials)
+            ]
+        )[:, random_part]
+    cq, cqt = plan.canonical.q, plan.canonical.q_tilde
+    tri = plan.apply(sample_spectra([SeededStream(74, t) for t in range(trials)], n, cq, cqt, "tridiagonal"))
+    _assert_same_law(direct, tri[:, random_part], trials)
+
+
+def test_wishart_block_stacks_stay_within_memory_bound():
+    # the block (800, 200, 200) draws n q complex Gaussians per trial, more
+    # than one stack holds: 10 trials must run one at a time, so the traced
+    # peak stays within three trials' Gaussian factors (a stack of two
+    # measured 11 MB, all ten at once 55 MB)
+    n, q, qt = 800, 200, 200
+    assert _stack_size(n, q) == 1
+    bound = 3 * n * q * 16
+    streams = [SeededStream(75, t) for t in range(10)]
+    with one_blas_thread():
+        sample_spectra(streams[:1], n, q, qt, "wishart")  # warm up LAPACK and imports
+        tracemalloc.start()
+        try:
+            sample_spectra(streams, n, q, qt, "wishart")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < bound
 
 
 # ---------------------------------------------------------------------------
