@@ -202,31 +202,29 @@ def reduce_ranks(n: int, q: int, q_tilde: int) -> ReductionPlan:
     return ReductionPlan(ProjectorPair(n, cq, cqt), emap, kept, ones, zeros)
 
 
-def _beta_jacobi(gens: list, n: int, q: int, q_tilde: int, **select) -> np.ndarray:
+def _beta_jacobi(gen, n: int, q: int, q_tilde: int, **select) -> np.ndarray:
     # Edelman-Sutton model at beta = 2: c_k^2 ~ Beta(alpha + k, gamma + k) for
     # k = q..1 and c'_k^2 ~ Beta(k, alpha + gamma + 1 + k) for k = q-1..1 set
     # the upper-bidiagonal B; the spectrum is that of the tridiagonal B^T B
     alpha, gamma = q_tilde - q, n - q - q_tilde
     k = np.arange(q, 0, -1)
-    c2 = np.empty((len(gens), q))
-    cp2 = np.empty((len(gens), q - 1))
-    for i, gen in enumerate(gens):
-        c2[i] = gen.beta(alpha + k, gamma + k)
-        cp2[i] = gen.beta(k[1:], alpha + gamma + 1 + k[1:])
+    c2 = gen.beta(alpha + k, gamma + k)
+    cp2 = gen.beta(k[1:], alpha + gamma + 1 + k[1:])
     c, s = np.sqrt(c2), np.sqrt(1.0 - c2)
     cp, sp = np.sqrt(cp2), np.sqrt(1.0 - cp2)
-    # d = (c_q, c_{q-1} s'_{q-1}, ..., c_1 s'_1) per row
-    d = c * np.concatenate((np.ones((len(gens), 1)), sp), axis=1)
-    e = -s[:, :-1] * cp  # (-s_q c'_{q-1}, ..., -s_2 c'_1)
+    d = c * np.concatenate(([1.0], sp))  # (c_q, c_{q-1} s'_{q-1}, ..., c_1 s'_1)
+    e = -s[:-1] * cp  # (-s_q c'_{q-1}, ..., -s_2 c'_1)
     diag = d * d
-    diag[:, 1:] += e * e
-    off = d[:, :-1] * e
-    return np.array(
-        [scipy.linalg.eigvalsh_tridiagonal(a, b, check_finite=False, **select) for a, b in zip(diag, off)]
-    )
+    diag[1:] += e * e
+    return scipy.linalg.eigvalsh_tridiagonal(diag, d[:-1] * e, check_finite=False, **select)
 
 
-_ROUTES = {"projector": _projector_spectra, "wishart": _wishart_spectra, "tridiagonal": _beta_jacobi}
+def _tridiagonal_spectra(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
+    # O(q) work per trial: nothing to gain from stacking
+    return np.array([_beta_jacobi(gen, n, q, q_tilde) for gen in gens])
+
+
+_ROUTES = {"projector": _projector_spectra, "wishart": _wishart_spectra, "tridiagonal": _tridiagonal_spectra}
 
 
 def sample_spectra(
@@ -288,6 +286,5 @@ def sample_largest(stream: SeededStream, n: int, q: int, q_tilde: int) -> float:
     alone: O(q) work per draw, where a dense route costs O(n q^2).
     """
     _check_canonical(n, q, q_tilde)
-    gens = [stream.generator()]
-    top = _beta_jacobi(gens, n, q, q_tilde, select="i", select_range=(q - 1, q - 1))
-    return float(top[0, 0])
+    top = _beta_jacobi(stream.generator(), n, q, q_tilde, select="i", select_range=(q - 1, q - 1))
+    return float(top[0])
