@@ -55,10 +55,10 @@ def _emit(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(config: dict, header: list[str], rows) -> str:
+def _csv_text(config: dict, header: list[str], rows: np.ndarray) -> str:
     row_format = ",".join(["%.17g"] * len(header))  # the bytes of f"{v:.17g}" per value
     lines = ["# " + json.dumps(config, sort_keys=True), ",".join(header)]
-    lines.extend(row_format % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
+    lines.extend(row_format % tuple(row) for row in rows.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -104,8 +104,9 @@ def _wishart_spectra(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
         _ginibre(gen, q, q_tilde, 1.0 / q, out=w1[i])
         _ginibre(gen, q, n - q_tilde, 1.0 / q, out=w2[i])
     x, xp = _hermitian(w1 @ _ct(w1)), _hermitian(w2 @ _ct(w2))
-    # the LAPACK routine and arguments of scipy.linalg.eigh(x[i], y[i],
-    # eigvals_only=True), called on each slice without eigh's per-call checks
+    # scipy.linalg.eigh(x[i], y[i], eigvals_only=True) calls hegvd with these
+    # arguments; calling it per slice keeps those bits and skips eigh's checks
+    # and its batch wrapper, about 40 us a call
     y = x + xp
     hegvd = scipy.linalg.get_lapack_funcs("hegvd", (x,))
     out = np.empty((len(gens), q))
