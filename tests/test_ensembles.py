@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from jrmt.empirics import EmpiricalSample, ks_against_cdf, ks_distance
 from jrmt import ensembles
+from jrmt.empirics import EmpiricalSample, ks_against_cdf, ks_distance
 from jrmt.ensembles import (
     ProjectorPair,
     projector_product,
