@@ -2,15 +2,15 @@
 
 Route one compresses a fixed rank-q_tilde coordinate projector onto a
 uniformly rotated rank-q subspace, which by unitary invariance has the law of
-a rotated rank-q_tilde projector compressed onto a fixed rank-q one; route two is the Wishart ratio
-(X + X')^{-1/2} X (X + X')^{-1/2}; route three is the Edelman-Sutton
-beta-Jacobi matrix model at beta = 2 ("The beta-Jacobi matrix model, the CS
-decomposition, and generalized singular value problems", FoCM 2008), whose
-spectrum is that of a q x q symmetric tridiagonal matrix built from 2q - 1
-independent Beta variables.  All three produce q eigenvalues in [0, 1] and,
-for q <= q_tilde and q + q_tilde <= n, the same law: the Jacobi ensemble with
-density det(M)^alpha det(1-M)^gamma, where alpha = q_tilde - q and
-gamma = n - q - q_tilde.  (The kernel's weight (1-x)^a (1+x)^b on the
+a rotated rank-q_tilde projector compressed onto a fixed rank-q one; route two
+is the Wishart ratio (X + X')^{-1/2} X (X + X')^{-1/2}; route three is the
+Edelman-Sutton beta-Jacobi matrix model at beta = 2 ("The beta-Jacobi matrix
+model, the CS decomposition, and generalized singular value problems", FoCM
+2008), whose spectrum is that of a q x q symmetric tridiagonal matrix built
+from 2q - 1 independent Beta variables.  All three produce q eigenvalues in
+[0, 1] and, for q <= q_tilde and q + q_tilde <= n, the same law: the Jacobi
+ensemble with density det(M)^alpha det(1-M)^gamma, where alpha = q_tilde - q
+and gamma = n - q - q_tilde.  (The kernel's weight (1-x)^a (1+x)^b on the
 symmetric interval has these exponents swapped: a = gamma, b = alpha.)
 
 Orientation of the Wishart pair: the middle factor X carries q_tilde columns
