@@ -61,17 +61,13 @@ from .fredholm import GapQuery, gap_probability, largest_eval_cdf, tracy_widom_c
 from .limits import (
     FreeDensity,
     LimitProfile,
-    airy,
     airy_kernel,
-    airy_prime,
     banach_angle,
-    bessel_j,
     bessel_kernel,
     edge_profile,
     free_product_density,
     limit_density,
     sine_kernel,
-    wishart_ratio_density,
 )
 from .matalg import eig_hermitian, one_blas_thread, principal_cosines
 from .orthopoly import chi, chi_prime, jacobi_pair

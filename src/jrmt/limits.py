@@ -1,12 +1,11 @@
 """Limiting objects: spectral densities, edge profiles, sine/Airy/Bessel kernels.
 
-Airy and Bessel values come from ``scipy.special`` and accept scalars or
-numpy arrays.  The Airy, Bessel and finite-n kernels all have the integrable
-form (f(x) g(y) - g(x) f(y)) / (x - y); :func:`_integrable_kernel` evaluates
-any of them on broadcast arrays from three node values: f, g and the
-diagonal K(z, z).  Below ``DIAG_TOL`` the quotient gives way to the
-diagonal, and at a distinct close pair to a near rule, by default the
-diagonal at the midpoint.
+The Airy, Bessel and finite-n kernels all have the integrable form
+(f(x) g(y) - g(x) f(y)) / (x - y); :func:`_integrable_kernel` evaluates any
+of them on broadcast arrays from three node values: f, g and the diagonal
+K(z, z).  Below ``DIAG_TOL`` the quotient gives way to the diagonal, and at
+a distinct close pair to a near rule, by default the diagonal at the
+midpoint.
 """
 
 from __future__ import annotations
@@ -27,12 +26,7 @@ __all__ = [
     "edge_profile",
     "limit_density",
     "free_product_density",
-    "wishart_ratio_density",
-    "airy",
-    "airy_prime",
     "airy_kernel",
-    "bessel_j",
-    "bessel_j_prime",
     "bessel_kernel",
     "sine_kernel",
     "banach_angle",
@@ -170,31 +164,32 @@ class FreeDensity:
         return self.continuous_mass() + sum(m for _, m in self.atoms)
 
 
-def _arc_law(lo: float, hi: float, atoms: list[tuple[float, float]]) -> FreeDensity:
-    """Atoms plus the continuous part sqrt((hi - x)(x - lo)) / (2 pi x (1 - x)) on (lo, hi) in (0, 1)."""
-
-    def dens(x):
-        x = np.asarray(x, dtype=float)
-        inside = (x > lo) & (x < hi) & (x > 0.0) & (x < 1.0)
-        rad = np.where(inside, (hi - x) * (x - lo), 0.0)
-        den = np.where(inside, 2.0 * math.pi * x * (1.0 - x), 1.0)
-        return np.where(inside, np.sqrt(rad) / den, 0.0)
-
-    return FreeDensity(support=(lo, hi), density=dens, atoms=atoms)
-
-
 def free_product_density(alpha: float, beta: float) -> FreeDensity:
     """Spectral law of the product of two free projectors with trace ratios alpha, beta.
 
     [1 - min(alpha,beta)] delta_0 + max(alpha+beta-1, 0) delta_1 plus the
     continuous part sqrt((r+ - x)(x - r-)) / (2 pi x (1-x)) on [r-, r+],
     r+- = alpha + beta - 2 alpha beta +- sqrt(4 alpha beta (1-alpha)(1-beta)).
+
+    The same law governs every construction of the compressed product.  The
+    q x q block of the ratio construction with column ratios a, b >= 1
+    (N = (a+b) q, q_tilde = a q) takes q of the N eigenvalues of the N x N
+    product and leaves N - q zeros, mu_N = (q/N) mu_block + (1 - q/N) delta_0.
+    As q -> infinity the block therefore has no atoms, and its density is
+    (a+b) times the continuous part of this law at (1/(a+b), a/(a+b)).
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
         raise ParameterError(f"trace ratios must lie in [0,1], got {alpha}, {beta}")
     root = math.sqrt(4.0 * alpha * beta * (1.0 - alpha) * (1.0 - beta))
     base = alpha + beta - 2.0 * alpha * beta
     r_minus, r_plus = base - root, base + root
+
+    def dens(x):
+        x = np.asarray(x, dtype=float)
+        inside = (x > r_minus) & (x < r_plus) & (x > 0.0) & (x < 1.0)
+        rad = np.where(inside, (r_plus - x) * (x - r_minus), 0.0)
+        den = np.where(inside, 2.0 * math.pi * x * (1.0 - x), 1.0)
+        return np.where(inside, np.sqrt(rad) / den, 0.0)
 
     atoms = []
     mass0 = 1.0 - min(alpha, beta)
@@ -203,47 +198,11 @@ def free_product_density(alpha: float, beta: float) -> FreeDensity:
         atoms.append((0.0, mass0))
     if mass1 > 0:
         atoms.append((1.0, mass1))
-    return _arc_law(r_minus, r_plus, atoms)
-
-
-def wishart_ratio_density(alpha: float, beta: float) -> tuple[FreeDensity, float]:
-    """Limit law of the ratio construction for column ratios alpha, beta >= 1.
-
-    Returns the measure exactly as displayed in its source (continuous part
-    g on [lambda-, lambda+] plus atoms max(0, alpha-1) delta_0 and
-    max(0, beta-1) delta_1) together with the measured total mass.  The
-    atoms as displayed need not complement the continuous part to mass one;
-    the second return value reports the discrepancy instead of hiding it
-    behind a silent renormalization.
-    """
-    if not (1.0 <= alpha < math.inf and 1.0 <= beta < math.inf):
-        raise ParameterError(f"column ratios must be finite and >= 1, got {alpha}, {beta}")
-    tot = alpha + beta
-    p = math.sqrt(alpha / tot * (1.0 - 1.0 / tot))
-    q = math.sqrt(1.0 / tot * (1.0 - alpha / tot))
-    lam_minus, lam_plus = (p - q) ** 2, (p + q) ** 2
-
-    atoms = []
-    if alpha > 1.0:
-        atoms.append((0.0, alpha - 1.0))
-    if beta > 1.0:
-        atoms.append((1.0, beta - 1.0))
-    measure = _arc_law(lam_minus, lam_plus, atoms)
-    return measure, measure.total_mass()
+    return FreeDensity(support=(r_minus, r_plus), density=dens, atoms=atoms)
 
 
 # ---------------------------------------------------------------------------
-# Airy functions
-
-
-def airy(x):
-    """Airy function Ai."""
-    return scipy.special.airy(x)[0]
-
-
-def airy_prime(x):
-    """Derivative Ai'."""
-    return scipy.special.airy(x)[1]
+# Airy kernel
 
 
 def _airy_nodes(z):
@@ -262,31 +221,13 @@ def airy_kernel(u, v):
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions of the first kind, nonnegative integer order
+# Bessel kernel, nonnegative integer order
 
 
 def _check_order(b) -> int:
     if b < 0 or b != int(b):
         raise ParameterError(f"order must be a nonnegative integer, got {b}")
     return int(b)
-
-
-def bessel_j(b: int, z):
-    """Bessel function J_b for integer b >= 0 and z >= 0."""
-    b = _check_order(b)
-    z = np.asarray(z, dtype=float)
-    if (z < 0).any():
-        raise DomainError("negative argument")
-    return scipy.special.jv(b, z)
-
-
-def bessel_j_prime(b: int, z):
-    """J_b'(z) = -J_{b+1}(z) + b J_b(z) / z for z > 0."""
-    z = np.asarray(z, dtype=float)
-    if (np.atleast_1d(z) <= 0).any():
-        raise DomainError("derivative recurrence needs z > 0")
-    jb, jb1 = bessel_j(b, z), bessel_j(b + 1, z)
-    return -jb1 if b == 0 else -jb1 + b * jb / z
 
 
 def bessel_kernel(b: int, u, v):

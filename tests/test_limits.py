@@ -3,21 +3,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.special
 
 from jrmt.errors import DomainError, ParameterError, RegimeError
 from jrmt.limits import (
-    airy,
     airy_kernel,
-    airy_prime,
     banach_angle,
-    bessel_j,
-    bessel_j_prime,
     bessel_kernel,
     edge_profile,
     free_product_density,
     limit_density,
     sine_kernel,
-    wishart_ratio_density,
 )
 
 # Frozen 40-digit reference values from an independent arbitrary-precision
@@ -297,62 +294,35 @@ def test_free_product_rejects_out_of_range():
         free_product_density(1.2, 0.5)
 
 
-# ---------------------------------------------------------------------------
-# ratio-construction limit law
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5)])
+def test_free_product_rejects_nonfinite_ratio(alpha, beta):
+    with pytest.raises(ParameterError):
+        free_product_density(alpha, beta)
 
 
-def test_wishart_ratio_support_at_equal_ratios():
-    m, mass = wishart_ratio_density(1.0, 1.0)
-    assert m.support == pytest.approx((0.0, 1.0))
-    assert m.atoms == []
-    # the density is returned exactly as displayed in its source; at (1,1)
-    # the displayed continuous part integrates to 1/2 (it is normalized over
-    # the doubled ambient dimension), and the report field exposes that
-    assert mass == pytest.approx(0.5, abs=1e-8)
-
-
-def test_wishart_ratio_density_nonnegative():
-    m, _ = wishart_ratio_density(2.0, 3.0)
-    lo, hi = m.support
-    xs = np.linspace(lo + 1e-9, hi - 1e-9, 200)
-    assert (m.density(xs) >= 0).all()
-
-
-def test_wishart_ratio_reports_mass_discrepancy():
-    # the displayed atoms overcount: the report field must expose that
-    # instead of a silent renormalization
-    _, mass = wishart_ratio_density(2.0, 2.0)
-    assert mass > 1.5
-
-
-def test_wishart_ratio_support_matches_monte_carlo():
+def test_wishart_route_matches_its_limit_law():
+    # the q x q block at column ratios (2, 3) is 5 times the continuous part
+    # of the free product law at (1/5, 2/5), with no atoms
     from jrmt.ensembles import sample_spectrum
     from jrmt.matalg import one_blas_thread
     from jrmt.randgen import SeededStream
 
-    alpha, beta, n = 2.0, 3.0, 60
-    m, _ = wishart_ratio_density(alpha, beta)
-    big_n = int((alpha + beta) * n)
+    alpha, beta, q = 2.0, 3.0, 60
+    big_n = int((alpha + beta) * q)
     with one_blas_thread():
         draws = np.concatenate(
             [
-                sample_spectrum(SeededStream(60, t), big_n, n, int(alpha * n), "wishart")
+                sample_spectrum(SeededStream(60, t), big_n, q, int(alpha * q), "wishart")
                 for t in range(500)
             ]
         )
-    lo, hi = m.support
+    law = free_product_density(1.0 / (alpha + beta), alpha / (alpha + beta))
+    lo, hi = law.support
     assert draws.min() > lo - 0.05 and draws.max() < hi + 0.05
-
-
-def test_wishart_ratio_rejects_small_ratio():
-    with pytest.raises(ParameterError):
-        wishart_ratio_density(0.9, 2.0)
-
-
-@pytest.mark.parametrize("alpha, beta", [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0)])
-def test_wishart_ratio_rejects_nonfinite_ratio(alpha, beta):
-    with pytest.raises(ParameterError):
-        wishart_ratio_density(alpha, beta)
+    assert (alpha + beta) * law.continuous_mass() == pytest.approx(1.0, abs=1e-8)
+    for x in np.quantile(draws, [0.1, 0.3, 0.5, 0.7, 0.9]):
+        cdf = (alpha + beta) * scipy.integrate.quad(law.density, lo, x)[0]
+        assert abs(np.mean(draws <= x) - cdf) < 0.01, x
 
 
 # ---------------------------------------------------------------------------
@@ -361,39 +331,41 @@ def test_wishart_ratio_rejects_nonfinite_ratio(alpha, beta):
 
 def test_airy_reference_values():
     for x, ref in AI_REFERENCE:
-        assert abs(airy(x) - float(ref)) < 1e-10, f"Ai({x})"
+        assert abs(scipy.special.airy(x)[0] - float(ref)) < 1e-10, f"Ai({x})"
     for x, ref in AIP_REFERENCE:
-        assert abs(airy_prime(x) - float(ref)) < 1e-10, f"Ai'({x})"
+        assert abs(scipy.special.airy(x)[1] - float(ref)) < 1e-10, f"Ai'({x})"
 
 
 def test_airy_relative_accuracy_where_ai_decays():
     for x, ref in AI_DECAY_REFERENCE:
-        assert abs(airy(x) / float(ref) - 1.0) < 1e-12, f"Ai({x})"
+        assert abs(scipy.special.airy(x)[0] / float(ref) - 1.0) < 1e-12, f"Ai({x})"
     for x, ref in AIP_DECAY_REFERENCE:
-        assert abs(airy_prime(x) / float(ref) - 1.0) < 1e-12, f"Ai'({x})"
+        assert abs(scipy.special.airy(x)[1] / float(ref) - 1.0) < 1e-12, f"Ai'({x})"
 
 
 def test_airy_zero_value_closed_form():
-    assert airy(0.0) == pytest.approx(9.0 ** (-1.0 / 3.0) / math.gamma(2.0 / 3.0), rel=1e-14)
+    ai0 = scipy.special.airy(0.0)[0]
+    assert ai0 == pytest.approx(9.0 ** (-1.0 / 3.0) / math.gamma(2.0 / 3.0), rel=1e-14)
 
 
 def test_airy_ode_finite_difference():
     h = 1e-3
     for x in (-2.0, 0.0, 3.0):
-        second = (airy(x + h) - 2 * airy(x) + airy(x - h)) / (h * h)
-        assert abs(second - x * airy(x)) < 1e-6
+        below, at, above = scipy.special.airy(np.array([x - h, x, x + h]))[0]
+        second = (above - 2 * at + below) / (h * h)
+        assert abs(second - x * at) < 1e-6
 
 
 def test_airy_positive_decreasing_right_of_zero():
     xs = np.linspace(0.0, 5.0, 11)
-    vals = airy(xs)
+    vals = scipy.special.airy(xs)[0]
     assert (vals > 0).all()
     assert (np.diff(vals) < 0).all()
 
 
 def test_airy_kernel_symmetry_and_diagonal():
     assert airy_kernel(0.3, -1.2) == airy_kernel(-1.2, 0.3)
-    assert airy_kernel(0.0, 0.0) == pytest.approx(airy_prime(0.0) ** 2, rel=1e-12)
+    assert airy_kernel(0.0, 0.0) == pytest.approx(scipy.special.airy(0.0)[1] ** 2, rel=1e-12)
     assert airy_kernel(8.0, 8.0) < 1e-6
 
 
@@ -409,24 +381,18 @@ def test_airy_kernel_confluent_continuity():
 
 def test_bessel_reference_values():
     for b, z, ref in BESSEL_REFERENCE:
-        assert abs(bessel_j(b, z) - float(ref)) < 1e-10, f"J_{b}({z})"
+        assert abs(scipy.special.jv(b, z) - float(ref)) < 1e-10, f"J_{b}({z})"
 
 
 def test_bessel_wide_reference_values():
     for b, z, ref in BESSEL_WIDE_REFERENCE:
-        assert abs(bessel_j(b, z) - float(ref)) < 1e-12, f"J_{b}({z})"
+        assert abs(scipy.special.jv(b, z) - float(ref)) < 1e-12, f"J_{b}({z})"
 
 
 def test_bessel_at_zero():
-    assert bessel_j(0, 0.0) == 1.0
+    assert scipy.special.jv(0, 0.0) == 1.0
     for b in (1, 2, 5):
-        assert bessel_j(b, 0.0) == 0.0
-
-
-def test_bessel_derivative_identity():
-    b, z, h = 2, 3.0, 1e-6
-    fd = (bessel_j(b, z + h) - bessel_j(b, z - h)) / (2 * h)
-    assert abs(bessel_j_prime(b, z) - fd) < 1e-7
+        assert scipy.special.jv(b, 0.0) == 0.0
 
 
 def test_bessel_kernel_symmetry():
