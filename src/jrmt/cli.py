@@ -91,6 +91,8 @@ def _check_quad(quad: int) -> None:
 def _check_out(path: str | None) -> None:
     if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise ParameterError(f"--out directory does not exist: {path}")
+    if path and os.path.isdir(path):
+        raise ParameterError(f"--out names a directory, not a file: {path}")
 
 
 def _config(args, **resolved) -> dict:

@@ -125,19 +125,23 @@ def log_gamma_n(n: int, a: float, b: float) -> float:
 
     gamma_n = 2^{-a-b}/(2n+a+b) * Gamma(n+1)Gamma(n+a+b+1) /
     (Gamma(n+a)Gamma(n+b)), evaluated through log-Gamma.  Needs n >= 1:
-    for n >= 1 and a, b >= 0 no Gamma argument can hit a pole.
+    for n >= 1 and a, b >= 0 no Gamma argument can hit a pole.  A finite a
+    or b near the float limit overflows log-Gamma: a ``NumericError``.
     """
     if n < 1:
         raise ParameterError(f"gamma_n needs n >= 1, got {n}")
     _validate_params(n, a, b)
-    return (
-        -(a + b) * _LN2
-        - math.log(2.0 * n + a + b)
-        + math.lgamma(n + 1.0)
-        + math.lgamma(n + a + b + 1.0)
-        - math.lgamma(n + a)
-        - math.lgamma(n + b)
-    )
+    try:
+        return (
+            -(a + b) * _LN2
+            - math.log(2.0 * n + a + b)
+            + math.lgamma(n + 1.0)
+            + math.lgamma(n + a + b + 1.0)
+            - math.lgamma(n + a)
+            - math.lgamma(n + b)
+        )
+    except OverflowError:
+        raise NumericError(f"log-Gamma overflows in gamma_n for n={n}, a={a}, b={b}") from None
 
 
 def chi(n: int, a: float, b: float, x: float) -> float:

@@ -285,15 +285,19 @@ def test_angles_rejects_bad_ranks():
         ["sample", "--n", "48", "--q", "12", "--qtilde", "18", "--out", "{missing}/s.csv"],
         ["gap", "--n", "12", "--a", "6", "--b", "3", "--x", "0.9", "--quad", "100000"],
         ["tw", "--t", "0", "--quad", "2049"],
+        ["tw", "--t", "0", "--out", "{dir}"],
+        ["sample", "--n", "48", "--q", "12", "--qtilde", "18", "--out", "{dir}"],
     ],
 )
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
-    argv = [a.format(missing=tmp_path / "no-such-dir") for a in argv]
+    argv = [a.format(missing=tmp_path / "no-such-dir", dir=tmp_path) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("jrmt: ")
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -436,6 +440,24 @@ def test_unresolved_gap_is_a_numeric_failure(capsys):
     assert captured.out == ""
     assert captured.err.startswith("jrmt: numeric failure: ")
     assert "--quad" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--n", "3", "--a", "3e305", "--b", "0", "--grid=-0.5:0.5:3"],
+        ["density", "--n", "3", "--a", "0", "--b", "1e308", "--grid=-0.5:0.5:3"],
+        ["gap", "--n", "3", "--a", "1e308", "--b", "0", "--x", "0.5"],
+    ],
+    ids=["density-a-3e305", "density-b-1e308", "gap-a-1e308"],
+)
+def test_huge_finite_parameters_are_numeric_failures(argv, capsys):
+    # finite, so past the parameter checks, but log-Gamma of n + a overflows
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jrmt: numeric failure: ")
     assert "Traceback" not in captured.err
 
 
