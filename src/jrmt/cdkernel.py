@@ -10,8 +10,9 @@ the other factors as logs, and the two meet in ``np.ldexp``.  Its last two
 rows give the Christoffel-Darboux quotient off the diagonal; all its rows
 give the exact Gram sum on the diagonal, where the quotient cancels, as a
 third node value.  Distinct pairs within ``DIAG_TOL`` take the same Gram
-sum from rows recomputed at their two ends.  Every function here accepts
-scalars or numpy arrays.
+sum from rows recomputed at their two ends.  The table takes 16 (n + 1)
+bytes per abscissa, so it holds at most ``NODE_BLOCK`` abscissae, or close
+pairs, at a time.  Every function here accepts scalars or numpy arrays.
 
 The local limits (sine kernel in the bulk, Airy at the soft edge, Bessel at
 the hard edge) are defined once, by :func:`local_scaling`, which maps a
@@ -53,6 +54,10 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# most abscissae, or close pairs, whose rows one recurrence records: the
+# rows of P_0..P_400 at 10^4 abscissae in one table peaked at 290 MB, and
+# blocks of 256 keep them near 5 MB
+NODE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -70,14 +75,6 @@ class KernelSpec:
             raise ParameterError(f"need finite a, b >= 0, got a={self.a}, b={self.b}")
 
 
-def _check_open_interval(*xs) -> None:
-    for x in xs:
-        x = np.asarray(x, dtype=float)
-        bad = ~((-1.0 < x) & (x < 1.0))
-        if bad.any():
-            raise DomainError(f"argument {x[bad][0]} outside (-1, 1)")
-
-
 def _log_weight_half(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     # log of (1-x)^{a/2} (1+x)^{b/2}
     return 0.5 * (spec.a * np.log1p(-x) + spec.b * np.log1p(x))
@@ -86,6 +83,10 @@ def _log_weight_half(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
 def _split(log_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(k, c) with exp(log_c) = c * 2**k, k the nearest integer to log_c / ln 2."""
     k = np.rint(log_c / _LN2)
+    # a Gram term adds two such k, and the polynomial exponents, in int64;
+    # a non-finite log_c fails too
+    if not (np.abs(k) < 2.0**62).all():
+        raise NumericError("a log-scale of the finite-n kernel leaves the range of its exponents")
     return k.astype(int), np.exp(log_c - k * _LN2)
 
 
@@ -108,6 +109,12 @@ def _log_norms(n: int, a: float, b: float) -> np.ndarray:
     return (a + b + 1.0) * _LN2 - np.log(2.0 * k + a + b + 1.0) + lg[0] + lg[1] - lg[2] - lg[3]
 
 
+def _by_blocks(fn: Callable, *zs: np.ndarray) -> np.ndarray:
+    """fn on slices of at most ``NODE_BLOCK`` entries of the 1-d arrays zs, joined on the last axis."""
+    starts = range(0, max(zs[0].size, 1), NODE_BLOCK)
+    return np.concatenate([fn(*(z[s : s + NODE_BLOCK] for z in zs)) for s in starts], axis=-1)
+
+
 def _halving_sum(t: np.ndarray) -> np.ndarray:
     """Sum over the first axis by repeated halving.
 
@@ -127,17 +134,22 @@ def _halving_sum(t: np.ndarray) -> np.ndarray:
 def kernel(spec: KernelSpec, x, y):
     """K_n^{a,b}(x, y) for x, y in (-1, 1), on scalars or arrays that broadcast.
 
-    One recurrence (:func:`~jrmt.orthopoly.jacobi_rows`) per block of
-    distinct abscissae serves the quotient and the diagonal.  Away from the
-    diagonal the value is the Christoffel-Darboux ratio (f(x) g(y) - g(x)
-    f(y)) / (x - y) with f, g = sqrt(gamma_n w) (P_n, P_{n-1}).  Within
-    ``DIAG_TOL`` the ratio cancels catastrophically, so the exact sum
-    sqrt(w(x) w(y)) sum_{k<n} P_k(x) P_k(y) / h_k is used instead: on the
-    diagonal from the block's own rows, formed at every abscissa, and at a
-    distinct close pair from rows recomputed at its two ends.  Each term is
-    scaled on its own, and the terms are added in an order fixed by n.
+    One recurrence (:func:`~jrmt.orthopoly.jacobi_rows`) per block of at
+    most ``NODE_BLOCK`` distinct abscissae serves the quotient and the
+    diagonal.  Away from the diagonal the value is the Christoffel-Darboux
+    ratio (f(x) g(y) - g(x) f(y)) / (x - y) with f, g = sqrt(gamma_n w)
+    (P_n, P_{n-1}).  Within ``DIAG_TOL`` the ratio cancels catastrophically,
+    so the exact sum sqrt(w(x) w(y)) sum_{k<n} P_k(x) P_k(y) / h_k is used
+    instead: on the diagonal from the block's own rows, formed at every
+    abscissa, and at a distinct close pair from rows recomputed at its two
+    ends, in blocks of at most ``NODE_BLOCK`` pairs.  Each term is scaled on
+    its own, and the terms are added in an order fixed by n.
     """
-    _check_open_interval(x, y)
+    for z in (x, y):
+        z = np.asarray(z, dtype=float)
+        bad = ~((-1.0 < z) & (z < 1.0))
+        if bad.any():
+            raise DomainError(f"argument {z[bad][0]} outside (-1, 1)")
     n, a, b = spec.n, spec.a, spec.b
     log_gam = log_gamma_n(n, a, b)
     # 1/h_k, k < n, split
@@ -160,12 +172,12 @@ def kernel(spec: KernelSpec, x, y):
         log_c = 0.5 * log_gam + lw
         return _scaled(m[n], log_c, e[n]), _scaled(m[n - 1], log_c, e[n - 1]), gram(own, own)
 
-    def near(lo, hi):
+    def near(s, t):
         # one recurrence on both ends
-        m, e, lw = rows(np.concatenate([lo, hi]))
-        return gram(*[(m[:, c], e[:, c], lw[c]) for c in (slice(lo.size), slice(lo.size, None))])
+        m, e, lw = rows(np.concatenate([s, t]))
+        return gram(*[(m[:, c], e[:, c], lw[c]) for c in (slice(s.size), slice(s.size, None))])
 
-    return _integrable_kernel(x, y, nodes, near)
+    return _integrable_kernel(x, y, functools.partial(_by_blocks, nodes), functools.partial(_by_blocks, near))
 
 
 def one_point_density(spec: KernelSpec, x):

@@ -7,13 +7,14 @@ dense LU factorization.  The rule on [-1, 1] is built once per node count
 and reused, read-only (:func:`jrmt.orthopoly.gauss_legendre_unit`); each
 call only maps it to its interval.  Kernels are callables that broadcast
 over numpy arrays, so the m x m matrix comes from one call on a column and
-a row of the m nodes, never their meshgrid; the kernels of this package
-evaluate their node values once per node, the diagonal's included (for the
-finite-n kernel one recurrence serves the quotient and the diagonal's Gram
-sum), and form the m x m entries by broadcasting.  The alternating Fredholm
-series expansion is kept out of production (it converges too slowly); the
-test suite uses a short truncation of it as an independent oracle on
-low-rank toy kernels.
+a row of the m nodes, never their meshgrid.  The kernels of this package
+evaluate their node values, the diagonal's included, once per distinct
+node and in one call (the finite-n kernel runs one recurrence per block of
+at most ``cdkernel.NODE_BLOCK`` nodes, which serves the quotient and the
+diagonal's Gram sum), and form the m x m entries by broadcasting.  The
+alternating Fredholm series expansion is kept out of production (it
+converges too slowly); the test suite uses a short truncation of it as an
+independent oracle on low-rank toy kernels.
 """
 
 from __future__ import annotations
@@ -63,42 +64,37 @@ def gauss_legendre(m: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
     return lo + half * (t + 1.0), half * w
 
 
-def _kernel_matrix(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """The kernel on the node grid, from one call on a column and a row of the nodes."""
-    m = x.size
-    k = np.asarray(fn(x[:, None], x[None, :]), dtype=float)
-    if k.shape != (m, m):
-        raise ParameterError(f"kernel gave shape {k.shape} for {m} nodes; it must broadcast to {m} x {m}")
-    return k
-
-
 def gap_probability(query: GapQuery) -> float:
     """det(I - W^{1/2} K W^{1/2}) on the query interval.
 
     For a projection kernel this is the probability that the associated
-    point process puts no point in the interval, so values land in [0, 1];
-    a determinant outside [-1e-8, 1 + 1e-8] raises rather than being
-    clipped.  Below 0 means the kernel fed in was inconsistent; above 1
-    means the quadrature is too coarse for the kernel on the interval: the
-    discretized operator then has eigenvalues far above 1, which a
-    projection kernel cannot have.
+    point process puts no point in the interval, so values land in [0, 1]:
+    a determinant within 1e-8 of that interval is clipped into it, and one
+    further out raises.  Below 0 means the kernel fed in was inconsistent;
+    above 1 means the quadrature is too coarse for the kernel on the
+    interval: the discretized operator then has eigenvalues far above 1,
+    which a projection kernel cannot have.  The kernel matrix comes from one
+    call on a column and a row of the nodes.
     """
     lo, hi = query.interval
-    x, w = gauss_legendre(query.quad_points, lo, hi)
-    k = _kernel_matrix(query.kernel, x)
+    m = query.quad_points
+    x, w = gauss_legendre(m, lo, hi)
+    k = np.asarray(query.kernel(x[:, None], x[None, :]), dtype=float)
+    if k.shape != (m, m):
+        raise ParameterError(f"kernel gave shape {k.shape} for {m} nodes; it must broadcast to {m} x {m}")
     if not np.isfinite(k).all():
         raise NumericError("kernel produced non-finite values on the quadrature grid")
     sw = np.sqrt(w)
-    a = np.eye(len(x)) - k * np.outer(sw, sw)
+    a = np.eye(m) - k * np.outer(sw, sw)
     det = float(np.linalg.det(a))
     if det < -1e-8:
         raise NumericError(f"determinant {det:.3e} below 0 beyond tolerance")
     if det > 1.0 + 1e-8:
         raise NumericError(
-            f"determinant {det:.3e} above 1 beyond tolerance: {query.quad_points} quadrature "
+            f"determinant {det:.3e} above 1 beyond tolerance: {m} quadrature "
             "points do not resolve the kernel on this interval; raise the point count (--quad)"
         )
-    return det
+    return min(1.0, max(0.0, det))
 
 
 def largest_eval_cdf(params: KernelSpec, x: float, m: int = 64) -> float:

@@ -3,9 +3,9 @@
 The Airy, Bessel and finite-n kernels all have the integrable form
 (f(x) g(y) - g(x) f(y)) / (x - y); :func:`_integrable_kernel` evaluates any
 of them on broadcast arrays from three node values: f, g and the diagonal
-K(z, z).  Below ``DIAG_TOL`` the quotient gives way to the diagonal, and at
-a distinct close pair to a near rule, by default the diagonal at the
-midpoint.
+K(z, z), asked for once for all distinct abscissae.  Below ``DIAG_TOL`` the
+quotient gives way to the diagonal, and at a distinct close pair to a near
+rule, symmetric in its two ends, by default the diagonal at the midpoint.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ __all__ = [
 # |x - y| below which integrable kernels switch from the difference quotient
 # to their near-diagonal rule
 DIAG_TOL = 1e-6
-# most sorted abscissae, or close pairs, whose values one ``nodes`` or
-# ``near`` call holds at once
-NODE_BLOCK = 256
 # Gauss-Legendre points of FreeDensity.continuous_mass
 _MASS_QUAD = 256
 
@@ -46,44 +43,34 @@ def _integrable_kernel(x, y, nodes: Callable, near: Callable | None = None):
     """(f(x) g(y) - g(x) f(y)) / (x - y) on broadcast x, y.
 
     ``nodes(z)`` returns three arrays of node values at a 1-d array z of
-    distinct sorted abscissae: f(z), g(z) and the diagonal K(z, z).  Every
-    distinct value of the unbroadcast x and y is evaluated once: a column
-    and a row of m nodes give 2m values, not the 2m^2 of their meshgrid, and
-    the quotient is formed from f and g by broadcasting.  ``nodes`` is
-    called on slices of at most ``NODE_BLOCK`` abscissae, so large node
-    values take bounded memory.  On a distinct pair with |x - y| <
-    ``DIAG_TOL`` the quotient cancels catastrophically, and ``near(lo, hi)``
-    gives the kernel there from the two ends, lo < hi, of at most
-    ``NODE_BLOCK`` such pairs; by default it is the diagonal at the
-    midpoint, ``nodes(0.5 * (lo + hi))[2]``.  Every operation is elementwise
-    and the quotient is exactly antisymmetric in its numerator and its
-    denominator, so K(x, y) and K(y, x) are bitwise equal and an entry does
-    not depend on the other entries asked for with it.  Scalar in, scalar
-    out.
+    distinct sorted abscissae: f(z), g(z) and the diagonal K(z, z).  It is
+    called once, on every distinct value of the unbroadcast x and y: a
+    column and a row of m nodes give 2m values, not the 2m^2 of their
+    meshgrid, and the quotient is formed from f and g by broadcasting.  On a
+    distinct pair with |x - y| < ``DIAG_TOL`` the quotient cancels
+    catastrophically, and ``near(s, t)``, called once on the two ends of all
+    such pairs, each pair's ends in the order they come, gives the kernel
+    there; a near rule is symmetric in its ends, and by default it is the
+    diagonal at the midpoint, ``nodes(0.5 * (s + t))[2]``.  Every operation
+    is elementwise and the quotient is exactly antisymmetric in its
+    numerator and its denominator, so K(x, y) and K(y, x) are bitwise equal
+    and an entry does not depend on the other entries asked for with it.
+    Scalar in, scalar out.
     """
-    if near is None:
-
-        def near(lo, hi):
-            return nodes(0.5 * (lo + hi))[2]
-
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z, idx = np.unique(np.concatenate([x.ravel(), y.ravel()]), return_inverse=True)
     i, j = idx[: x.size].reshape(x.shape), idx[x.size :].reshape(y.shape)
     d = x - y
     close = np.abs(d) < DIAG_TOL
-    # z is sorted, so the lower point of a pair has the lower index
-    lo, hi = np.minimum(i, j)[close], np.maximum(i, j)[close]
-    f, g, kzz = np.empty(z.size), np.empty(z.size), np.empty(z.size)
-    for s in range(0, z.size, NODE_BLOCK):
-        t = s + NODE_BLOCK
-        f[s:t], g[s:t], kzz[s:t] = nodes(z[s:t])
-    # the diagonal, then each block of distinct pairs overwritten by ``near``
-    close_vals = kzz[lo]
-    pairs = np.flatnonzero(lo != hi)
-    for s in range(0, pairs.size, NODE_BLOCK):
-        p = pairs[s : s + NODE_BLOCK]
-        close_vals[p] = near(z[lo[p]], z[hi[p]])
+    f, g, kzz = nodes(z)
+    ci, cj = (np.broadcast_to(k, d.shape)[close] for k in (i, j))
+    # the diagonal, then the distinct pairs overwritten by ``near``
+    close_vals = kzz[ci]
+    pairs = np.flatnonzero(ci != cj)
+    if pairs.size:
+        s, t = z[ci[pairs]], z[cj[pairs]]
+        close_vals[pairs] = near(s, t) if near else nodes(0.5 * (s + t))[2]
     out = np.empty(d.shape)
     np.divide(f[i] * g[j] - g[i] * f[j], d, out=out, where=~close)
     out[close] = close_vals
@@ -224,12 +211,6 @@ def airy_kernel(u, v):
 # Bessel kernel, nonnegative integer order
 
 
-def _check_order(b) -> int:
-    if b < 0 or b != int(b):
-        raise ParameterError(f"order must be a nonnegative integer, got {b}")
-    return int(b)
-
-
 def bessel_kernel(b: int, u, v):
     """Hard-edge kernel F_b(u, v) for u, v > 0.
 
@@ -243,7 +224,9 @@ def bessel_kernel(b: int, u, v):
     every node and taken within ``DIAG_TOL`` of the diagonal at the midpoint.
     Accepts scalars or arrays that broadcast.
     """
-    b = _check_order(b)
+    if b < 0 or b != int(b):
+        raise ParameterError(f"order must be a nonnegative integer, got {b}")
+    b = int(b)
     if (np.asarray(u) <= 0).any() or (np.asarray(v) <= 0).any():
         raise DomainError("hard-edge kernel needs u, v > 0")
 

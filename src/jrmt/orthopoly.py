@@ -58,6 +58,8 @@ def jacobi_rows(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray]:
     rescaling.  Every operation is elementwise, so a node's rows do not
     depend on the other nodes in x.  The table takes 16 (n + 1) bytes per
     node, and the step multipliers 8 (n - 1) more while it is built.
+    Coefficients that overflow doubles (a + b beyond about 1e102) raise
+    ``NumericError``.
     """
     _validate_params(n, a, b)
     x = np.asarray(x, dtype=float)
@@ -68,16 +70,19 @@ def jacobi_rows(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray]:
         return m, e
     m[1] = (a + b + 2.0) * x / 2.0 + (a - b) / 2.0
     k = np.arange(2.0, n + 1.0)
-    t = 2.0 * k + a + b
-    c1 = 2.0 * k * (k + a + b) * (t - 2.0)
-    # P_k = mult P_{k-1} - drag P_{k-2}, with mult = slope x + offset
-    slope = (t - 1.0) * t * (t - 2.0) / c1
-    offset = (t - 1.0) * (a * a - b * b) / c1
-    drag = (2.0 * (k + a - 1.0) * (k + b - 1.0) * t / c1).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = 2.0 * k + a + b
+        c1 = 2.0 * k * (k + a + b) * (t - 2.0)
+        # P_k = mult P_{k-1} - drag P_{k-2}, with mult = slope x + offset
+        slope = (t - 1.0) * t * (t - 2.0) / c1
+        offset = (t - 1.0) * (a * a - b * b) / c1
+        drag = 2.0 * (k + a - 1.0) * (k + b - 1.0) * t / c1
+    if not np.isfinite([slope, offset, drag]).all():
+        raise NumericError(f"recurrence coefficients overflow for a={a}, b={b}")
     mult = np.multiply.outer(slope, x)
     mult += offset.reshape(offset.shape + (1,) * x.ndim)
     pm, p, ep = m[0], m[1], e[1]
-    for j, dr in enumerate(drag):
+    for j, dr in enumerate(drag.tolist()):
         p, pm = mult[j] * p - dr * pm, p
         if j % _RESCALE_EVERY == 0:
             # p becomes its frexp mantissa, exactly, and pm is divided by the

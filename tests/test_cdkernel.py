@@ -9,6 +9,7 @@ import scipy.special
 
 import jrmt.cdkernel
 from jrmt.cdkernel import (
+    NODE_BLOCK,
     KernelSpec,
     finite_profile,
     hard_edge_scale,
@@ -22,7 +23,6 @@ from jrmt.errors import DomainError, ParameterError, RegimeError
 from jrmt.fredholm import gauss_legendre
 from jrmt.limits import (
     DIAG_TOL,
-    NODE_BLOCK,
     airy_kernel,
     bessel_kernel,
     limit_density,

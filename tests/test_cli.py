@@ -443,21 +443,42 @@ def test_unresolved_gap_is_a_numeric_failure(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_gap_never_prints_a_negative_probability(capsys):
+    # the 64-node determinant here is -4.2e-13, inside the -1e-8 tolerance;
+    # the true value is 2.78e-16
+    assert main(["gap", "--n", "12", "--a", "0.5", "--b", "3", "--x", "0.6"]) == 0
+    assert 0.0 <= json.loads(capsys.readouterr().out)["gap"] <= 2.78e-16
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["density", "--n", "3", "--a", "3e305", "--b", "0", "--grid=-0.5:0.5:3"],
         ["density", "--n", "3", "--a", "0", "--b", "1e308", "--grid=-0.5:0.5:3"],
         ["gap", "--n", "3", "--a", "1e308", "--b", "0", "--x", "0.5"],
+        ["gap", "--n", "3", "--a", "1e20", "--b", "0", "--x", "0.5"],
+        ["density", "--n", "3", "--a", "1e20", "--b", "0", "--grid=-0.5:0.5:3"],
+        ["density", "--n", "3", "--a", "2e305", "--b", "0", "--grid=-0.5:0.5:3"],
     ],
-    ids=["density-a-3e305", "density-b-1e308", "gap-a-1e308"],
+    ids=[
+        "density-a-3e305",
+        "density-b-1e308",
+        "gap-a-1e308",
+        "gap-a-1e20",
+        "density-a-1e20",
+        "density-a-2e305",
+    ],
 )
 def test_huge_finite_parameters_are_numeric_failures(argv, capsys):
-    # finite, so past the parameter checks, but log-Gamma of n + a overflows
+    # finite, so past the parameter checks, but log-Gamma of n + a
+    # overflows, or the log-scales of the finite-n kernel leave the range of
+    # their integer exponents; the finite-n density fails before the regime
+    # check, whose A + B rounds to 1 at such ratios
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("jrmt: numeric failure: ")
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
 
 

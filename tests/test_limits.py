@@ -428,6 +428,19 @@ def test_bessel_kernel_rejects_nonpositive():
         bessel_kernel(0, -1.0, 2.0)
 
 
+def test_limit_kernels_take_all_node_values_in_one_call(monkeypatch):
+    # Airy and Bessel node values take O(1) memory per abscissa, so all the
+    # distinct abscissae of a call go to one scipy.special call per function
+    calls = []
+    airy, jv = scipy.special.airy, scipy.special.jv
+    monkeypatch.setattr(scipy.special, "airy", lambda z: calls.append(("airy", np.size(z))) or airy(z))
+    monkeypatch.setattr(scipy.special, "jv", lambda v, z: calls.append((v, np.size(z))) or jv(v, z))
+    u = np.linspace(0.5, 8.0, 300)
+    airy_kernel(u, u)
+    bessel_kernel(2, u[:, None], u[None, :])
+    assert calls == [("airy", 300), (2, 300), (3, 300)]
+
+
 def _series_coefficient(b: int, k: int, l: int) -> Fraction:
     """Exact coefficient of u^{b/2+k} v^{b/2+l} in the kernel numerator.
 
