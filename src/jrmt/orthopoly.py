@@ -68,7 +68,6 @@ def jacobi_rows(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray]:
     m[0] = 1.0
     if n == 0:
         return m, e
-    m[1] = (a + b + 2.0) * x / 2.0 + (a - b) / 2.0
     k = np.arange(2.0, n + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         t = 2.0 * k + a + b
@@ -77,8 +76,9 @@ def jacobi_rows(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray]:
         slope = (t - 1.0) * t * (t - 2.0) / c1
         offset = (t - 1.0) * (a * a - b * b) / c1
         drag = 2.0 * (k + a - 1.0) * (k + b - 1.0) * t / c1
-    if not np.isfinite([slope, offset, drag]).all():
+    if not (math.isfinite(a + b) and np.isfinite([slope, offset, drag]).all()):
         raise NumericError(f"recurrence coefficients overflow for a={a}, b={b}")
+    m[1] = (a + b + 2.0) * x / 2.0 + (a - b) / 2.0
     mult = np.multiply.outer(slope, x)
     mult += offset.reshape(offset.shape + (1,) * x.ndim)
     pm, p, ep = m[0], m[1], e[1]

@@ -27,8 +27,10 @@ def _constant_two(x, y):
         (ParameterError, lambda: ProjectorPair(10, 0, 3)),
         (ParameterError, lambda: reduce_ranks(48, 12, 18).apply([0.5] * 11)),
         (ParameterError, lambda: jacobi_pair(-1, 1.0, 1.0, 0.3)),
-        # the recurrence coefficients grow like (a + b)^3 before a division
+        # the recurrence coefficients grow like (a + b)^3 before a division,
+        # and P_1 needs a + b itself
         (NumericError, lambda: jacobi_pair(5, 1e150, 0.0, 0.3)),
+        (NumericError, lambda: jacobi_pair(1, 1e308, 1e308, 0.0)),
         (DomainError, lambda: chi(5, 1.0, 1.0, 1.0)),
         (DomainError, lambda: chi_prime(5, 1.0, 1.0, 1.0)),
         (ParameterError, lambda: run_experiment(ExperimentSpec("bulk", (20,), 0.5, 0.25))),
@@ -43,6 +45,7 @@ def _constant_two(x, y):
         "plan-wrong-count",
         "jacobi-negative-degree",
         "jacobi-coefficient-overflow",
+        "jacobi-parameter-sum-overflow",
         "chi-at-one",
         "chi-prime-at-one",
         "experiment-empty-grid",
