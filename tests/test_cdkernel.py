@@ -87,6 +87,38 @@ def test_array_calls_equal_scalar_calls_bitwise(n):
         assert np.array_equal(fn(uu, vv), [[fn(float(u), float(v)) for v in us] for u in us])
 
 
+def _assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "fn, lo, hi",
+    [
+        (airy_kernel, -6.0, 6.0),
+        (functools.partial(bessel_kernel, 0), 0.25, 16.0),
+        (functools.partial(bessel_kernel, 2), 0.25, 16.0),
+        (functools.partial(kernel, KernelSpec(100, 50.0, 25.0)), -0.9, 0.95),
+    ],
+    ids=["airy", "bessel0", "bessel2", "cd"],
+)
+def test_integrable_kernel_array_calls_equal_scalar_calls_bitwise(fn, lo, hi):
+    # a sorted grid of distinct nodes (the Nystrom case), the same nodes
+    # unsorted and repeated, and the grid with a distinct pair closer than
+    # DIAG_TOL, each as column x row, row x column and one vector
+    grid = gauss_legendre(10, lo, hi)[0]
+    mixed = grid[[3, 0, 3, 7, 1, 7]]
+    close = np.sort(np.append(grid, grid[4] + 0.5 * DIAG_TOL))
+    for xs in (grid, mixed, close):
+        scalar = np.array([[fn(float(u), float(v)) for v in xs] for u in xs])
+        _assert_same_bits(fn(xs[:, None], xs[None, :]), scalar)
+        _assert_same_bits(fn(xs[None, :], xs[:, None]), scalar.T)
+        _assert_same_bits(fn(xs, xs), np.diag(scalar))
+        # a 0-d abscissa against a vector, and two 0-d abscissae
+        _assert_same_bits(fn(np.asarray(xs[2]), xs), scalar[2])
+        _assert_same_bits(fn(np.asarray(xs[2]), np.asarray(xs[5])), scalar[2, 5])
+
+
 def test_kernel_domain_error():
     spec = KernelSpec(5, 1.0, 1.0)
     with pytest.raises(DomainError):

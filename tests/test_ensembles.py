@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -229,6 +230,39 @@ def test_sample_largest_matches_wishart_top_in_law():
         wish = [sample_spectrum(SeededStream(321, t), n, q, qt, "wishart")[-1] for t in range(trials)]
     d = ks_distance(EmpiricalSample.from_values(tops), EmpiricalSample.from_values(wish))
     assert d < 1.95 * math.sqrt(2 / trials)
+
+
+def _hex_digest(values) -> str:
+    return hashlib.sha256(",".join(float(v).hex() for v in np.ravel(values)).encode()).hexdigest()
+
+
+# sha256 of the .hex() of 20 top eigenvalues from streams (7, 0..19): the
+# tridiagonal draws must keep their bits however LAPACK is called
+@pytest.mark.parametrize(
+    "n,q,qt,digest",
+    [
+        (1200, 400, 600, "0faa9a268103bd7d66116d3e1327ab85c30b2b7a0d6fc9636cf263df3d989bd7"),
+        (200, 50, 60, "f77ddefd0b50dec58524e209523bf8cae30150ef3217fafc59557249ff15b6f4"),
+    ],
+)
+def test_sample_largest_is_bitwise_pinned(n, q, qt, digest):
+    assert _hex_digest([sample_largest(SeededStream(7, t), n, q, qt) for t in range(20)]) == digest
+
+
+def test_small_tridiagonal_draws_are_bitwise_pinned():
+    # q = 1 is the 1 x 1 matrix's single entry; at q = 2 the bisected top
+    # eigenvalue and the full spectrum's top differ in the last bit
+    assert sample_largest(SeededStream(3, 0), 10, 1, 4).hex() == "0x1.fe73ef4291418p-2"
+    assert [v.hex() for v in sample_spectrum(SeededStream(3, 0), 10, 1, 4, "tridiagonal")] == [
+        "0x1.fe73ef4291418p-2"
+    ]
+    assert sample_largest(SeededStream(3, 0), 10, 2, 4).hex() == "0x1.575ef6c44063fp-1"
+    assert [v.hex() for v in sample_spectrum(SeededStream(3, 0), 10, 2, 4, "tridiagonal")] == [
+        "0x1.56cb744ccc070p-2",
+        "0x1.575ef6c44063ep-1",
+    ]
+    rows = sample_spectra([SeededStream(5, t) for t in range(6)], 60, 12, 30, "tridiagonal")
+    assert _hex_digest(rows) == "7d4d605540ffcbe7bb2efcd907d269251868a51ce602b394006b88eb5e24c042"
 
 
 # ---------------------------------------------------------------------------

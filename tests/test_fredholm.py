@@ -196,6 +196,27 @@ def test_unresolved_finite_kernel_raises_instead_of_returning_above_one():
         largest_eval_cdf(KernelSpec(400, 200.0, 2.0), -0.5)
 
 
+def test_nystrom_matrix_keeps_the_bits_of_eye_minus_weighted_kernel(monkeypatch):
+    # a banded kernel whose entries off the band are exact zeros of both
+    # signs: the matrix handed to det, and the determinant, must be those of
+    # np.eye(m) - k * np.outer(sw, sw), the sign of every zero included
+    def banded(x, y):
+        d = x - y
+        return np.where(np.abs(d) < 0.2, 0.5 * np.exp(-d * d), np.copysign(0.0, d))
+
+    m = 32
+    x, w = gauss_legendre(m, 0.0, 1.0)
+    sw = np.sqrt(w)
+    expected = np.eye(m) - banded(x[:, None], x[None, :]) * np.outer(sw, sw)
+    seen = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: seen.append(a.copy()) or det(a))
+    value = gap_probability(GapQuery(banded, (0.0, 1.0), quad_points=m))
+    assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
+    assert value.hex() == float(det(expected)).hex()
+    assert 0.0 < value < 1.0
+
+
 def test_gap_flags_nonfinite_kernel():
     q = GapQuery(lambda x, y: np.inf * np.ones_like(x * y), (0.0, 1.0))
     with pytest.raises(NumericError):
