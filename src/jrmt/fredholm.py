@@ -84,8 +84,13 @@ def gap_probability(query: GapQuery) -> float:
         raise ParameterError(f"kernel gave shape {k.shape} for {m} nodes; it must broadcast to {m} x {m}")
     if not np.isfinite(k).all():
         raise NumericError("kernel produced non-finite values on the quadrature grid")
+    # I - W^{1/2} K W^{1/2} in one m x m array, with the bits of
+    # np.eye(m) - k * np.outer(sw, sw): 0 - a gives +0 where -a gives -0
     sw = np.sqrt(w)
-    a = np.eye(m) - k * np.outer(sw, sw)
+    a = np.outer(sw, sw)
+    a *= k
+    np.subtract(0.0, a, out=a)
+    a.flat[:: m + 1] += 1.0
     det = float(np.linalg.det(a))
     if det < -1e-8:
         raise NumericError(f"determinant {det:.3e} below 0 beyond tolerance")

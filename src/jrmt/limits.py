@@ -39,6 +39,22 @@ DIAG_TOL = 1e-6
 _MASS_QUAD = 256
 
 
+def _grid(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """The vector z when x and y are z as a column and a row, either way round,
+    with z finite and increasing in steps of at least ``DIAG_TOL``; else None.
+
+    Then the distinct abscissae are z itself, in order, and the only pairs
+    closer than ``DIAG_TOL`` are the m diagonal entries of the m x m call:
+    the steps bound every other |z_i - z_j| from below, rounding included.
+    """
+    if x.ndim != 2 or x.shape != y.shape[::-1] or 1 not in x.shape:
+        return None
+    z = x.ravel()
+    if z.tobytes() != y.tobytes() or not (np.diff(z) >= DIAG_TOL).all() or not np.isfinite(z).all():
+        return None
+    return z
+
+
 def _integrable_kernel(x, y, nodes: Callable, near: Callable | None = None):
     """(f(x) g(y) - g(x) f(y)) / (x - y) on broadcast x, y.
 
@@ -55,13 +71,24 @@ def _integrable_kernel(x, y, nodes: Callable, near: Callable | None = None):
     is elementwise and the quotient is exactly antisymmetric in its
     numerator and its denominator, so K(x, y) and K(y, x) are bitwise equal
     and an entry does not depend on the other entries asked for with it.
-    Scalar in, scalar out.
+
+    A Nystrom matrix, a column and a row of the same grid of nodes spaced at
+    least ``DIAG_TOL`` apart (see :func:`_grid`), takes O(m) index work: its
+    distinct abscissae are the grid and its close entries the diagonal.
+    Any other call sorts its abscissae and gathers its close entries.  Both
+    give the same node values and the same bits.  Scalar in, scalar out.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    d = x - y
+    z = _grid(x, y)
+    if z is not None:
+        f, g, kzz = nodes(z)
+        out = _quotient(f.reshape(x.shape), g.reshape(x.shape), f.reshape(y.shape), g.reshape(y.shape), d)
+        np.fill_diagonal(out, kzz)
+        return out
     z, idx = np.unique(np.concatenate([x.ravel(), y.ravel()]), return_inverse=True)
     i, j = idx[: x.size].reshape(x.shape), idx[x.size :].reshape(y.shape)
-    d = x - y
     close = np.abs(d) < DIAG_TOL
     f, g, kzz = nodes(z)
     ci, cj = (np.broadcast_to(k, d.shape)[close] for k in (i, j))
@@ -71,10 +98,22 @@ def _integrable_kernel(x, y, nodes: Callable, near: Callable | None = None):
     if pairs.size:
         s, t = z[ci[pairs]], z[cj[pairs]]
         close_vals[pairs] = near(s, t) if near else nodes(0.5 * (s + t))[2]
-    out = np.empty(d.shape)
-    np.divide(f[i] * g[j] - g[i] * f[j], d, out=out, where=~close)
+    out = _quotient(f[i], g[i], f[j], g[j], d)
     out[close] = close_vals
     return out[()]
+
+
+def _quotient(fx, gx, fy, gy, d) -> np.ndarray:
+    """(fx gy - gx fy) / d as a new array of d's shape, close entries included.
+
+    Those entries divide by a difference below ``DIAG_TOL``, zero on the
+    diagonal, and are meant to be overwritten; their 0/0 and x/0 raise no
+    warning.
+    """
+    out = np.multiply(fx, gy, out=np.empty(d.shape))
+    out -= gx * fy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(out, d, out=out)
 
 
 # ---------------------------------------------------------------------------
