@@ -11,6 +11,7 @@ parameters, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -201,7 +202,12 @@ def cmd_angles(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    Parsing does not change it, so in-process ``main`` calls share it.
+    """
     p = argparse.ArgumentParser(prog="jrmt", description=__doc__)
     p.add_argument("--version", action="version", version=f"jrmt {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -383,6 +384,35 @@ def test_a_size_beyond_memory_is_a_usage_error(argv, capsys):
 
 def test_usage_error_exit_code():
     assert main(["sample", "--n", "10"]) == 2  # missing required flags
+
+
+def test_main_calls_share_one_parser_and_keep_their_output(monkeypatch, capsys):
+    # the parser is built once per process: no call, a usage error
+    # included, may leave anything in it that changes what a later call prints
+    kernel = ["kernel", "--regime", "bulk", "--n", "20", "--a", "10", "--b", "5", "--ugrid=-1:1:3"]
+    argvs = [
+        kernel + ["--x", "0.1"],
+        kernel,
+        ["sample", "--n", "10"],
+        ["tw", "--t", "-1.5", "--tail", "10"],
+        ["tw", "--t", "-1.5"],
+        ["angles", "--n", "40", "--q", "5", "--qprime", "8", "--trials", "3"],
+    ]
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_args", lambda self, *a: parsers.append(self) or parse_args(self, *a)
+    )
+
+    def run(argv):
+        code = main(argv)
+        return code, *capsys.readouterr()
+
+    build_parser.cache_clear()
+    first = [run(argv) for argv in argvs]
+    assert first == [run(argv) for argv in argvs]
+    assert [code for code, *_ in first] == [0, 0, 2, 0, 0, 0]
+    assert len(parsers) == 2 * len(argvs) and all(p is parsers[0] for p in parsers)
 
 
 @pytest.mark.parametrize(
