@@ -20,6 +20,12 @@ X/(X+X') with X of shape parameter q_tilde, and which is also the
 tridiagonal model's single entry c_1^2 ~ Beta(alpha + 1, gamma + 1).  The
 distributional tests verify all three routes against each other.
 
+The tridiagonal route builds its matrix from the Beta variables and hands
+it straight to LAPACK, with the arguments ``scipy.linalg.eigvalsh_tridiagonal``
+would pass: ``dstevd`` for the whole spectrum, and ``dstebz`` bisecting for
+eigenvalue q of q in ``sample_largest``.  A draw costs its random variables
+and that one call; a 1 x 1 matrix is its own eigenvalue, as in scipy.
+
 ``sample_spectra`` draws one spectrum per ``SeededStream``: each trial takes
 all of its randomness from its own stream, and the linear algebra runs once
 per stack of trials on (trials, ., .) arrays.  The stacked LAPACK calls run
@@ -225,7 +231,7 @@ def _beta_jacobi(gen, n: int, q: int, q_tilde: int) -> tuple[np.ndarray, np.ndar
 
 # the LAPACK routines that scipy.linalg.eigvalsh_tridiagonal picks for the
 # whole spectrum (stevd) and for one eigenvalue by index (stebz); called
-# directly they skip its argument checks and its lookup, about 75 us a draw
+# directly they skip its argument checks and its lookup, about 60 us a draw
 _STEBZ, _STEVD = scipy.linalg.get_lapack_funcs(("stebz", "stevd"), dtype=np.float64)
 
 
@@ -236,7 +242,7 @@ def _check_info(info: int, routine: str) -> None:
 
 def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     if diag.size == 1:
-        return diag.copy()
+        return diag
     w, _, info = _STEVD(diag, off, compute_v=False)
     _check_info(info, "stevd")
     return w
@@ -246,8 +252,8 @@ def _tridiagonal_top(diag: np.ndarray, off: np.ndarray) -> float:
     q = diag.size
     if q == 1:
         return float(diag[0])
-    # eigenvalue q of q (1-based) by bisection: select by index, il = iu = q,
-    # tol = 0 (LAPACK's default), ordered 'E'; vl, vu are unused
+    # eigenvalue q of q by bisection, with scipy's arguments: range 2 (by
+    # index), vl and vu unused, il = iu = q, tol 0 (dstebz's default), order 'E'
     _, w, _, _, info = _STEBZ(diag, off, 2, 0.0, 1.0, q, q, 0.0, "E")
     _check_info(info, "stebz")
     return float(w[0])
@@ -318,7 +324,7 @@ def sample_largest(stream: SeededStream, n: int, q: int, q_tilde: int) -> float:
     Agrees with ``sample_spectrum(stream, n, q, q_tilde, "tridiagonal")[-1]``
     for the same stream up to rounding, but bisects for the top eigenvalue
     alone, in one LAPACK ``dstebz`` call: O(q) work per draw, where a dense
-    route costs O(n q^2).  A draw at (1200, 400, 600) takes about 0.35 ms of
+    route costs O(n q^2).  A draw at (1200, 400, 600) takes about 0.4 ms of
     CPU, nearly all of it the 2q - 1 Beta variates and ``dstebz``.
     """
     _check_canonical(n, q, q_tilde)

@@ -16,7 +16,7 @@ from jrmt.ensembles import (
     sample_spectra,
     sample_spectrum,
 )
-from jrmt.errors import ParameterError
+from jrmt.errors import NumericError, ParameterError
 from jrmt.matalg import one_blas_thread
 from jrmt.randgen import SeededStream
 
@@ -230,6 +230,15 @@ def test_sample_largest_matches_wishart_top_in_law():
         wish = [sample_spectrum(SeededStream(321, t), n, q, qt, "wishart")[-1] for t in range(trials)]
     d = ks_distance(EmpiricalSample.from_values(tops), EmpiricalSample.from_values(wish))
     assert d < 1.95 * math.sqrt(2 / trials)
+
+
+def test_tridiagonal_lapack_failure_is_a_numeric_error(monkeypatch):
+    monkeypatch.setattr(ensembles, "_STEBZ", lambda *args: (0, np.empty(1), None, None, 3))
+    monkeypatch.setattr(ensembles, "_STEVD", lambda d, e, compute_v: (d, None, -2))
+    with pytest.raises(NumericError, match="stebz failed with info=3"):
+        sample_largest(SeededStream(0), 40, 10, 12)
+    with pytest.raises(NumericError, match="stevd failed with info=-2"):
+        sample_spectrum(SeededStream(0), 40, 10, 12, "tridiagonal")
 
 
 def _hex_digest(values) -> str:
