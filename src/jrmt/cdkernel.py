@@ -90,12 +90,6 @@ def _split(log_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k.astype(int), np.exp(log_c - k * _LN2)
 
 
-def _scaled(m: np.ndarray, log_c: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """m * exp(log_c) * 2**e; the integer part of log_c / ln 2 joins the exponent."""
-    k, c = _split(log_c)
-    return np.ldexp(m * c, e + k)
-
-
 def _log_norms(n: int, a: float, b: float) -> np.ndarray:
     """log h_k = log of the squared weighted L^2 norm of P_k, for k < n.
 
@@ -169,8 +163,9 @@ def kernel(spec: KernelSpec, x, y):
 
     def nodes(z):
         own = m, e, lw = rows(z)
-        log_c = 0.5 * log_gam + lw
-        return _scaled(m[n], log_c, e[n]), _scaled(m[n - 1], log_c, e[n - 1]), gram(own, own)
+        # the power of two of sqrt(gamma_n w) joins the exponents of P_n and P_{n-1}
+        k, c = _split(0.5 * log_gam + lw)
+        return np.ldexp(m[n] * c, e[n] + k), np.ldexp(m[n - 1] * c, e[n - 1] + k), gram(own, own)
 
     def near(s, t):
         # one recurrence on both ends

@@ -3,9 +3,10 @@
 Scalar results are emitted as JSON, grids and spectra as CSV.  Every output
 embeds the fully resolved configuration: JSON outputs carry a ``config``
 field, CSV outputs start with '# ...' metadata lines followed by the column
-header.  Floats are serialized with 17 significant digits; files are written
-atomically (temp file, then rename).  Exit codes: 0 success, 2 bad usage or
-parameters, 3 numeric failure.
+header.  Floats are serialized with 17 significant digits.  Each subcommand
+returns its text, and ``main`` writes it once: to stdout, or atomically to
+``--out`` (temp file beside it, then rename).  Exit codes: 0 success, 2 bad
+usage or parameters or an ``--out`` that cannot be written, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -36,24 +37,25 @@ MAX_QUAD = 2048  # the Nystrom matrix is quad x quad: quad^2 kernel entries, an 
 _SCALING_KEYS = {"bulk": ("x", None), "soft": ("edge", "scale"), "hard": (None, "scale")}
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _write(path: str | None, text: str) -> None:
+    """text to stdout, or to a temp file beside ``path`` renamed onto it.
+
+    An OSError on the way is a usage error, and no temp file is left behind.
+    """
+    tmp = None
     try:
+        if not path:
+            sys.stdout.write(text)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise ParameterError(f"cannot write {path or 'stdout'}: {e.strerror or e}") from None
+    finally:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
-
-
-def _emit(path: str | None, text: str) -> None:
-    if path:
-        _atomic_write(path, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _csv_text(config: dict, header: list[str], rows: np.ndarray) -> str:
@@ -90,7 +92,8 @@ def _check_quad(quad: int) -> None:
 
 
 def _check_out(path: str | None) -> None:
-    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+    # the directory as given, as the kernel resolves it when _write creates the file
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
         raise ParameterError(f"--out directory does not exist: {path}")
     if path and os.path.isdir(path):
         raise ParameterError(f"--out names a directory, not a file: {path}")
@@ -106,7 +109,7 @@ def _config(args, **resolved) -> dict:
 # subcommands
 
 
-def cmd_sample(args) -> None:
+def cmd_sample(args) -> str:
     _check_trials(args.trials)
     plan = reduce_ranks(args.n, args.q, args.qtilde)
     config = _config(
@@ -131,10 +134,10 @@ def cmd_sample(args) -> None:
                 streams, args.n, plan.canonical.q, plan.canonical.q_tilde, route=args.route
             )
     header = [f"lambda_{i+1}" for i in range(args.q)]
-    _emit(args.out, _csv_text(config, header, plan.apply(vals)))
+    return _csv_text(config, header, plan.apply(vals))
 
 
-def cmd_density(args) -> None:
+def cmd_density(args) -> str:
     xs = _parse_grid(args.grid, "--grid")
     if xs[0] <= -1.0 or xs[-1] >= 1.0:
         raise ParameterError("--grid must lie strictly inside (-1, 1)")
@@ -142,10 +145,10 @@ def cmd_density(args) -> None:
     prof = finite_profile(spec)
     config = _config(args, support=[prof.r, prof.s])
     rows = np.column_stack([xs, one_point_density(spec, xs), limit_density(prof, xs)])
-    _emit(args.out, _csv_text(config, ["x", "finite_n_density", "limit_f"], rows))
+    return _csv_text(config, ["x", "finite_n_density", "limit_f"], rows)
 
 
-def cmd_kernel(args) -> None:
+def cmd_kernel(args) -> str:
     us = _parse_grid(args.ugrid, "--ugrid")
     vs = _parse_grid(args.vgrid, "--vgrid") if args.vgrid else us
     spec = KernelSpec(args.n, args.a, args.b)
@@ -155,23 +158,23 @@ def cmd_kernel(args) -> None:
     u, v = us[:, None], vs[None, :]
     values = rescaled(spec, args.regime, u, v, args.x), limit(u, v)
     rows = np.column_stack([g.ravel() for g in np.broadcast_arrays(u, v, *values)])
-    _emit(args.out, _csv_text(config, ["u", "v", "rescaled_kernel", "limit_kernel"], rows))
+    return _csv_text(config, ["u", "v", "rescaled_kernel", "limit_kernel"], rows)
 
 
-def cmd_gap(args) -> None:
+def cmd_gap(args) -> str:
     _check_quad(args.quad)
     spec = KernelSpec(args.n, args.a, args.b)
     value = largest_eval_cdf(spec, args.x, m=args.quad)
-    _emit(args.out, _json_text(_config(args), {"gap": value}))
+    return _json_text(_config(args), {"gap": value})
 
 
-def cmd_tw(args) -> None:
+def cmd_tw(args) -> str:
     _check_quad(args.quad)
     value = tracy_widom_cdf(args.t, m=args.quad, tail=args.tail)
-    _emit(args.out, _json_text(_config(args), {"tw_cdf": value}))
+    return _json_text(_config(args), {"tw_cdf": value})
 
 
-def cmd_angles(args) -> None:
+def cmd_angles(args) -> str:
     _check_trials(args.trials)
     if not (1 <= args.q <= args.n and 1 <= args.qprime <= args.n):
         raise ParameterError("need 1 <= q, qprime <= n")
@@ -196,7 +199,7 @@ def cmd_angles(args) -> None:
             "std": float(cos2.std()),
         },
     }
-    _emit(args.out, _json_text(config, result))
+    return _json_text(config, result)
 
 
 # ---------------------------------------------------------------------------
@@ -212,58 +215,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"jrmt {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("sample", help="draw ensemble spectra (CSV, one row per trial)")
+    # options shared by several subcommands, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    nab = argparse.ArgumentParser(add_help=False)
+    nab.add_argument("--n", type=int, required=True)
+    nab.add_argument("--a", type=float, required=True)
+    nab.add_argument("--b", type=float, required=True)
+    quad = argparse.ArgumentParser(add_help=False)
+    quad.add_argument("--quad", type=int, default=64)
+
+    ps = sub.add_parser("sample", parents=[out], help="draw ensemble spectra (CSV, one row per trial)")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--q", type=int, required=True)
     ps.add_argument("--qtilde", type=int, required=True)
     ps.add_argument("--route", choices=["projector", "wishart", "tridiagonal"], default="projector")
     ps.add_argument("--trials", type=int, default=1)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_sample)
 
-    pd = sub.add_parser("density", help="finite-n and limiting spectral density on a grid")
-    pd.add_argument("--n", type=int, required=True)
-    pd.add_argument("--a", type=float, required=True)
-    pd.add_argument("--b", type=float, required=True)
+    pd = sub.add_parser(
+        "density", parents=[out, nab], help="finite-n and limiting spectral density on a grid"
+    )
     pd.add_argument("--grid", required=True, help="lo:hi:count inside (-1,1)")
-    pd.add_argument("--out", default=None)
     pd.set_defaults(func=cmd_density)
 
-    pk = sub.add_parser("kernel", help="rescaled kernel vs its limit on a (u,v) grid")
+    pk = sub.add_parser("kernel", parents=[out, nab], help="rescaled kernel vs its limit on a (u,v) grid")
     pk.add_argument("--regime", choices=["bulk", "soft", "hard"], required=True)
-    pk.add_argument("--n", type=int, required=True)
-    pk.add_argument("--a", type=float, required=True)
-    pk.add_argument("--b", type=float, required=True)
     pk.add_argument("--x", type=float, default=None, help="bulk center (default: band midpoint)")
     pk.add_argument("--ugrid", required=True, help="lo:hi:count")
     pk.add_argument("--vgrid", default=None, help="lo:hi:count (default: same as --ugrid)")
-    pk.add_argument("--out", default=None)
     pk.set_defaults(func=cmd_kernel)
 
-    pg = sub.add_parser("gap", help="P(largest point <= x) via a Fredholm determinant")
-    pg.add_argument("--n", type=int, required=True)
-    pg.add_argument("--a", type=float, required=True)
-    pg.add_argument("--b", type=float, required=True)
+    pg = sub.add_parser(
+        "gap", parents=[out, nab, quad], help="P(largest point <= x) via a Fredholm determinant"
+    )
     pg.add_argument("--x", type=float, required=True)
-    pg.add_argument("--quad", type=int, default=64)
-    pg.add_argument("--out", default=None)
     pg.set_defaults(func=cmd_gap)
 
-    pt = sub.add_parser("tw", help="limiting edge distribution at t")
+    pt = sub.add_parser("tw", parents=[out, quad], help="limiting edge distribution at t")
     pt.add_argument("--t", type=float, required=True)
-    pt.add_argument("--quad", type=int, default=64)
     pt.add_argument("--tail", type=float, default=12.0)
-    pt.add_argument("--out", default=None)
     pt.set_defaults(func=cmd_tw)
 
-    pa = sub.add_parser("angles", help="principal angles between random subspaces")
+    pa = sub.add_parser("angles", parents=[out], help="principal angles between random subspaces")
     pa.add_argument("--n", type=int, required=True)
     pa.add_argument("--q", type=int, required=True)
     pa.add_argument("--qprime", type=int, required=True)
     pa.add_argument("--trials", type=int, default=100)
     pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--out", default=None)
     pa.set_defaults(func=cmd_angles)
 
     return p
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         _check_out(args.out)
-        args.func(args)
+        _write(args.out, args.func(args))
     except NumericError as e:
         print(f"jrmt: numeric failure: {e}", file=sys.stderr)
         return NUMERIC_EXIT

@@ -78,6 +78,20 @@ class ProjectorPair:
 _STACK_ENTRIES = 2**17
 
 
+# the LAPACK routines that scipy.linalg.eigh picks for a complex Hermitian
+# pencil (hegvd), and that scipy.linalg.eigvalsh_tridiagonal picks for the
+# whole spectrum (stevd) and for one eigenvalue by index (stebz); called
+# directly they skip those wrappers' argument checks and lookups (about 60 us
+# a tridiagonal draw)
+_HEGVD = scipy.linalg.get_lapack_funcs("hegvd", dtype=np.complex128)
+_STEBZ, _STEVD = scipy.linalg.get_lapack_funcs(("stebz", "stevd"), dtype=np.float64)
+
+
+def _check_info(info: int, routine: str) -> None:
+    if info != 0:
+        raise NumericError(f"{routine} failed with info={info}")
+
+
 def _ct(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
@@ -114,12 +128,10 @@ def _wishart_spectra(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
     # arguments; calling it per slice keeps those bits and skips eigh's checks
     # and its batch wrapper, about 40 us a call
     y = x + xp
-    hegvd = scipy.linalg.get_lapack_funcs("hegvd", (x,))
     out = np.empty((len(gens), q))
     for i in range(len(gens)):
-        out[i], _, info = hegvd(x[i], y[i], jobz="N")
-        if info != 0:
-            raise NumericError(f"hegvd failed with info={info} on the Wishart pencil")
+        out[i], _, info = _HEGVD(x[i], y[i], jobz="N")
+        _check_info(info, "hegvd")
     return out
 
 
@@ -227,17 +239,6 @@ def _beta_jacobi(gen, n: int, q: int, q_tilde: int) -> tuple[np.ndarray, np.ndar
     diag = d * d
     diag[1:] += e * e
     return diag, d[:-1] * e
-
-
-# the LAPACK routines that scipy.linalg.eigvalsh_tridiagonal picks for the
-# whole spectrum (stevd) and for one eigenvalue by index (stebz); called
-# directly they skip its argument checks and its lookup, about 60 us a draw
-_STEBZ, _STEVD = scipy.linalg.get_lapack_funcs(("stebz", "stevd"), dtype=np.float64)
-
-
-def _check_info(info: int, routine: str) -> None:
-    if info != 0:
-        raise NumericError(f"{routine} failed with info={info} on the tridiagonal matrix")
 
 
 def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

@@ -7,18 +7,11 @@ dense LU factorization.  The rule on [-1, 1] is built once per node count
 and reused, read-only (:func:`jrmt.orthopoly.gauss_legendre_unit`); each
 call only maps it to its interval.  Kernels are callables that broadcast
 over numpy arrays, so the m x m matrix comes from one call on a column and
-a row of the m nodes, never their meshgrid.  The kernels of this package
-evaluate their node values, the diagonal's included, once per distinct
-node and in one call (the finite-n kernel runs one recurrence per block of
-at most ``cdkernel.NODE_BLOCK`` nodes, which serves the quotient and the
-diagonal's Gram sum), and form the m x m entries by broadcasting.  The
-Gauss-Legendre nodes are sorted and distinct, so the kernels take them as
-they come, with no sort, and find the diagonal by its position
-(:func:`jrmt.limits._integrable_kernel`); I - W^{1/2} K W^{1/2} is then
-formed in one m x m array beside the kernel's.  The
-alternating Fredholm series expansion is kept out of production (it
-converges too slowly); the test suite uses a short truncation of it as an
-independent oracle on low-rank toy kernels.
+a row of the m nodes, never their meshgrid, and I - W^{1/2} K W^{1/2} is
+formed in one m x m array beside the kernel's.  The alternating Fredholm
+series expansion is kept out of production (it converges too slowly); the
+test suite uses a short truncation of it as an independent oracle on
+low-rank toy kernels.
 """
 
 from __future__ import annotations

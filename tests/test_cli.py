@@ -288,6 +288,12 @@ def test_angles_rejects_bad_ranks():
         ["tw", "--t", "0", "--quad", "2049"],
         ["tw", "--t", "0", "--out", "{dir}"],
         ["sample", "--n", "48", "--q", "12", "--qtilde", "18", "--out", "{dir}"],
+        # a name longer than the file system allows fails at the rename
+        ["tw", "--t", "0", "--out", "{dir}/" + "x" * 300 + ".json"],
+        ["sample", "--n", "48", "--q", "12", "--qtilde", "18", "--out", "{dir}/" + "x" * 300 + ".json"],
+        # the kernel resolves missing/.. only if missing exists
+        ["tw", "--t", "0", "--out", "{missing}/../o.json"],
+        ["sample", "--n", "48", "--q", "12", "--qtilde", "18", "--out", "{missing}/../o.json"],
     ],
 )
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
@@ -299,6 +305,45 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--n", "20", "--q", "5", "--qtilde", "8", "--trials", "2"],
+        ["density", "--n", "12", "--a", "6", "--b", "3", "--grid=-0.5:0.5:3"],
+        ["kernel", "--regime", "bulk", "--n", "40", "--a", "20", "--b", "10", "--ugrid=-1:1:2"],
+        ["gap", "--n", "12", "--a", "6", "--b", "3", "--x", "0.5", "--quad", "16"],
+        ["tw", "--t", "0", "--quad", "16"],
+        ["angles", "--n", "20", "--q", "4", "--qprime", "5", "--trials", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_file_holds_the_bytes_of_stdout(argv, tmp_path, capsys):
+    out = tmp_path / "o.txt"
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_each_subcommand_keeps_its_options():
+    # declaring shared options once must neither drop nor add one
+    expected = {
+        "sample": ["--n", "--q", "--qtilde", "--route", "--trials", "--seed", "--out"],
+        "density": ["--n", "--a", "--b", "--grid", "--out"],
+        "kernel": ["--regime", "--n", "--a", "--b", "--x", "--ugrid", "--vgrid", "--out"],
+        "gap": ["--n", "--a", "--b", "--x", "--quad", "--out"],
+        "tw": ["--t", "--quad", "--tail", "--out"],
+        "angles": ["--n", "--q", "--qprime", "--trials", "--seed", "--out"],
+    }
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: sorted(s for a in p._actions for s in a.option_strings) for name, p in sub.choices.items()
+    }
+    assert accepted == {name: sorted(opts + ["-h", "--help"]) for name, opts in expected.items()}
 
 
 @pytest.mark.parametrize(

@@ -241,6 +241,12 @@ def test_tridiagonal_lapack_failure_is_a_numeric_error(monkeypatch):
         sample_spectrum(SeededStream(0), 40, 10, 12, "tridiagonal")
 
 
+def test_wishart_lapack_failure_is_a_numeric_error(monkeypatch):
+    monkeypatch.setattr(ensembles, "_HEGVD", lambda x, y, jobz: (np.zeros(x.shape[0]), None, 5))
+    with pytest.raises(NumericError, match="hegvd failed with info=5"):
+        sample_spectrum(SeededStream(0), 40, 10, 12, "wishart")
+
+
 def _hex_digest(values) -> str:
     return hashlib.sha256(",".join(float(v).hex() for v in np.ravel(values)).encode()).hexdigest()
 
