@@ -18,6 +18,11 @@ The package covers the full chain from sampling to universality checks:
 - ``empirics``: Monte Carlo harness and convergence reports
 - ``cli``: the ``jrmt`` command-line tool
 - ``errors``: the exception types, which the CLI maps to its exit codes
+
+Importing the package loads numpy but no scipy submodule: ``scipy.special``
+is loaded by the first kernel, density or Fredholm call that needs a special
+function, and ``scipy.linalg`` by the first Wishart or tridiagonal draw, or
+``one_blas_thread``.  So each ``jrmt`` subcommand loads one of them at most.
 """
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.special
 
 from .errors import DomainError, NumericError, ParameterError, RegimeError
 from .limits import (
@@ -97,6 +96,8 @@ def _log_norms(n: int, a: float, b: float) -> np.ndarray:
     (Gamma(k+a+b+1) k!), from one vectorized log-Gamma call; a, b >= 0
     keep every argument at 1 or above.
     """
+    import scipy.special
+
     k = np.arange(float(n))
     lg = scipy.special.gammaln(np.concatenate([k + a + 1.0, k + b + 1.0, k + a + b + 1.0, k + 1.0]))
     lg = lg.reshape(4, n)
@@ -245,6 +246,21 @@ def local_scaling(
 
 
 def rescaled(spec: KernelSpec, regime: str, u, v, x: float | None = None):
-    """Rescaled kernel K_n(c + u/h, c + v/h) / h at the ``local_scaling`` of a regime."""
+    """Rescaled kernel K_n(c + u/h, c + v/h) / h at the ``local_scaling`` of a regime.
+
+    An offset whose abscissa leaves (-1, 1) is a ``DomainError`` that names
+    the offset and its window (h (-1 - c), h (1 - c)).
+    """
     c, h, _ = local_scaling(spec, regime, x)
-    return kernel(spec, c + np.asarray(u) / h, c + np.asarray(v) / h) / h
+    zs = []
+    for name, w in (("u", u), ("v", v)):
+        w = np.asarray(w, dtype=float)
+        z = c + w / h
+        bad = ~((-1.0 < z) & (z < 1.0))
+        if bad.any():
+            raise DomainError(
+                f"{name}={w[bad][0]} outside the {regime} window "
+                f"({h * (-1.0 - c):.6g}, {h * (1.0 - c):.6g}) that maps into (-1, 1)"
+            )
+        zs.append(z)
+    return kernel(spec, *zs) / h

@@ -35,11 +35,11 @@ on its ``(seed, stream_id)`` alone, not on the stack it fell in.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError, ParameterError
 from .randgen import SeededStream, _ginibre, _haar
@@ -78,13 +78,22 @@ class ProjectorPair:
 _STACK_ENTRIES = 2**17
 
 
-# the LAPACK routines that scipy.linalg.eigh picks for a complex Hermitian
-# pencil (hegvd), and that scipy.linalg.eigvalsh_tridiagonal picks for the
-# whole spectrum (stevd) and for one eigenvalue by index (stebz); called
-# directly they skip those wrappers' argument checks and lookups (about 60 us
-# a tridiagonal draw)
-_HEGVD = scipy.linalg.get_lapack_funcs("hegvd", dtype=np.complex128)
-_STEBZ, _STEVD = scipy.linalg.get_lapack_funcs(("stebz", "stevd"), dtype=np.float64)
+@functools.cache
+def _lapack() -> dict:
+    """The LAPACK routines of the Wishart and tridiagonal routes, by name.
+
+    ``hegvd`` is what scipy.linalg.eigh picks for a complex Hermitian pencil,
+    ``stevd`` and ``stebz`` what scipy.linalg.eigvalsh_tridiagonal picks for
+    the whole spectrum and for one eigenvalue by index.  Called directly they
+    skip those wrappers' argument checks and lookups (about 60 us a
+    tridiagonal draw).  Fetched once, at the first draw that needs one, so
+    that importing jrmt does not load scipy.linalg.
+    """
+    import scipy.linalg
+
+    hegvd = scipy.linalg.get_lapack_funcs("hegvd", dtype=np.complex128)
+    stebz, stevd = scipy.linalg.get_lapack_funcs(("stebz", "stevd"), dtype=np.float64)
+    return {"hegvd": hegvd, "stebz": stebz, "stevd": stevd}
 
 
 def _check_info(info: int, routine: str) -> None:
@@ -129,8 +138,9 @@ def _wishart_spectra(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
     # and its batch wrapper, about 40 us a call
     y = x + xp
     out = np.empty((len(gens), q))
+    hegvd = _lapack()["hegvd"]
     for i in range(len(gens)):
-        out[i], _, info = _HEGVD(x[i], y[i], jobz="N")
+        out[i], _, info = hegvd(x[i], y[i], jobz="N")
         _check_info(info, "hegvd")
     return out
 
@@ -244,7 +254,7 @@ def _beta_jacobi(gen, n: int, q: int, q_tilde: int) -> tuple[np.ndarray, np.ndar
 def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     if diag.size == 1:
         return diag
-    w, _, info = _STEVD(diag, off, compute_v=False)
+    w, _, info = _lapack()["stevd"](diag, off, compute_v=False)
     _check_info(info, "stevd")
     return w
 
@@ -255,7 +265,7 @@ def _tridiagonal_top(diag: np.ndarray, off: np.ndarray) -> float:
         return float(diag[0])
     # eigenvalue q of q by bisection, with scipy's arguments: range 2 (by
     # index), vl and vu unused, il = iu = q, tol 0 (dstebz's default), order 'E'
-    _, w, _, _, info = _STEBZ(diag, off, 2, 0.0, 1.0, q, q, 0.0, "E")
+    _, w, _, _, info = _lapack()["stebz"](diag, off, 2, 0.0, 1.0, q, q, 0.0, "E")
     _check_info(info, "stebz")
     return float(w[0])
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.special
 
 from .errors import DomainError, ParameterError, RegimeError
 from .orthopoly import gauss_legendre_unit
@@ -232,6 +231,8 @@ def free_product_density(alpha: float, beta: float) -> FreeDensity:
 
 
 def _airy_nodes(z):
+    import scipy.special
+
     ai, aip = scipy.special.airy(z)[:2]
     return ai, aip, aip * aip - z * ai * ai
 
@@ -270,6 +271,8 @@ def bessel_kernel(b: int, u, v):
         raise DomainError("hard-edge kernel needs u, v > 0")
 
     def nodes(z):
+        import scipy.special
+
         s = np.sqrt(z)
         jb, jb1 = scipy.special.jv(b, s), scipy.special.jv(b + 1, s)
         return 0.5 * s * jb1, jb, (jb * jb + jb1 * jb1 - 2.0 * b / s * jb * jb1) / 4.0

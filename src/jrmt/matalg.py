@@ -31,9 +31,13 @@ def _openblas_controls() -> tuple:
     """(get, set) thread-count functions of every OpenBLAS mapped into the process.
 
     Reads the mapped library paths from /proc/self/maps; empty where there is
-    no /proc or no OpenBLAS.  Importing ``jrmt`` loads scipy.linalg, so both
-    numpy's and scipy's libraries are mapped by the first call.
+    no /proc or no OpenBLAS.  Importing ``jrmt`` loads neither scipy.linalg
+    nor its OpenBLAS, so this loads scipy.linalg first: otherwise a draw that
+    reaches LAPACK after the first call would map scipy's library unseen, at
+    its default thread count.
     """
+    import scipy.linalg  # maps scipy's OpenBLAS before the scan below
+
     try:
         with open("/proc/self/maps", encoding="utf-8") as f:
             fields = [line.split(maxsplit=5) for line in f]

@@ -273,6 +273,24 @@ def test_kernel_soft_with_a_hard_upper_edge_is_a_usage_error(capsys):
     assert "turning point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kernel", "--regime", "soft", "--n", "100", "--a", "50", "--b", "25", "--ugrid=-3:40:4"],
+         "jrmt: u=11.333333333333334 outside the soft window (-252.621, 8.64431) that maps into (-1, 1)\n"),
+        (["kernel", "--regime", "hard", "--n", "100", "--a", "50", "--b", "2", "--ugrid=1:2:2",
+          "--vgrid=0:1:2"],
+         "jrmt: v=0.0 outside the hard window (0, 60000) that maps into (-1, 1)\n"),
+    ],
+    ids=["soft-u", "hard-v"],
+)
+def test_kernel_names_the_grid_value_outside_its_window(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_angles_rejects_bad_ranks():
     assert main(["angles", "--n", "10", "--q", "11", "--qprime", "2"]) == 2
 
@@ -479,6 +497,39 @@ def test_output_independent_of_blas_threads(argv):
         assert proc.returncode == 0, proc.stderr[-2000:]
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (None, []),
+        (["tw", "--t", "0", "--quad", "16"], ["scipy.special"]),
+        (["gap", "--n", "12", "--a", "6", "--b", "3", "--x", "0.5", "--quad", "16"], ["scipy.special"]),
+        (["density", "--n", "12", "--a", "6", "--b", "3", "--grid=-0.5:0.5:3"], ["scipy.special"]),
+        (["kernel", "--regime", "hard", "--n", "40", "--a", "20", "--b", "2", "--ugrid=1:2:2"],
+         ["scipy.special"]),
+        (["sample", "--n", "20", "--q", "5", "--qtilde", "8", "--route", "wishart", "--trials", "2"],
+         ["scipy.linalg"]),
+        (["sample", "--n", "20", "--q", "5", "--qtilde", "8", "--route", "tridiagonal", "--trials", "2"],
+         ["scipy.linalg"]),
+        (["angles", "--n", "20", "--q", "4", "--qprime", "5", "--trials", "3"], ["scipy.linalg"]),
+    ],
+    ids=["import", "tw", "gap", "density", "kernel", "sample-wishart", "sample-tridiagonal", "angles"],
+)
+def test_each_entry_point_loads_only_the_scipy_submodule_it_uses(argv, loaded):
+    # a fresh process: importing jrmt loads neither submodule, the Fredholm
+    # side loads special functions alone and the sampling side LAPACK alone
+    script = "import contextlib, io, json, sys\nimport jrmt\n"
+    if argv is not None:
+        script += (
+            "from jrmt.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
+        )
+    script += "print(json.dumps([m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules]))\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == loaded
 
 
 _small = st.integers(min_value=-2, max_value=12)

@@ -233,8 +233,11 @@ def test_sample_largest_matches_wishart_top_in_law():
 
 
 def test_tridiagonal_lapack_failure_is_a_numeric_error(monkeypatch):
-    monkeypatch.setattr(ensembles, "_STEBZ", lambda *args: (0, np.empty(1), None, None, 3))
-    monkeypatch.setattr(ensembles, "_STEVD", lambda d, e, compute_v: (d, None, -2))
+    routines = {
+        "stebz": lambda *args: (0, np.empty(1), None, None, 3),
+        "stevd": lambda d, e, compute_v: (d, None, -2),
+    }
+    monkeypatch.setattr(ensembles, "_lapack", lambda: routines)
     with pytest.raises(NumericError, match="stebz failed with info=3"):
         sample_largest(SeededStream(0), 40, 10, 12)
     with pytest.raises(NumericError, match="stevd failed with info=-2"):
@@ -242,7 +245,8 @@ def test_tridiagonal_lapack_failure_is_a_numeric_error(monkeypatch):
 
 
 def test_wishart_lapack_failure_is_a_numeric_error(monkeypatch):
-    monkeypatch.setattr(ensembles, "_HEGVD", lambda x, y, jobz: (np.zeros(x.shape[0]), None, 5))
+    routines = {"hegvd": lambda x, y, jobz: (np.zeros(x.shape[0]), None, 5)}
+    monkeypatch.setattr(ensembles, "_lapack", lambda: routines)
     with pytest.raises(NumericError, match="hegvd failed with info=5"):
         sample_spectrum(SeededStream(0), 40, 10, 12, "wishart")
 

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +11,8 @@ from jrmt import matalg
 from jrmt.errors import ValidationError
 from jrmt.matalg import eig_hermitian, one_blas_thread, principal_cosines
 from jrmt.randgen import SeededStream, _ginibre
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _random_hermitian(seed, n):
@@ -121,3 +129,45 @@ def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch, two_blas_threa
         x = np.eye(3) @ np.eye(3)
     assert (x == np.eye(3)).all()
     assert [get() for get, _ in two_blas_threads] == before
+
+
+# reads the thread count of every OpenBLAS in /proc/self/maps without
+# matalg's cached list, so a library mapped after that list was built counts
+_THREADS_INSIDE_THE_BLOCK = """
+import ctypes, json
+from jrmt import SeededStream, one_blas_thread, sample_spectrum
+from jrmt.matalg import _THREAD_SYMBOLS
+
+def thread_counts():
+    with open("/proc/self/maps", encoding="utf-8") as f:
+        fields = [line.split(maxsplit=5) for line in f]
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
+    counts = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        get = next((getattr(lib, g) for g, _ in _THREAD_SYMBOLS if hasattr(lib, g)), None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            counts[path] = get()
+    return counts
+
+with one_blas_thread():
+    sample_spectrum(SeededStream(0), 40, 10, 12, "wishart")
+    print(json.dumps(thread_counts()))
+"""
+
+
+def test_one_blas_thread_entered_before_any_lapack_call_holds_every_openblas():
+    # a fresh process, so the block is entered before the first LAPACK draw
+    # maps scipy's OpenBLAS
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_INSIDE_THE_BLOCK], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    counts = json.loads(proc.stdout)
+    if not counts:
+        pytest.skip("no OpenBLAS loaded")
+    assert counts == {path: 1 for path in counts}
