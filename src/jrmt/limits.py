@@ -1,5 +1,10 @@
 """Limiting objects: spectral densities, edge profiles, sine/Airy/Bessel kernels.
 
+The limit density and the free-projector law share one formula,
+sqrt((x-r)(s-x)) / (pi c (1-x^2)) on an open (r, s): at x in (-1, 1) with
+c = 1-A-B, and at x = 2 lambda - 1 with c = 1.  The free law's continuous
+mass is exact: one minus its atoms.
+
 The Airy, Bessel and finite-n kernels all have the integrable form
 (f(x) g(y) - g(x) f(y)) / (x - y); :func:`_integrable_kernel` evaluates any
 of them on broadcast arrays from three node values: f, g and the diagonal
@@ -17,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ParameterError, RegimeError
-from .orthopoly import gauss_legendre_unit
 
 __all__ = [
     "LimitProfile",
@@ -34,8 +38,6 @@ __all__ = [
 # |x - y| below which integrable kernels switch from the difference quotient
 # to their near-diagonal rule
 DIAG_TOL = 1e-6
-# Gauss-Legendre points of FreeDensity.continuous_mass
-_MASS_QUAD = 256
 
 
 def _grid(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
@@ -133,57 +135,53 @@ def edge_profile(alpha: float, beta: float) -> LimitProfile:
     """Support endpoints r <= s of the limit density for parameter ratios (alpha, beta).
 
     A = alpha/(2+alpha+beta), B = beta/(2+alpha+beta),
-    D = sqrt((1+A+B)(1-A-B)(1-A+B)(1+A-B)), r,s = B^2 - A^2 -+ D.
+    D = sqrt((1+A+B)(1-A-B)(1-A+B)(1+A-B)), r,s = B^2 - A^2 -+ D.  1-A-B is
+    clamped at 0: it rounds below 0 once one ratio is ~3e17 times the other.
     """
     if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):  # NaN fails every comparison
         raise ParameterError(f"ratios must be finite and >= 0, got alpha={alpha}, beta={beta}")
     den = 2.0 + alpha + beta
     a_ = alpha / den
     b_ = beta / den
-    d = math.sqrt((1 + a_ + b_) * (1 - a_ - b_) * (1 - a_ + b_) * (1 + a_ - b_))
+    d = math.sqrt((1 + a_ + b_) * max(1 - a_ - b_, 0.0) * (1 - a_ + b_) * (1 + a_ - b_))
     return LimitProfile(a_, b_, b_ * b_ - a_ * a_ - d, b_ * b_ - a_ * a_ + d)
+
+
+def _radical_density(x, r: float, s: float, c: float) -> np.ndarray:
+    """sqrt((x-r)(s-x)) / (pi c (1-x^2)) inside the open interval (r, s), 0 elsewhere.
+
+    Points outside (-1, 1) are outside too; they divide by 1, never 0/0.
+    """
+    x = np.asarray(x, dtype=float)
+    inside = (x > max(r, -1.0)) & (x < min(s, 1.0))
+    rad = np.where(inside, (x - r) * (s - x), 0.0)
+    den = np.where(inside, math.pi * c * (1.0 - x * x), 1.0)
+    return np.where(inside, np.sqrt(rad) / den, 0.0)
 
 
 def limit_density(profile: LimitProfile, x):
     """Limiting one-point density sqrt((x-r)(s-x)) / (pi (1-A-B)(1-x^2)).
 
-    Zero outside [r, s].  Accepts scalars or arrays.
+    Zero outside the open interval (r, s), its ends included.  Accepts
+    scalars or arrays.
     """
     if profile.A + profile.B >= 1.0:
         raise RegimeError("profile outside the atom-free regime (A + B >= 1)")
-    x = np.asarray(x, dtype=float)
-    inside = (x >= profile.r) & (x <= profile.s)
-    rad = np.where(inside, (x - profile.r) * (profile.s - x), 0.0)
-    den = math.pi * (1.0 - profile.A - profile.B) * (1.0 - x * x)
-    out = np.where(inside, np.sqrt(rad) / den, 0.0)
+    out = _radical_density(x, profile.r, profile.s, 1.0 - profile.A - profile.B)
     return out.item() if out.ndim == 0 else out
 
 
 @dataclass
 class FreeDensity:
-    """Continuous density on a compact support plus point masses."""
+    """Continuous density on the open support (r-, r+) plus point masses, total 1."""
 
     support: tuple[float, float]
     density: Callable[[np.ndarray], np.ndarray]
     atoms: list[tuple[float, float]] = field(default_factory=list)
 
     def continuous_mass(self) -> float:
-        """Integral of the continuous part.
-
-        Uses the substitution x = m + d*sin(theta) that absorbs the
-        square-root vanishing at both endpoints, so plain Gauss-Legendre in
-        theta, on ``_MASS_QUAD`` points, converges spectrally.
-        """
-        lo, hi = self.support
-        if hi <= lo:
-            return 0.0
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        t, w = gauss_legendre_unit(_MASS_QUAD)
-        theta = 0.5 * math.pi * t
-        x = mid + half * np.sin(theta)
-        vals = self.density(x) * half * np.cos(theta) * 0.5 * math.pi
-        return float(vals @ w)
+        """Integral of the continuous part: one minus the atoms."""
+        return 1.0 - sum(m for _, m in self.atoms)
 
     def total_mass(self) -> float:
         return self.continuous_mass() + sum(m for _, m in self.atoms)
@@ -193,8 +191,12 @@ def free_product_density(alpha: float, beta: float) -> FreeDensity:
     """Spectral law of the product of two free projectors with trace ratios alpha, beta.
 
     [1 - min(alpha,beta)] delta_0 + max(alpha+beta-1, 0) delta_1 plus the
-    continuous part sqrt((r+ - x)(x - r-)) / (2 pi x (1-x)) on [r-, r+],
-    r+- = alpha + beta - 2 alpha beta +- sqrt(4 alpha beta (1-alpha)(1-beta)).
+    continuous part sqrt((r+ - x)(x - r-)) / (2 pi x (1-x)) on the open
+    interval (r-, r+), r+- = alpha + beta - 2 alpha beta +-
+    sqrt(4 alpha beta (1-alpha)(1-beta)): the limit density's formula at
+    y = 2x - 1 with c = 1.  r+- stay in this closed form, since
+    :func:`edge_profile` at the block ratios loses accuracy as min(alpha,
+    beta) -> 0.
 
     The same law governs every construction of the compressed product.  The
     q x q block of the ratio construction with column ratios a, b >= 1
@@ -210,20 +212,11 @@ def free_product_density(alpha: float, beta: float) -> FreeDensity:
     r_minus, r_plus = base - root, base + root
 
     def dens(x):
-        x = np.asarray(x, dtype=float)
-        inside = (x > r_minus) & (x < r_plus) & (x > 0.0) & (x < 1.0)
-        rad = np.where(inside, (r_plus - x) * (x - r_minus), 0.0)
-        den = np.where(inside, 2.0 * math.pi * x * (1.0 - x), 1.0)
-        return np.where(inside, np.sqrt(rad) / den, 0.0)
+        y = 2.0 * np.asarray(x, dtype=float) - 1.0
+        return _radical_density(y, 2.0 * r_minus - 1.0, 2.0 * r_plus - 1.0, 1.0)
 
-    atoms = []
-    mass0 = 1.0 - min(alpha, beta)
-    mass1 = max(alpha + beta - 1.0, 0.0)
-    if mass0 > 0:
-        atoms.append((0.0, mass0))
-    if mass1 > 0:
-        atoms.append((1.0, mass1))
-    return FreeDensity(support=(r_minus, r_plus), density=dens, atoms=atoms)
+    atoms = [(0.0, 1.0 - min(alpha, beta)), (1.0, max(alpha + beta - 1.0, 0.0))]
+    return FreeDensity(support=(r_minus, r_plus), density=dens, atoms=[a for a in atoms if a[1] > 0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ never rounds.  :func:`jacobi_pair` is the table's last two rows.
 Polynomial normalization: P_n(1) equals the binomial coefficient C(n+a, n).
 
 :func:`gauss_legendre_unit` is the Gauss rule of the (0, 0) weight: built
-once per size and shared, read-only, by every quadrature in the package.
+once per size and shared, read-only, by the Fredholm determinants alone.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def chi_zeros(n: int, a: float, b: float) -> tuple[float, float]:
     """
     c2, c1, c0 = chi_numerator(n, a, b)
     disc = c1 * c1 - 4.0 * c2 * c0
-    if disc <= 0.0:
+    if not disc > 0.0:  # a NaN disc, from an overflowed numerator, is no real zero
         raise NumericError(f"chi has no real zeros for n={n}, a={a}, b={b}")
     q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
     r1, r2 = q / c2, c0 / q

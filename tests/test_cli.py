@@ -608,6 +608,34 @@ def test_huge_finite_parameters_are_numeric_failures(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--n", "1", "--a", "1e17", "--b", "1", "--grid=-0.5:0.5:3"],
+        ["kernel", "--regime", "bulk", "--n", "1", "--a", "1e17", "--b", "1", "--ugrid=0:1:2"],
+    ],
+    ids=["density", "kernel-bulk"],
+)
+def test_a_profile_factor_that_rounds_below_zero_is_no_traceback(argv, capsys):
+    # at a/n = 1e17 and b/n = 1 the factor 1 - A - B of the edge profile
+    # rounds below 0; it is clamped, and the regime checks report the case
+    assert main(argv) in (2, 3)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jrmt: ")
+    assert "Traceback" not in captured.err
+
+
+def test_an_overflowed_chi_numerator_is_a_numeric_failure(capsys):
+    # chi_numerator overflows at a ~ 1e77, and its NaN discriminant has no
+    # real zeros, as at a = 1e70; it is not a soft edge outside (-1, 1)
+    argv = ["kernel", "--regime", "soft", "--n", "400", "--a", "1e80", "--b", "3", "--ugrid=0:1:2"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("jrmt: numeric failure: chi has no real zeros")
+    assert "Traceback" not in captured.err
+
+
 _real = st.one_of(st.floats(min_value=-40.0, max_value=40.0), st.sampled_from(["nan", "inf", "-inf"]))
 
 

@@ -1,6 +1,8 @@
 import math
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -267,8 +269,89 @@ def test_profile_rejects_nonfinite_ratio(alpha, beta):
         edge_profile(alpha, beta)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.5), (0.0, 0.0)], ids=["profile", "arcsine"])
+def test_limit_density_is_zero_at_the_ends_of_the_interval(alpha, beta):
+    # the radicand and 1 - x^2 both vanish at +-1 for the arcsine profile
+    p = edge_profile(alpha, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert limit_density(p, -1.0) == 0.0
+        assert limit_density(p, 1.0) == 0.0
+        assert (limit_density(p, np.array([-1.0, 1.0])) == 0.0).all()
+
+
+def test_edge_profile_clamps_a_factor_that_rounds_below_zero():
+    # 1 - A - B = 2e-17 rounds to -5.6e-17 at block ratios (7e16, 3e16),
+    # the ratios banach_angle forms for (1e-17, 0.3)
+    lo, hi = 1e-17, 0.3
+    p = edge_profile((1.0 - lo - hi) / lo, (hi - lo) / lo)
+    assert 1.0 - p.A - p.B < 0.0 and p.r == p.s
+    r_plus = lo + hi - 2.0 * lo * hi + math.sqrt(4.0 * lo * hi * (1.0 - lo) * (1.0 - hi))
+    # the clamp drops D, which adds about 2.9e-9 to cos^2 here: the
+    # edge_profile path is good to a few 1e-9 at this ratio, not to 1e-12
+    assert banach_angle(lo, hi) == pytest.approx(math.acos(math.sqrt(r_plus)), abs=5e-9)
+
+
 # ---------------------------------------------------------------------------
 # free projector product law
+
+_RATIO_GRID = [(i / 20, j / 20) for i in range(21) for j in range(21)]
+
+
+def _exact_continuous_mass(alpha, beta):
+    return min(alpha, beta) - max(alpha + beta - 1.0, 0.0)
+
+
+def test_free_product_continuous_mass_is_exact():
+    worst = max(
+        abs(free_product_density(a, b).continuous_mass() - _exact_continuous_mass(a, b))
+        for a, b in _RATIO_GRID
+    )
+    assert worst <= 1e-15
+
+
+def test_free_product_density_integrates_to_its_continuous_mass():
+    # x = m + d sin(theta) absorbs the square roots at both ends of the support
+    t, w = np.polynomial.legendre.leggauss(512)
+    theta = 0.5 * math.pi * t
+    for alpha, beta in _RATIO_GRID:
+        law = free_product_density(alpha, beta)
+        lo, hi = law.support
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        integrand = law.density(mid + half * np.sin(theta)) * half * np.cos(theta) * 0.5 * math.pi
+        assert float(integrand @ w) == pytest.approx(_exact_continuous_mass(alpha, beta), abs=1e-10), (alpha, beta)
+
+
+@pytest.mark.parametrize("lo", [1e-4, 1e-8, 1e-12])
+def test_free_product_density_is_accurate_at_a_small_ratio(lo):
+    # a support of width ~sqrt(lo): edges formed by subtraction at the block
+    # ratios and divided by lo would lose digits here
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(lo), mpmath.mpf(0.3)
+        root = mpmath.sqrt(4 * a * b * (1 - a) * (1 - b))
+        r_minus, r_plus = a + b - 2 * a * b - root, a + b - 2 * a * b + root
+        law = free_product_density(lo, 0.3)
+        for frac in (0.1, 0.5, 0.9):
+            x = float(r_minus + frac * (r_plus - r_minus))
+            xm = mpmath.mpf(x)
+            exact = mpmath.sqrt((r_plus - xm) * (xm - r_minus)) / (2 * mpmath.pi * xm * (1 - xm))
+            assert abs(float(law.density(x)) / exact - 1) < 1e-9, (lo, frac)
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [(0.2, "0x1.74dda27ac3cfbp-2"), (0.4, "0x1.2e29c1928fa1cp-2"), (0.6, "0x1.21b2865177194p-2")],
+)
+def test_free_product_density_is_bitwise_pinned(x, expected):
+    assert float(free_product_density(0.3, 0.4).density(x)).hex() == expected
+
+
+def test_free_product_density_is_zero_at_zero_and_one():
+    density = free_product_density(0.5, 0.5).density
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert float(density(0.0)) == 0.0
+        assert float(density(1.0)) == 0.0
 
 
 def test_free_product_half_half():
