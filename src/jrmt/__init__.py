@@ -75,5 +75,5 @@ from .limits import (
     sine_kernel,
 )
 from .matalg import eig_hermitian, one_blas_thread, principal_cosines
-from .orthopoly import chi, chi_prime, jacobi_pair
+from .orthopoly import jacobi_pair
 from .randgen import SeededStream, random_isometry

@@ -39,7 +39,7 @@ from .limits import (
     limit_density,
     sine_kernel,
 )
-from .orthopoly import chi_prime, chi_zeros, jacobi_rows, log_gamma_n
+from .orthopoly import chi_zeros, jacobi_rows, log_gamma_n
 
 __all__ = [
     "KernelSpec",
@@ -189,24 +189,32 @@ def finite_profile(spec: KernelSpec):
 def soft_edge(spec: KernelSpec) -> tuple[float, float]:
     """Soft-edge location and scale (s_n, h_n).
 
-    s_n is the upper zero of chi and h_n = (-chi'(s_n))^{1/3}.  chi's zeros
-    come in closed form from :func:`chi_zeros`; the sign of the analytic
-    derivative there guards the arithmetic.  With a <= 1 the upper zero
-    lies at or past 1 and the upper edge is a hard edge.
+    s_n is the upper zero of chi and h_n = (-chi'(s_n))^{1/3}.  chi' is
+    N' / (4(1-x^2)^2) at a zero of chi's numerator N, and N'(s_n) is
+    -sqrt(disc), so :func:`chi_zeros` gives both in closed form:
+    h_n = (sqrt(disc) / (4((1-s_n)(1+s_n))^2))^{1/3}, good to about
+    2e-15 / (1 - |s_n|) relative, and s_n to a few ulps.  With a <= 1 the
+    upper zero lies at or past 1 and the upper edge is a hard edge.  It
+    always lies above -1, so an s_n at -1 has rounded there: a ``NumericError``.
     """
     n, a, b = spec.n, spec.a, spec.b
-    s = chi_zeros(n, a, b)[1]
-    if not -1.0 < s < 1.0:
+    _, s, root = chi_zeros(n, a, b)
+    if not s < 1.0:
         raise RegimeError(f"soft edge needs the turning point inside (-1,1); a={a}, b={b} too small")
-    slope = chi_prime(n, a, b, s)
-    if slope >= 0.0:
-        raise NumericError(f"chi not decreasing at its largest zero (chi'={slope:.3e})")
-    return s, (-slope) ** (1.0 / 3.0)
+    if not s > -1.0:
+        raise NumericError(f"the soft edge rounds to -1 for n={n}, a={a}, b={b}")
+    return s, (root / (4.0 * ((1.0 - s) * (1.0 + s)) ** 2)) ** (1.0 / 3.0)
 
 
 def hard_edge_scale(spec: KernelSpec) -> float:
-    """Hard-edge scale c_n = 2 n^2 (1 + a/n) at the endpoint -1."""
-    return 2.0 * spec.n * spec.n * (1.0 + spec.a / spec.n)
+    """Hard-edge scale c_n = 2 n^2 (1 + a/n) at the endpoint -1.
+
+    A scale that overflows doubles (a near the float limit) is a ``NumericError``.
+    """
+    c = 2.0 * spec.n * spec.n * (1.0 + spec.a / spec.n)
+    if not math.isfinite(c):
+        raise NumericError(f"the hard-edge scale overflows for n={spec.n}, a={spec.a}")
+    return c
 
 
 def local_scaling(
@@ -249,18 +257,25 @@ def rescaled(spec: KernelSpec, regime: str, u, v, x: float | None = None):
     """Rescaled kernel K_n(c + u/h, c + v/h) / h at the ``local_scaling`` of a regime.
 
     An offset whose abscissa leaves (-1, 1) is a ``DomainError`` that names
-    the offset and its window (h (-1 - c), h (1 - c)).
+    the offset and its window (h (-1 - c), h (1 - c)).  An offset inside its
+    window can still leave: c + u/h rounds to -1 or 1 once |u| is far below
+    h |1 -+ c|, and the message then says so.
     """
     c, h, _ = local_scaling(spec, regime, x)
+    lo, hi = h * (-1.0 - c), h * (1.0 - c)
     zs = []
     for name, w in (("u", u), ("v", v)):
         w = np.asarray(w, dtype=float)
         z = c + w / h
         bad = ~((-1.0 < z) & (z < 1.0))
         if bad.any():
-            raise DomainError(
-                f"{name}={w[bad][0]} outside the {regime} window "
-                f"({h * (-1.0 - c):.6g}, {h * (1.0 - c):.6g}) that maps into (-1, 1)"
-            )
+            wb, zb = w[bad][0], z[bad][0]
+            window = f"the {regime} window ({lo:.6g}, {hi:.6g})"
+            if lo < wb < hi:
+                raise DomainError(
+                    f"{name}={wb} is inside {window}, but its abscissa "
+                    f"{c:.17g} + {name}/{h:.6g} rounds to {zb:.17g}, outside (-1, 1)"
+                )
+            raise DomainError(f"{name}={wb} outside {window} that maps into (-1, 1)")
         zs.append(z)
     return kernel(spec, *zs) / h

@@ -183,8 +183,16 @@ class FreeDensity:
         """Integral of the continuous part: one minus the atoms."""
         return 1.0 - sum(m for _, m in self.atoms)
 
-    def total_mass(self) -> float:
-        return self.continuous_mass() + sum(m for _, m in self.atoms)
+
+def _free_edges(alpha: float, beta: float) -> tuple[float, float]:
+    """Support ends r-, r+ = alpha + beta - 2 alpha beta -+ sqrt(4 alpha beta (1-alpha)(1-beta)).
+
+    Every term keeps its relative accuracy as min(alpha, beta) -> 0, where
+    :func:`edge_profile` at the matching Jacobi ratios would lose it.
+    """
+    root = math.sqrt(4.0 * alpha * beta * (1.0 - alpha) * (1.0 - beta))
+    base = alpha + beta - 2.0 * alpha * beta
+    return base - root, base + root
 
 
 def free_product_density(alpha: float, beta: float) -> FreeDensity:
@@ -192,11 +200,8 @@ def free_product_density(alpha: float, beta: float) -> FreeDensity:
 
     [1 - min(alpha,beta)] delta_0 + max(alpha+beta-1, 0) delta_1 plus the
     continuous part sqrt((r+ - x)(x - r-)) / (2 pi x (1-x)) on the open
-    interval (r-, r+), r+- = alpha + beta - 2 alpha beta +-
-    sqrt(4 alpha beta (1-alpha)(1-beta)): the limit density's formula at
-    y = 2x - 1 with c = 1.  r+- stay in this closed form, since
-    :func:`edge_profile` at the block ratios loses accuracy as min(alpha,
-    beta) -> 0.
+    interval (r-, r+) of :func:`_free_edges`: the limit density's formula
+    at y = 2x - 1 with c = 1.
 
     The same law governs every construction of the compressed product.  The
     q x q block of the ratio construction with column ratios a, b >= 1
@@ -207,9 +212,7 @@ def free_product_density(alpha: float, beta: float) -> FreeDensity:
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
         raise ParameterError(f"trace ratios must lie in [0,1], got {alpha}, {beta}")
-    root = math.sqrt(4.0 * alpha * beta * (1.0 - alpha) * (1.0 - beta))
-    base = alpha + beta - 2.0 * alpha * beta
-    r_minus, r_plus = base - root, base + root
+    r_minus, r_plus = _free_edges(alpha, beta)
 
     def dens(x):
         y = 2.0 * np.asarray(x, dtype=float) - 1.0
@@ -287,21 +290,13 @@ def banach_angle(alpha: float, beta: float) -> float:
 
     For subspaces of dimension ratios alpha, beta (alpha + beta < 1) of a
     large space, pairs of unit vectors from the two spans a.s. make an angle
-    of at least theta with cos^2(theta) = s, where s is the top edge of the
-    limiting spectrum of the compressed product of the two projectors.
-
-    Mapping used: the compression onto the smaller subspace (ratios sorted
-    so al <= be) is a Jacobi ensemble of size m = al*n with parameter ratios
-    a/m = (1 - al - be)/al and b/m = (be - al)/al, supported on [0, 1]; its
-    top edge is (s_sym + 1)/2 under the affine change from the symmetric
-    [-1, 1] convention.  Equivalently s is the upper support edge of the
-    free product law, which the tests cross-check.
+    of at least theta with cos^2(theta) = r+, the top edge of the free
+    product law of the two projectors (:func:`free_product_density`), taken
+    in closed form: theta = acos(sqrt(r+)), good to a few ulps even as
+    min(alpha, beta) -> 0.
     """
     if alpha <= 0 or beta <= 0:
         raise ParameterError("dimension ratios must be positive")
     if alpha + beta >= 1.0:
         raise RegimeError(f"needs alpha + beta < 1, got {alpha + beta}")
-    lo, hi = min(alpha, beta), max(alpha, beta)
-    prof = edge_profile((1.0 - lo - hi) / lo, (hi - lo) / lo)
-    cos2 = 0.5 * (prof.s + 1.0)
-    return math.acos(math.sqrt(cos2))
+    return math.acos(math.sqrt(_free_edges(alpha, beta)[1]))

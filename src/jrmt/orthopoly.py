@@ -13,6 +13,13 @@ Polynomial normalization: P_n(1) equals the binomial coefficient C(n+a, n).
 
 :func:`gauss_legendre_unit` is the Gauss rule of the (0, 0) weight: built
 once per size and shared, read-only, by the Fredholm determinants alone.
+
+The weighted polynomial g_n = (1-x)^{(a+1)/2} (1+x)^{(b+1)/2} P_n obeys
+g_n'' = -chi g_n, and the soft edge is the upper zero of chi.  Only chi's
+numerator lives here (:func:`chi_numerator`); :func:`chi_zeros` takes its
+zeros, and the root of its discriminant, in closed form.  The discriminant
+is formed in one place and without cancellation, so s_n keeps a few ulps and
+the scale h_n about 2e-15 / (1 - |s_n|) (see ``cdkernel.soft_edge``).
 """
 
 from __future__ import annotations
@@ -22,15 +29,13 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 
 __all__ = [
     "gauss_legendre_unit",
     "jacobi_rows",
     "jacobi_pair",
     "log_gamma_n",
-    "chi",
-    "chi_prime",
     "chi_numerator",
     "chi_zeros",
 ]
@@ -149,45 +154,12 @@ def log_gamma_n(n: int, a: float, b: float) -> float:
         raise NumericError(f"log-Gamma overflows in gamma_n for n={n}, a={a}, b={b}") from None
 
 
-def chi(n: int, a: float, b: float, x: float) -> float:
-    """Coefficient function of the second-order ODE satisfied by g_n.
-
-    g_n = (1-x)^{(a+1)/2} (1+x)^{(b+1)/2} P_n^{a,b}(x) is the weighted
-    polynomial, and
-
-    chi(x) = (1-a^2)/(4(1-x)^2) + (1-b^2)/(4(1+x)^2)
-             + (2n(n+a+b+1) + (a+1)(b+1)) / (2(1-x^2)).
-
-    Sign convention: with this definition the weighted polynomial g_n obeys
-    g_n'' = -chi * g_n, so chi > 0 on the oscillatory band and chi < 0
-    outside it once a, b > 1.
-    """
-    if not -1.0 < x < 1.0:
-        raise DomainError(f"x={x} outside (-1, 1)")
-    big = 2.0 * n * (n + a + b + 1.0) + (a + 1.0) * (b + 1.0)
-    return (
-        (1.0 - a * a) / (4.0 * (1.0 - x) ** 2)
-        + (1.0 - b * b) / (4.0 * (1.0 + x) ** 2)
-        + big / (2.0 * (1.0 - x * x))
-    )
-
-
-def chi_prime(n: int, a: float, b: float, x: float) -> float:
-    """Analytic x-derivative of :func:`chi`."""
-    if not -1.0 < x < 1.0:
-        raise DomainError(f"x={x} outside (-1, 1)")
-    big = 2.0 * n * (n + a + b + 1.0) + (a + 1.0) * (b + 1.0)
-    return (
-        (1.0 - a * a) / (2.0 * (1.0 - x) ** 3)
-        - (1.0 - b * b) / (2.0 * (1.0 + x) ** 3)
-        + big * x / (1.0 - x * x) ** 2
-    )
-
-
 def chi_numerator(n: int, a: float, b: float) -> tuple[float, float, float]:
     """Quadratic (c2, c1, c0) with chi(x) = (c2 x^2 + c1 x + c0) / (4(1-x^2)^2).
 
-    chi's zeros are the roots of this quadratic; c2 < 0 for all n >= 1.
+    chi(x) = (1-a^2)/(4(1-x)^2) + (1-b^2)/(4(1+x)^2) + big/(2(1-x^2)) with
+    big = 2n(n+a+b+1) + (a+1)(b+1).  chi's zeros are the roots of this
+    quadratic; c2 < 0 for all n >= 1.
     """
     big = 2.0 * n * (n + a + b + 1.0) + (a + 1.0) * (b + 1.0)
     c2 = 2.0 - a * a - b * b - 2.0 * big
@@ -196,16 +168,23 @@ def chi_numerator(n: int, a: float, b: float) -> tuple[float, float, float]:
     return c2, c1, c0
 
 
-def chi_zeros(n: int, a: float, b: float) -> tuple[float, float]:
-    """The two real zeros r < s of chi, roots of :func:`chi_numerator`.
+def chi_zeros(n: int, a: float, b: float) -> tuple[float, float, float]:
+    """The two real zeros r < s of chi and the root sqrt(disc) of its discriminant.
 
-    Cancellation-free closed form: with q = -(c1 + sign(c1) sqrt(disc))/2
-    the roots are q/c2 and c0/q.
+    disc = c1^2 - 4 c2 c0 = 16 [d (d + 2ab) + a^2 + b^2 - 1] with
+    d = 2n(n+a+b+1) + a + b + 1: every term but the -1 is positive and
+    d^2 >= 25, so disc has no cancellation and chi two real zeros for all
+    n >= 1 and a, b >= 0.  The roots are q/c2 and c0/q with
+    q = -(c1 + sign(c1) sqrt(disc))/2, and the numerator's slope is
+    -sqrt(disc) at s and sqrt(disc) at r.  A disc that overflows doubles
+    (a or b beyond about 1e150) raises ``NumericError``.
     """
     c2, c1, c0 = chi_numerator(n, a, b)
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if not disc > 0.0:  # a NaN disc, from an overflowed numerator, is no real zero
-        raise NumericError(f"chi has no real zeros for n={n}, a={a}, b={b}")
-    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    d = 2.0 * n * (n + a + b + 1.0) + a + b + 1.0
+    disc = 16.0 * (d * (d + 2.0 * a * b) + (a * a + b * b - 1.0))
+    if not math.isfinite(disc):
+        raise NumericError(f"chi's discriminant overflows for n={n}, a={a}, b={b}")
+    root = math.sqrt(disc)
+    q = -0.5 * (c1 + math.copysign(root, c1))
     r1, r2 = q / c2, c0 / q
-    return min(r1, r2), max(r1, r2)
+    return min(r1, r2), max(r1, r2), root

@@ -1,8 +1,9 @@
 """Regenerate the frozen reference tables in test_limits.py and test_cdkernel.py.
 
 Independent arbitrary-precision evaluation (mpmath: 40 significant digits
-for the special functions, 50 for the Bessel-kernel diagonal, 60 for the
-finite-n kernel); run manually when a spot-point list changes, and paste the
+for the special functions, 50 for the Bessel-kernel diagonal and the free
+product's top edge, 60 for the finite-n kernel, 80 for the soft edge); run
+manually when a spot-point list changes, and paste the
 output over the tables:
 
     python tests/make_special_refs.py
@@ -123,6 +124,52 @@ def _cd_table():
     print("]\n")
 
 
+# soft-edge cases (n, a, b): the report and pinned triples, edges near +-1,
+# a = b far above n, and a ratio a/n of 2.5e9
+SOFT_EDGE_CASES = [
+    (12, 6.0, 3.0), (100, 50.0, 25.0), (400, 200.0, 100.0), (400, 200.0, 2.0),
+    (1000, 5.0, 900.0), (20, 1.2, 30.0), (12, 1e7, 3.0), (400, 1e9, 1e9),
+    (1000, 1.5, 3.5e6), (400, 1e12, 3.0),
+]
+
+
+def _soft_edge_table():
+    """(s_n, h_n): the upper root of chi's numerator and (-chi'(s_n))^{1/3},
+    chi' differentiated term by term, not through the discriminant."""
+    print("SOFT_EDGE_REFERENCE = [")
+    with mp.workdps(80):
+        for n, a, b in SOFT_EDGE_CASES:
+            a_, b_ = mp.mpf(a), mp.mpf(b)
+            big = 2 * n * (n + a_ + b_ + 1) + (a_ + 1) * (b_ + 1)
+            c2 = 2 - a_ * a_ - b_ * b_ - 2 * big
+            c1 = 2 * (b_ * b_ - a_ * a_)
+            c0 = 2 - a_ * a_ - b_ * b_ + 2 * big
+            s = (-c1 - mp.sqrt(c1 * c1 - 4 * c2 * c0)) / (2 * c2)
+            slope = (
+                (1 - a_ * a_) / (2 * (1 - s) ** 3)
+                - (1 - b_ * b_) / (2 * (1 + s) ** 3)
+                + big * s / (1 - s * s) ** 2
+            )
+            h = mp.cbrt(-slope)
+            print(f'    ({n}, {a!r}, {b!r}, "{mp.nstr(s, 25)}", "{mp.nstr(h, 25)}"),')
+    print("]\n")
+
+
+# subspace ratios (lo, 0.3) of the minimal angle, lo far below 0.3
+BANACH_LOS = [1e-12, 1e-15, 1e-17]
+
+
+def _banach_table():
+    """acos(sqrt(r+)), r+ = al + be - 2 al be + sqrt(4 al be (1-al)(1-be))."""
+    print("BANACH_REFERENCE = [")
+    with mp.workdps(50):
+        for lo in BANACH_LOS:
+            al, be = mp.mpf(lo), mp.mpf(0.3)
+            r_plus = al + be - 2 * al * be + mp.sqrt(4 * al * be * (1 - al) * (1 - be))
+            print(f'    ({lo!r}, 0.3, "{mp.nstr(mp.acos(mp.sqrt(r_plus)), 25)}"),')
+    print("]\n")
+
+
 def main():
     _airy_table("AI_REFERENCE", AI_POINTS, 0)
     _airy_table("AIP_REFERENCE", AI_POINTS, 1)
@@ -132,6 +179,8 @@ def main():
     _bessel_table("BESSEL_WIDE_REFERENCE", J_WIDE_POINTS)
     _bessel_diag_table()
     _cd_table()
+    _soft_edge_table()
+    _banach_table()
 
 
 if __name__ == "__main__":

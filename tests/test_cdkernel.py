@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -442,6 +443,33 @@ def test_soft_edge_location_near_profile_edge():
     prof = finite_profile(spec)
     assert s == pytest.approx(prof.s, abs=5e-3)
     assert h > 0
+
+
+# mpmath reference values (tests/make_special_refs.py, 80 digits) of s_n,
+# the upper root of chi's numerator, and h_n = (-chi'(s_n))^{1/3}, with chi'
+# differentiated term by term
+SOFT_EDGE_REFERENCE = [
+    (12, 6.0, 3.0, "0.9389578257945668135215797", "34.10571059768248628786802"),
+    (100, 50.0, 25.0, "0.9338273094665243338042376", "130.6326485611780384408684"),
+    (400, 200.0, 100.0, "0.9334379917732785005640036", "327.3107856078133806679059"),
+    (400, 200.0, 2.0, "0.9204795106604692669048258", "274.6148958610082563027138"),
+    (1000, 5.0, 900.0, "0.99999371302592379482843", "289029.7101335484274687489"),
+    (20, 1.2, 30.0, "0.9997959537759852431925818", "2348.26636068874933076784"),
+    (12, 10000000.0, 3.0, "-0.9999888286915286438834074", "823296.1419574908883574005"),
+    (400, 1000000000.0, 1000000000.0, "0.0008949857645796702618475065", "121417.8082303503052818788"),
+    (1000, 1.5, 3500000.0, "0.9999999998217024989748334", "3806022982.090440457950843"),
+    (400, 1000000000000.0, 3.0, "-0.9999999967840099541580183", "26885698657.41416453073597"),
+]
+
+
+@pytest.mark.parametrize("n,a,b,s_ref,h_ref", SOFT_EDGE_REFERENCE)
+def test_soft_edge_matches_the_mpmath_reference(n, a, b, s_ref, h_ref):
+    # s_n to a few ulps; h_n to 2e-15 / (1 - |s_n|), the rounding of s_n
+    # carried into 1 -+ s_n; compared exactly, the reference unrounded
+    s, h = soft_edge(KernelSpec(n, a, b))
+    s_ref, h_ref = Fraction(s_ref), Fraction(h_ref)
+    assert abs(Fraction(s) - s_ref) <= Fraction(4e-16) * abs(s_ref)
+    assert abs(Fraction(h) - h_ref) <= Fraction(2e-15) / (1 - abs(s_ref)) * h_ref
 
 
 def test_soft_edge_scale_against_closed_form():

@@ -161,7 +161,7 @@ def test_kernel_soft_runs(tmp_path):
           "--ugrid=-1:1:3", "--vgrid=-0.5:0.5:2"],
          "da55c3f04cca30ecf1e32ac7aafddf8a150dee4b425caef335fc85d3935e23d8"),
         (["kernel", "--regime", "soft", "--n", "100", "--a", "50", "--b", "25", "--ugrid=-2:1:4"],
-         "a6eaf5e4866d07b267676eb78282db2b3cd6d88dce5fac63689413d5aba3559e"),
+         "83eced5726602a6c38739d08d4f6e2a63bd8220c8b4c63c53d688fe89b742887"),
         (["kernel", "--regime", "hard", "--n", "100", "--a", "50", "--b", "2", "--ugrid", "1:4:3"],
          "55d66fa6a610f3231842185714a1bfa8b255d857233926eecf0b4c41e5411b91"),
         (["density", "--n", "12", "--a", "6", "--b", "3", "--grid=-0.5:0.5:5"],
@@ -289,6 +289,18 @@ def test_kernel_names_the_grid_value_outside_its_window(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def test_kernel_names_an_offset_inside_its_window_that_rounds_out(capsys):
+    # u = 1 lies inside (0, 4e22), but -1 + u/h rounds to -1 at h = 2e22
+    argv = ["kernel", "--regime", "hard", "--n", "100", "--a", "1e20", "--b", "1", "--ugrid=1:2:2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "jrmt: u=1.0 is inside the hard window (0, 4e+22), but its abscissa "
+        "-1 + u/2e+22 rounds to -1, outside (-1, 1)\n"
+    )
 
 
 def test_angles_rejects_bad_ranks():
@@ -627,13 +639,42 @@ def test_a_profile_factor_that_rounds_below_zero_is_no_traceback(argv, capsys):
 
 
 def test_an_overflowed_chi_numerator_is_a_numeric_failure(capsys):
-    # chi_numerator overflows at a ~ 1e77, and its NaN discriminant has no
-    # real zeros, as at a = 1e70; it is not a soft edge outside (-1, 1)
+    # c1^2 of chi's numerator overflows at a ~ 1e77, but its discriminant,
+    # formed without it, stays finite; the soft edge, about 4n/a above -1,
+    # rounds to -1, and that is no soft edge outside (-1, 1)
     argv = ["kernel", "--regime", "soft", "--n", "400", "--a", "1e80", "--b", "3", "--ugrid=0:1:2"]
     assert main(argv) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith("jrmt: numeric failure: chi has no real zeros")
+    assert captured.err.startswith("jrmt: numeric failure: the soft edge rounds to -1")
     assert "Traceback" not in captured.err
+
+
+def test_an_overflowed_chi_discriminant_is_a_numeric_failure(capsys):
+    argv = ["kernel", "--regime", "soft", "--n", "400", "--a", "1e160", "--b", "3", "--ugrid=0:1:2"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("jrmt: numeric failure: chi's discriminant overflows")
+    assert "Traceback" not in captured.err
+
+
+def test_kernel_soft_finds_the_edge_at_a_far_above_n(tmp_path):
+    # c1^2 - 4 c2 c0 cancels to below 0 here; the discriminant in closed form
+    # has two real zeros, and the edge sits 3.2e-9 above -1
+    out = tmp_path / "k.csv"
+    argv = ["kernel", "--regime", "soft", "--n", "400", "--a", "1e12", "--b", "3", "--ugrid=-1:1:3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    meta, _, rows = _read_csv(out)
+    assert -1.0 < meta["edge"] < -0.999999996 and meta["scale"] > 0
+    assert np.isfinite(rows).all()
+
+
+def test_an_overflowed_hard_edge_scale_is_a_numeric_failure(capsys):
+    # 2 n^2 (1 + a/n) overflows to inf; it is no window (nan, inf) of a usage error
+    argv = ["kernel", "--regime", "hard", "--n", "3", "--a", "1e308", "--b", "1", "--ugrid=1:2:2"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "jrmt: numeric failure: the hard-edge scale overflows for n=3, a=1e+308\n"
 
 
 _real = st.one_of(st.floats(min_value=-40.0, max_value=40.0), st.sampled_from(["nan", "inf", "-inf"]))

@@ -133,7 +133,7 @@ def test_run_experiment_rejects_unknown_regime():
                 regime="soft", ns=(100, 200, 400), alpha=0.5, beta=0.25,
                 u_grid=tuple(np.linspace(-3.0, 1.5, 7)),
             ),
-            ("0x1.1f6cc28e48d98p-3", "0x1.a6b9d5315240cp-4", "0x1.29f5b89998590p-4"),
+            ("0x1.1f6cc28e48d92p-3", "0x1.a6b9d53152438p-4", "0x1.29f5b899985a4p-4"),
         ),
         (
             ExperimentSpec(

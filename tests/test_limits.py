@@ -282,14 +282,10 @@ def test_limit_density_is_zero_at_the_ends_of_the_interval(alpha, beta):
 
 def test_edge_profile_clamps_a_factor_that_rounds_below_zero():
     # 1 - A - B = 2e-17 rounds to -5.6e-17 at block ratios (7e16, 3e16),
-    # the ratios banach_angle forms for (1e-17, 0.3)
+    # the Jacobi ratios of subspace ratios (1e-17, 0.3)
     lo, hi = 1e-17, 0.3
     p = edge_profile((1.0 - lo - hi) / lo, (hi - lo) / lo)
     assert 1.0 - p.A - p.B < 0.0 and p.r == p.s
-    r_plus = lo + hi - 2.0 * lo * hi + math.sqrt(4.0 * lo * hi * (1.0 - lo) * (1.0 - hi))
-    # the clamp drops D, which adds about 2.9e-9 to cos^2 here: the
-    # edge_profile path is good to a few 1e-9 at this ratio, not to 1e-12
-    assert banach_angle(lo, hi) == pytest.approx(math.acos(math.sqrt(r_plus)), abs=5e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +354,6 @@ def test_free_product_half_half():
     m = free_product_density(0.5, 0.5)
     assert m.support == pytest.approx((0.0, 1.0))
     assert m.atoms == [(0.0, 0.5)]
-
-
-def test_free_product_total_mass():
-    for alpha, beta in [(0.3, 0.6), (0.5, 0.5)]:
-        assert free_product_density(alpha, beta).total_mass() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_free_product_degenerate_full_projector():
@@ -610,6 +601,33 @@ def test_banach_angle_matches_free_product_edge():
         theta = banach_angle(alpha, beta)
         m = free_product_density(alpha, beta)
         assert math.cos(theta) ** 2 == pytest.approx(m.support[1], rel=1e-12)
+
+
+# mpmath reference values (tests/make_special_refs.py, 50 digits) of the
+# minimal angle at (lo, 0.3), lo far below 0.3
+BANACH_REFERENCE = [
+    (1e-12, 0.3, "0.9911555864311923312548995"),
+    (1e-15, 0.3, "0.9911565548084157297377563"),
+    (1e-17, 0.3, "0.9911565832689146712531767"),
+]
+
+
+@pytest.mark.parametrize("lo,hi,ref", BANACH_REFERENCE)
+def test_banach_angle_keeps_its_accuracy_as_one_ratio_vanishes(lo, hi, ref):
+    assert abs(Fraction(banach_angle(lo, hi)) - Fraction(ref)) <= Fraction(1e-15)
+
+
+@pytest.mark.parametrize(
+    "q, qprime, n, pinned",
+    [
+        (50, 60, 200, "0x1.dec7798a1107fp-2"),
+        (15, 18, 60, "0x1.dec7798a1107fp-2"),
+        (4, 5, 20, "0x1.2ac70edaa0924p-1"),
+    ],
+)
+def test_banach_angle_is_bitwise_pinned(q, qprime, n, pinned):
+    # the ratios of the `jrmt angles` runs the CLI tests make
+    assert banach_angle(q / n, qprime / n).hex() == pinned
 
 
 def test_banach_angle_rejects_oversized_ratios():

@@ -6,17 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jrmt.cdkernel import KernelSpec, _log_weight_half
+from jrmt.cdkernel import KernelSpec, _log_weight_half, soft_edge
 from jrmt.errors import DomainError, ParameterError
-from jrmt.orthopoly import (
-    chi,
-    chi_numerator,
-    chi_prime,
-    chi_zeros,
-    jacobi_pair,
-    log_gamma_n,
-)
-from tests.wkb_oracle import interior_asymptotic, log_gamma_n_stirling, oscillation_angles
+from jrmt.orthopoly import chi_numerator, chi_zeros, jacobi_pair, log_gamma_n
+from tests.wkb_oracle import chi, interior_asymptotic, log_gamma_n_stirling, oscillation_angles
 
 
 def _poly(n, a, b, x):
@@ -244,9 +237,12 @@ def test_chi_small_case():
 
 
 def test_chi_prime_finite_difference():
-    n, a, b, x, h = 10, 5.0, 2.0, 0.4, 1e-6
-    fd = (chi(n, a, b, x + h) - chi(n, a, b, x - h)) / (2 * h)
-    assert chi_prime(n, a, b, x) == pytest.approx(fd, rel=1e-6)
+    # the soft-edge scale h_n comes from the discriminant, not from chi'; a
+    # central difference of the oracle chi checks h_n^3 = -chi'(s_n)
+    n, a, b, step = 10, 5.0, 2.0, 1e-6
+    s, h = soft_edge(KernelSpec(n, a, b))
+    fd = (chi(n, a, b, s + step) - chi(n, a, b, s - step)) / (2 * step)
+    assert h**3 == pytest.approx(-fd, rel=1e-6)
 
 
 def test_chi_numerator_matches_chi():
@@ -260,8 +256,9 @@ def test_chi_numerator_matches_chi():
 @pytest.mark.parametrize("n,a,b", [(12, 6.0, 3.0), (400, 200.0, 200.0), (50, 0.0, 40.0)])
 def test_chi_zeros_are_roots_of_numerator(n, a, b):
     c2, c1, c0 = chi_numerator(n, a, b)
-    r, s = chi_zeros(n, a, b)
+    r, s, root = chi_zeros(n, a, b)
     assert r < s
+    assert root == pytest.approx(math.sqrt(c1 * c1 - 4 * c2 * c0), rel=1e-12)
     assert (r, s) == pytest.approx(sorted(np.roots([c2, c1, c0]).real), rel=1e-12, abs=1e-15)
 
 

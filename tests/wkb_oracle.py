@@ -2,8 +2,10 @@
 
 The Stirling approximant of the Christoffel-Darboux constant and the WKB
 (Liouville-Green) interior asymptotic of P_n^{a,b} are independent of the
-recurrence the package evaluates, so the tests compare the two.  Results are
-plain floats: a value, or the log of a magnitude that would overflow.
+recurrence the package evaluates, so the tests compare the two.  The ODE
+coefficient chi, whose zeros and slope give the soft edge, is here in its
+direct form for the same reason.  Results are plain floats: a value, or the
+log of a magnitude that would overflow.
 """
 
 from __future__ import annotations
@@ -13,6 +15,29 @@ from dataclasses import dataclass
 
 from jrmt.errors import DomainError, ParameterError
 from jrmt.orthopoly import chi_numerator, chi_zeros
+
+
+def chi(n: int, a: float, b: float, x: float) -> float:
+    """Coefficient function of the second-order ODE satisfied by g_n.
+
+    g_n = (1-x)^{(a+1)/2} (1+x)^{(b+1)/2} P_n^{a,b}(x) is the weighted
+    polynomial, and
+
+    chi(x) = (1-a^2)/(4(1-x)^2) + (1-b^2)/(4(1+x)^2)
+             + (2n(n+a+b+1) + (a+1)(b+1)) / (2(1-x^2)).
+
+    Sign convention: with this definition the weighted polynomial g_n obeys
+    g_n'' = -chi * g_n, so chi > 0 on the oscillatory band and chi < 0
+    outside it once a, b > 1.
+    """
+    if not -1.0 < x < 1.0:
+        raise DomainError(f"x={x} outside (-1, 1)")
+    big = 2.0 * n * (n + a + b + 1.0) + (a + 1.0) * (b + 1.0)
+    return (
+        (1.0 - a * a) / (4.0 * (1.0 - x) ** 2)
+        + (1.0 - b * b) / (4.0 * (1.0 + x) ** 2)
+        + big / (2.0 * (1.0 - x * x))
+    )
 
 
 def log_sq_norm(n: int, a: float, b: float) -> float:
@@ -123,7 +148,7 @@ def interior_asymptotic(n: int, a: float, b: float, x: float) -> float:
             f"turning points of chi leave (-1,1) for a={a}, b={b}; oracle needs a, b > 1"
         )
     c2 = chi_numerator(n, a, b)[0]
-    r, s = chi_zeros(n, a, b)
+    r, s, _ = chi_zeros(n, a, b)
     q = -c2 * (s - x) * (x - r)
     if q <= 0.0 or not (r < x < s):
         raise DomainError(f"x={x} outside the finite-n oscillatory band ({r:.6f}, {s:.6f})")
