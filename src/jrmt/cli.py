@@ -176,14 +176,11 @@ def cmd_tw(args) -> str:
 
 def cmd_angles(args) -> str:
     _check_trials(args.trials)
-    if not (1 <= args.q <= args.n and 1 <= args.qprime <= args.n):
-        raise ParameterError("need 1 <= q, qprime <= n")
+    pair = reduce_ranks(args.n, args.q, args.qprime).canonical
+    # banach_angle admits only q + q' < n, where the plan only orders the ranks
     theta = banach_angle(args.q / args.n, args.qprime / args.n)
-    # banach_angle admits only q + q' < n, the canonical regime of sample_largest
-    lo, hi = sorted((args.q, args.qprime))
-    cos2 = np.array(
-        [sample_largest(SeededStream(args.seed, t), args.n, lo, hi) for t in range(args.trials)]
-    )
+    streams = (SeededStream(args.seed, t) for t in range(args.trials))
+    cos2 = np.array([sample_largest(s, args.n, pair.q, pair.q_tilde) for s in streams])
     config = _config(
         args,
         note="max cos^2 is the top eigenvalue of the compressed projector block, "

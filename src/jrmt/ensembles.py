@@ -183,9 +183,13 @@ class ReductionPlan:
 
     canonical: ProjectorPair | None
     eigen_map: str
-    kept_count: int
     ones: int
     zeros: int
+
+    @property
+    def kept_count(self) -> int:
+        """min(q, q_tilde, n - q, n - q_tilde): the canonical rank q, or 0."""
+        return 0 if self.canonical is None else self.canonical.q
 
     def apply(self, canonical_values: np.ndarray) -> np.ndarray:
         """Map canonical-ensemble eigenvalues to the original block spectrum."""
@@ -206,15 +210,11 @@ def reduce_ranks(n: int, q: int, q_tilde: int) -> ReductionPlan:
 
     Case analysis: a rank swap conjugates the product and keeps eigenvalues;
     replacing the rotated projector by its complement (rank n - q_tilde)
-    reflects the block spectrum about 1/2.    When both ranks are oversized
+    reflects the block spectrum about 1/2.  When both ranks are oversized
     the two reflections cancel, leaving the identity map onto the canonical
     pair (n-q, n-q_tilde).
     """
-    if not (1 <= q <= n and 1 <= q_tilde <= n):
-        raise ParameterError(f"need 1 <= q, q_tilde <= n, got n={n}, q={q}, q_tilde={q_tilde}")
-    kept = min(q, q_tilde, n - q, n - q_tilde)
-    ones = max(0, q + q_tilde - n)
-    zeros = q - kept - ones
+    ProjectorPair(n, q, q_tilde)  # validates the ranks
     if q + q_tilde <= n:
         canon = (q, q_tilde) if q <= q_tilde else (q_tilde, q)
         emap = "identity"
@@ -225,10 +225,10 @@ def reduce_ranks(n: int, q: int, q_tilde: int) -> ReductionPlan:
         canon = (n - q, n - q_tilde)
         emap = "reflect-then-identity"
     cq, cqt = canon
-    if cq < 1:
-        # rotated projector (or a complement) is the whole space: nothing random
-        return ReductionPlan(None, emap, 0, ones, zeros)
-    return ReductionPlan(ProjectorPair(n, cq, cqt), emap, kept, ones, zeros)
+    ones = max(0, q + q_tilde - n)
+    # cq == 0: the rotated projector (or a complement) is the whole space, nothing random
+    pair = ProjectorPair(n, cq, cqt) if cq >= 1 else None
+    return ReductionPlan(pair, emap, ones, q - cq - ones)
 
 
 def _beta_jacobi(gen, n: int, q: int, q_tilde: int) -> tuple[np.ndarray, np.ndarray]:

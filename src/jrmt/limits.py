@@ -1,9 +1,9 @@
 """Limiting objects: spectral densities, edge profiles, sine/Airy/Bessel kernels.
 
 The limit density and the free-projector law share one formula,
-sqrt((x-r)(s-x)) / (pi c (1-x^2)) on an open (r, s): at x in (-1, 1) with
-c = 1-A-B, and at x = 2 lambda - 1 with c = 1.  The free law's continuous
-mass is exact: one minus its atoms.
+sqrt((x-r)(s-x)) / (pi c (x-lo)(hi-x)) on an open (r, s) inside the law's
+own interval (lo, hi): (-1, 1) with c = 1-A-B, and (0, 1) with c = 2.  The
+free law's continuous mass is exact: one minus its atoms.
 
 The Airy, Bessel and finite-n kernels all have the integrable form
 (f(x) g(y) - g(x) f(y)) / (x - y); :func:`_integrable_kernel` evaluates any
@@ -15,6 +15,7 @@ rule, symmetric in its two ends, by default the diagonal at the midpoint.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -147,27 +148,27 @@ def edge_profile(alpha: float, beta: float) -> LimitProfile:
     return LimitProfile(a_, b_, b_ * b_ - a_ * a_ - d, b_ * b_ - a_ * a_ + d)
 
 
-def _radical_density(x, r: float, s: float, c: float) -> np.ndarray:
-    """sqrt((x-r)(s-x)) / (pi c (1-x^2)) inside the open interval (r, s), 0 elsewhere.
+def _radical_density(x, r: float, s: float, lo: float, hi: float, c: float) -> np.ndarray:
+    """sqrt((x-r)(s-x)) / (pi c (x-lo)(hi-x)) inside the open interval (r, s), 0 elsewhere.
 
-    Points outside (-1, 1) are outside too; they divide by 1, never 0/0.
+    Points outside (lo, hi) are outside too; they divide by 1, never 0/0.
     """
     x = np.asarray(x, dtype=float)
-    inside = (x > max(r, -1.0)) & (x < min(s, 1.0))
+    inside = (x > max(r, lo)) & (x < min(s, hi))
     rad = np.where(inside, (x - r) * (s - x), 0.0)
-    den = np.where(inside, math.pi * c * (1.0 - x * x), 1.0)
+    den = np.where(inside, math.pi * c * (x - lo) * (hi - x), 1.0)
     return np.where(inside, np.sqrt(rad) / den, 0.0)
 
 
 def limit_density(profile: LimitProfile, x):
-    """Limiting one-point density sqrt((x-r)(s-x)) / (pi (1-A-B)(1-x^2)).
+    """Limiting one-point density sqrt((x-r)(s-x)) / (pi (1-A-B)(x+1)(1-x)).
 
     Zero outside the open interval (r, s), its ends included.  Accepts
     scalars or arrays.
     """
     if profile.A + profile.B >= 1.0:
         raise RegimeError("profile outside the atom-free regime (A + B >= 1)")
-    out = _radical_density(x, profile.r, profile.s, 1.0 - profile.A - profile.B)
+    out = _radical_density(x, profile.r, profile.s, -1.0, 1.0, 1.0 - profile.A - profile.B)
     return out.item() if out.ndim == 0 else out
 
 
@@ -201,7 +202,7 @@ def free_product_density(alpha: float, beta: float) -> FreeDensity:
     [1 - min(alpha,beta)] delta_0 + max(alpha+beta-1, 0) delta_1 plus the
     continuous part sqrt((r+ - x)(x - r-)) / (2 pi x (1-x)) on the open
     interval (r-, r+) of :func:`_free_edges`: the limit density's formula
-    at y = 2x - 1 with c = 1.
+    on (0, 1) with c = 2.
 
     The same law governs every construction of the compressed product.  The
     q x q block of the ratio construction with column ratios a, b >= 1
@@ -213,13 +214,9 @@ def free_product_density(alpha: float, beta: float) -> FreeDensity:
     if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
         raise ParameterError(f"trace ratios must lie in [0,1], got {alpha}, {beta}")
     r_minus, r_plus = _free_edges(alpha, beta)
-
-    def dens(x):
-        y = 2.0 * np.asarray(x, dtype=float) - 1.0
-        return _radical_density(y, 2.0 * r_minus - 1.0, 2.0 * r_plus - 1.0, 1.0)
-
     atoms = [(0.0, 1.0 - min(alpha, beta)), (1.0, max(alpha + beta - 1.0, 0.0))]
-    return FreeDensity(support=(r_minus, r_plus), density=dens, atoms=[a for a in atoms if a[1] > 0])
+    density = functools.partial(_radical_density, r=r_minus, s=r_plus, lo=0.0, hi=1.0, c=2.0)
+    return FreeDensity(support=(r_minus, r_plus), density=density, atoms=[a for a in atoms if a[1] > 0])
 
 
 # ---------------------------------------------------------------------------

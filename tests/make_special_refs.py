@@ -62,6 +62,10 @@ CD_DIAG_TOL = 1e-6  # jrmt.limits.DIAG_TOL
 # cases that also get near pairs far inside DIAG_TOL, 1e-8 apart
 CD_CLOSE_CASES = [(10, 3.0, 1.5), (400, 200.0, 2.0)]
 CD_CLOSE_STEP = 1e-8
+# cases and abscissae that also get pairs just outside DIAG_TOL, where the
+# quotient cancels most
+CD_OUTSIDE_POINTS = {(400, 200.0, 2.0): 0.92, (400, 200.0, 100.0): -0.025}
+CD_OUTSIDE_STEPS = [1.1e-6, 3e-6, 1e-5]
 
 
 def _band(n, a, b):
@@ -75,14 +79,18 @@ def _band(n, a, b):
 
 def _cd_pairs(n, a, b):
     """(class, x, y): off-diagonal, diagonal and just-inside-DIAG_TOL pairs
-    in the bulk, at the soft edge and near x = -1, and for CD_CLOSE_CASES
-    pairs CD_CLOSE_STEP apart at the same points."""
+    in the bulk, at the soft edge and near x = -1, for CD_CLOSE_CASES
+    pairs CD_CLOSE_STEP apart at the same points, and for the cases of
+    CD_OUTSIDE_POINTS pairs CD_OUTSIDE_STEPS apart at their point."""
     mid, edge = _band(n, a, b)
     pairs = []
     for x, step in ((mid, 0.01), (edge, -0.01), (-0.999, 0.002)):
         pairs += [("off", x, x + step), ("diag", x, x), ("near", x, x + 0.9 * CD_DIAG_TOL)]
     if (n, a, b) in CD_CLOSE_CASES:
         pairs += [("near", x, x + CD_CLOSE_STEP) for x in (mid, edge, -0.999)]
+    if (n, a, b) in CD_OUTSIDE_POINTS:
+        x = CD_OUTSIDE_POINTS[n, a, b]
+        pairs += [("outside", x, x + step) for step in CD_OUTSIDE_STEPS]
     return pairs
 
 

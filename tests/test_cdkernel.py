@@ -155,7 +155,8 @@ def test_kernel_trace_equals_rank():
 # mpmath reference values (tests/make_special_refs.py, 60 digits) for the
 # off-diagonal formula, the exact diagonal and pairs just inside DIAG_TOL,
 # in the bulk, at the upper band edge and near x = -1; two cases add pairs
-# 1e-8 apart at the same points
+# 1e-8 apart at the same points, and two add pairs 1.1e-6, 3e-6 and 1e-5
+# apart, just outside DIAG_TOL, at one point each
 CD_KERNEL_REFERENCE = [
     ("off", 10, 3.0, 1.5, -0.011, -0.0009999999999999992, "3.877932412031996288889214"),
     ("diag", 10, 3.0, 1.5, -0.011, -0.011, "3.868886274628183644156525"),
@@ -187,6 +188,9 @@ CD_KERNEL_REFERENCE = [
     ("off", 400, 200.0, 100.0, -0.999, -0.997, "8.608569868947944537440726e-76"),
     ("diag", 400, 200.0, 100.0, -0.999, -0.999, "2.241424867115806234312676e-98"),
     ("near", 400, 200.0, 100.0, -0.999, -0.9989991, "2.341505179909895544998988e-98"),
+    ("outside", 400, 200.0, 100.0, -0.025, -0.0249989, "167.9779310639169910518484"),
+    ("outside", 400, 200.0, 100.0, -0.025, -0.024997000000000002, "167.9779570791041003101269"),
+    ("outside", 400, 200.0, 100.0, -0.025, -0.024990000000000002, "167.9775672002254936407388"),
     ("off", 400, 200.0, 2.0, -0.04, -0.03, "-31.60928326014360617689564"),
     ("diag", 400, 200.0, 2.0, -0.04, -0.04, "153.2128118119825130036429"),
     ("near", 400, 200.0, 2.0, -0.04, -0.0399991, "153.2127725648195647383316"),
@@ -199,13 +203,18 @@ CD_KERNEL_REFERENCE = [
     ("near", 400, 200.0, 2.0, -0.04, -0.03999999, "153.2128114285554216733077"),
     ("near", 400, 200.0, 2.0, 0.92, 0.9200000100000001, "21.23771755117706374841659"),
     ("near", 400, 200.0, 2.0, -0.999, -0.99899999, "3401.563723415439698734715"),
+    ("outside", 400, 200.0, 2.0, 0.92, 0.9200011, "21.23205343460196247873296"),
+    ("outside", 400, 200.0, 2.0, 0.92, 0.920003, "21.22218170477729876299034"),
+    ("outside", 400, 200.0, 2.0, 0.92, 0.92001, "21.18582866130108870182331"),
 ]
 
 # per-class relative bounds.  The worst errors on this table are 2.3e-13
 # (off), 2.0e-13 (diag) and 1.9e-13 (near); the off and diag bounds also
 # admit an evaluation of the same formulas through exp/log scale factors,
-# which reaches 3.6e-12
-CD_REL_BOUND = {"off": 4e-12, "diag": 4e-12, "near": 1e-12}
+# which reaches 3.6e-12.  Just outside DIAG_TOL the difference quotient
+# cancels: 6.0e-11 at (400, 200, 2), x = 0.92, y - x = 1.1e-6, falling to
+# 3.8e-13 at 1e-5 (outside)
+CD_REL_BOUND = {"off": 4e-12, "diag": 4e-12, "near": 1e-12, "outside": 1e-10}
 
 
 @pytest.mark.parametrize("cls,n,a,b,x,y,ref", CD_KERNEL_REFERENCE)

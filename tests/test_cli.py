@@ -156,7 +156,7 @@ def test_kernel_soft_runs(tmp_path):
     "argv, digest",
     [
         (["kernel", "--regime", "bulk", "--n", "80", "--a", "40", "--b", "20", "--ugrid=-1:1:3"],
-         "9ae533af65266283de90f2408d49df0b4a931c420a16d5772d9dfd6c4c1afcf9"),
+         "2a25a068eea2bf1baea2725aeae6d1f34797a9e78e7f31f8931d1a7336cb634f"),
         (["kernel", "--regime", "bulk", "--n", "80", "--a", "40", "--b", "20", "--x", "0.1",
           "--ugrid=-1:1:3", "--vgrid=-0.5:0.5:2"],
          "da55c3f04cca30ecf1e32ac7aafddf8a150dee4b425caef335fc85d3935e23d8"),
@@ -313,6 +313,8 @@ def test_angles_rejects_bad_ranks():
         ["sample", "--n", "48", "--q", "12", "--qtilde", "18", "--seed", "-1"],
         ["sample", "--n", "48", "--q", "12", "--qtilde", "18", "--trials", "-2"],
         ["angles", "--n", "200", "--q", "50", "--qprime", "60", "--trials", "0"],
+        ["angles", "--n", "10", "--q", "0", "--qprime", "2"],
+        ["angles", "--n", "10", "--q", "11", "--qprime", "2"],
         ["sample", "--n", "48", "--q", "12", "--qtilde", "18", "--out", "{missing}/s.csv"],
         ["gap", "--n", "12", "--a", "6", "--b", "3", "--x", "0.9", "--quad", "100000"],
         ["tw", "--t", "0", "--quad", "2049"],

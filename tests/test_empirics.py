@@ -119,14 +119,14 @@ def test_run_experiment_rejects_unknown_regime():
     [
         (
             ExperimentSpec(regime="onepoint", ns=(50, 100, 200), alpha=0.5, beta=0.25),
-            ("0x1.0fa7c8c69f3c0p-6", "0x1.0ee5151431dc0p-7", "0x1.0665409c85700p-8"),
+            ("0x1.0fa7c8c69f380p-6", "0x1.0ee5151431d40p-7", "0x1.0665409c85600p-8"),
         ),
         (
             ExperimentSpec(
                 regime="bulk", ns=(100, 200, 400), alpha=0.5, beta=0.25,
                 u_grid=tuple(np.linspace(-2.0, 2.0, 9)),
             ),
-            ("0x1.65ae828668a00p-8", "0x1.01241186ee3a0p-9", "0x1.9c1558a14e400p-10"),
+            ("0x1.65ae828668a00p-8", "0x1.01241186ee540p-9", "0x1.9c1558a14e800p-10"),
         ),
         (
             ExperimentSpec(

@@ -280,6 +280,26 @@ def test_limit_density_is_zero_at_the_ends_of_the_interval(alpha, beta):
         assert (limit_density(p, np.array([-1.0, 1.0])) == 0.0).all()
 
 
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.0, 0.0), (0.5, 0.0)])
+def test_limit_density_keeps_its_accuracy_near_a_hard_edge(alpha, beta):
+    # x = +-(1 - d): 1 - x^2 formed as one difference keeps only about
+    # ulp/d of its digits there, (x + 1)(1 - x) keeps them all
+    p = edge_profile(alpha, beta)
+    d = np.logspace(-15, -2)
+    xs = np.concatenate([d - 1.0, 1.0 - d])
+    got = limit_density(p, xs)
+    with mpmath.workdps(50):
+        r, s = mpmath.mpf(p.r), mpmath.mpf(p.s)
+        c = 1 - mpmath.mpf(p.A) - mpmath.mpf(p.B)
+        for x, value in zip(xs, got):
+            xm = mpmath.mpf(x)
+            if not r < xm < s:
+                assert value == 0.0, x
+                continue
+            exact = mpmath.sqrt((xm - r) * (s - xm)) / (mpmath.pi * c * (1 - xm * xm))
+            assert abs(value / exact - 1) <= 1e-15, x
+
+
 def test_edge_profile_clamps_a_factor_that_rounds_below_zero():
     # 1 - A - B = 2e-17 rounds to -5.6e-17 at block ratios (7e16, 3e16),
     # the Jacobi ratios of subspace ratios (1e-17, 0.3)
@@ -318,20 +338,36 @@ def test_free_product_density_integrates_to_its_continuous_mass():
         assert float(integrand @ w) == pytest.approx(_exact_continuous_mass(alpha, beta), abs=1e-10), (alpha, beta)
 
 
+def _free_density_errors(alpha, beta, fracs):
+    """Relative errors of the free law's density at the points a fraction
+    of the way across its support, against the 50-digit closed form."""
+    law = free_product_density(alpha, beta)
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        root = mpmath.sqrt(4 * a * b * (1 - a) * (1 - b))
+        r_minus, r_plus = a + b - 2 * a * b - root, a + b - 2 * a * b + root
+        errors = []
+        for frac in fracs:
+            x = float(r_minus + frac * (r_plus - r_minus))
+            xm = mpmath.mpf(x)
+            exact = mpmath.sqrt((r_plus - xm) * (xm - r_minus)) / (2 * mpmath.pi * xm * (1 - xm))
+            errors.append(float(abs(float(law.density(x)) / exact - 1)))
+    return errors
+
+
 @pytest.mark.parametrize("lo", [1e-4, 1e-8, 1e-12])
 def test_free_product_density_is_accurate_at_a_small_ratio(lo):
     # a support of width ~sqrt(lo): edges formed by subtraction at the block
     # ratios and divided by lo would lose digits here
-    with mpmath.workdps(50):
-        a, b = mpmath.mpf(lo), mpmath.mpf(0.3)
-        root = mpmath.sqrt(4 * a * b * (1 - a) * (1 - b))
-        r_minus, r_plus = a + b - 2 * a * b - root, a + b - 2 * a * b + root
-        law = free_product_density(lo, 0.3)
-        for frac in (0.1, 0.5, 0.9):
-            x = float(r_minus + frac * (r_plus - r_minus))
-            xm = mpmath.mpf(x)
-            exact = mpmath.sqrt((r_plus - xm) * (xm - r_minus)) / (2 * mpmath.pi * xm * (1 - xm))
-            assert abs(float(law.density(x)) / exact - 1) < 1e-9, (lo, frac)
+    assert max(_free_density_errors(lo, 0.3, (0.1, 0.5, 0.9))) < 1e-9
+
+
+@pytest.mark.parametrize("ratio, bound", [(1e-8, 1e-14), (1e-12, 1e-13)])
+def test_free_product_density_keeps_its_accuracy_near_zero(ratio, bound):
+    # the support (0, 4 ratio) sits against lambda = 0, where 2 lambda - 1
+    # would round to ulps of 1.1e-16
+    fracs = [k / 100 for k in range(1, 100)]
+    assert max(_free_density_errors(ratio, ratio, fracs)) <= bound
 
 
 @pytest.mark.parametrize(
