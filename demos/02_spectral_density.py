@@ -8,13 +8,14 @@ diagonal, and the limit curve are compared on one grid.
 
 import numpy as np
 
-from jrmt import KernelSpec, SeededStream, edge_profile, limit_density, one_blas_thread, one_point_density
-from jrmt import sample_spectra
+from jrmt import KernelSpec, ProjectorPair, SeededStream, edge_profile, limit_density, one_blas_thread
+from jrmt import one_point_density, sample_spectra
 
 ALPHA, BETA = 0.5, 0.25
 N = 48
 
 spec = KernelSpec(N, ALPHA * N, BETA * N)
+pair = ProjectorPair.from_kernel_spec(spec)  # the ranks whose block has this law
 prof = edge_profile(ALPHA, BETA)
 print(f"support of the limit density: [{prof.r:.4f}, {prof.s:.4f}]")
 
@@ -22,7 +23,7 @@ print(f"support of the limit density: [{prof.r:.4f}, {prof.s:.4f}]")
 # on the thread count
 with one_blas_thread():
     spectra = sample_spectra([SeededStream(7, t) for t in range(400)],
-                             2 * N + int((ALPHA + BETA) * N), N, N + int(BETA * N), "wishart")
+                             pair.n, pair.q, pair.q_tilde, "wishart")
 draws = (2.0 * spectra - 1.0).ravel()
 
 grid = np.linspace(prof.r + 0.02, prof.s - 0.02, 13)

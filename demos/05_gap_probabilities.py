@@ -8,15 +8,16 @@ kernel on [t, infinity).
 
 import numpy as np
 
-from jrmt import KernelSpec, SeededStream, largest_eval_cdf, sample_spectra, tracy_widom_cdf
+from jrmt import KernelSpec, ProjectorPair, SeededStream, largest_eval_cdf, sample_spectra, tracy_widom_cdf
 from jrmt.cdkernel import finite_profile
 
-N, A, B = 12, 6, 3
-spec = KernelSpec(N, float(A), float(B))
+N = 12
+spec = KernelSpec(N, 6.0, 3.0)
 prof = finite_profile(spec)
+pair = ProjectorPair.from_kernel_spec(spec)  # the ranks whose block has this law
 
 streams = [SeededStream(5, t) for t in range(3000)]
-draws = sample_spectra(streams, A + 2 * N + B, N, N + B, "wishart")[:, -1]
+draws = sample_spectra(streams, pair.n, pair.q, pair.q_tilde, "wishart")[:, -1]
 sym = 2.0 * draws - 1.0
 
 print(f"size-{N} ensemble, band edge near {prof.s:.4f}")

@@ -40,7 +40,6 @@ from .empirics import (
     ConvergenceReport,
     EmpiricalSample,
     ExperimentSpec,
-    interval_count,
     ks_against_cdf,
     ks_distance,
     run_experiment,

@@ -24,7 +24,6 @@ __all__ = [
     "ConvergenceReport",
     "ks_distance",
     "ks_against_cdf",
-    "interval_count",
     "run_experiment",
     "worker_count",
 ]
@@ -88,14 +87,6 @@ def ks_against_cdf(s: EmpiricalSample, cdf: Callable) -> float:
     hi = np.arange(1, n + 1) / n - f
     lo = f - np.arange(0, n) / n
     return float(max(hi.max(), lo.max()))
-
-
-def interval_count(s: EmpiricalSample, lo: float, hi: float) -> int:
-    """Number of sample points in the closed interval [lo, hi]."""
-    if lo > hi:
-        raise ParameterError(f"need lo <= hi, got {lo} > {hi}")
-    v = s.values
-    return int(np.searchsorted(v, hi, side="right") - np.searchsorted(v, lo, side="left"))
 
 
 @dataclass(frozen=True)

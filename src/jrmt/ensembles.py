@@ -9,15 +9,13 @@ model, the CS decomposition, and generalized singular value problems", FoCM
 2008), whose spectrum is that of a q x q symmetric tridiagonal matrix built
 from 2q - 1 independent Beta variables.  All three produce q eigenvalues in
 [0, 1] and, for q <= q_tilde and q + q_tilde <= n, the same law: the Jacobi
-ensemble with density det(M)^alpha det(1-M)^gamma, where alpha = q_tilde - q
-and gamma = n - q - q_tilde.  (The kernel's weight (1-x)^a (1+x)^b on the
-symmetric interval has these exponents swapped: a = gamma, b = alpha.)
+ensemble that ``ProjectorPair.kernel_spec`` names.
 
 Orientation of the Wishart pair: the middle factor X carries q_tilde columns
 and X' carries n - q_tilde.  The scalar case pins this down: for q = 1 the
 compressed projector entry is a Beta(q_tilde, n - q_tilde) variable, which is
 X/(X+X') with X of shape parameter q_tilde, and which is also the
-tridiagonal model's single entry c_1^2 ~ Beta(alpha + 1, gamma + 1).  The
+tridiagonal model's single entry c_1^2 ~ Beta(b + 1, a + 1).  The
 distributional tests verify all three routes against each other.
 
 The tridiagonal route builds its matrix from the Beta variables and hands
@@ -41,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cdkernel import KernelSpec
 from .errors import NumericError, ParameterError
 from .randgen import SeededStream, _ginibre, _haar
 
@@ -69,7 +68,26 @@ class ProjectorPair:
 
     def __post_init__(self):
         if not (1 <= self.q <= self.n and 1 <= self.q_tilde <= self.n):
-            raise ParameterError(f"need 1 <= q, q_tilde <= n, got {self}")
+            raise ParameterError(f"ranks must lie in 1..n, got n={self.n} and ranks {self.q}, {self.q_tilde}")
+
+    def kernel_spec(self) -> KernelSpec:
+        """The Jacobi ensemble of the block's eigenvalues lambda, read as x = 2 lambda - 1.
+
+        Size q, weight (1-x)^a (1+x)^b, a = n - q - q_tilde and b = q_tilde - q;
+        a ``ParameterError`` unless q <= q_tilde and q + q_tilde <= n.
+        """
+        a, b = self.n - self.q - self.q_tilde, self.q_tilde - self.q
+        if a < 0 or b < 0:
+            raise ParameterError(f"need q <= q_tilde and q + q_tilde <= n, got {self}")
+        return KernelSpec(self.q, a, b)
+
+    @classmethod
+    def from_kernel_spec(cls, spec: KernelSpec) -> ProjectorPair:
+        """The pair (a + 2n + b, n, n + b) whose ``kernel_spec`` is ``spec``, for integer a and b."""
+        a, b = int(spec.a), int(spec.b)
+        if (a, b) != (spec.a, spec.b):
+            raise ParameterError(f"need integer a and b, got a={spec.a}, b={spec.b}")
+        return cls(a + 2 * spec.n + b, spec.n, spec.n + b)
 
 
 # complex Gaussian entries drawn for one stack of trials; a dense-route trial
@@ -143,13 +161,6 @@ def _wishart_spectra(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
         out[i], _, info = hegvd(x[i], y[i], jobz="N")
         _check_info(info, "hegvd")
     return out
-
-
-def _check_canonical(n: int, q: int, q_tilde: int) -> None:
-    if not (1 <= q <= q_tilde and q + q_tilde <= n):
-        raise ParameterError(
-            f"need q <= q_tilde and q + q_tilde <= n, got n={n}, q={q}, q_tilde={q_tilde}"
-        )
 
 
 def projector_product(stream: SeededStream, pair: ProjectorPair) -> np.ndarray:
@@ -231,17 +242,15 @@ def reduce_ranks(n: int, q: int, q_tilde: int) -> ReductionPlan:
     return ReductionPlan(pair, emap, ones, q - cq - ones)
 
 
-def _beta_jacobi(gen, n: int, q: int, q_tilde: int) -> tuple[np.ndarray, np.ndarray]:
+def _beta_jacobi(gen, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of one Edelman-Sutton matrix at beta = 2.
 
-    c_k^2 ~ Beta(alpha + k, gamma + k) for k = q..1 and
-    c'_k^2 ~ Beta(k, alpha + gamma + 1 + k) for k = q-1..1 set the
-    upper-bidiagonal B; the spectrum is that of the tridiagonal B^T B.
+    c_k^2 ~ Beta(b + k, a + k) for k = n..1 and c'_k^2 ~ Beta(k, a + b + 1 + k)
+    for k = n-1..1 set the upper-bidiagonal B; the spectrum is that of B^T B.
     """
-    alpha, gamma = q_tilde - q, n - q - q_tilde
-    k = np.arange(q, 0, -1)
-    c2 = gen.beta(alpha + k, gamma + k)
-    cp2 = gen.beta(k[1:], alpha + gamma + 1 + k[1:])
+    k = np.arange(spec.n, 0, -1)
+    c2 = gen.beta(spec.b + k, spec.a + k)
+    cp2 = gen.beta(k[1:], spec.a + spec.b + 1 + k[1:])
     c, s = np.sqrt(c2), np.sqrt(1.0 - c2)
     cp, sp = np.sqrt(cp2), np.sqrt(1.0 - cp2)
     d = c * np.concatenate(([1.0], sp))  # (c_q, c_{q-1} s'_{q-1}, ..., c_1 s'_1)
@@ -272,7 +281,8 @@ def _tridiagonal_top(diag: np.ndarray, off: np.ndarray) -> float:
 
 def _tridiagonal_spectra(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
     # O(q) work per trial: nothing to gain from stacking
-    return np.array([_tridiagonal_spectrum(*_beta_jacobi(gen, n, q, q_tilde)) for gen in gens])
+    spec = ProjectorPair(n, q, q_tilde).kernel_spec()
+    return np.array([_tridiagonal_spectrum(*_beta_jacobi(gen, spec)) for gen in gens])
 
 
 _ROUTES = {"projector": _projector_spectra, "wishart": _wishart_spectra, "tridiagonal": _tridiagonal_spectra}
@@ -304,7 +314,7 @@ def sample_spectra(
     the same bytes whatever the thread count draws inside
     ``matalg.one_blas_thread()``, as the CLI does.
     """
-    _check_canonical(n, q, q_tilde)
+    ProjectorPair(n, q, q_tilde).kernel_spec()  # in the canonical regime, or ParameterError
     if route not in _ROUTES:
         raise ParameterError(f"unknown route {route!r}")
     draw = _ROUTES[route]
@@ -338,5 +348,5 @@ def sample_largest(stream: SeededStream, n: int, q: int, q_tilde: int) -> float:
     route costs O(n q^2).  A draw at (1200, 400, 600) takes about 0.4 ms of
     CPU, nearly all of it the 2q - 1 Beta variates and ``dstebz``.
     """
-    _check_canonical(n, q, q_tilde)
-    return _tridiagonal_top(*_beta_jacobi(stream.generator(), n, q, q_tilde))
+    spec = ProjectorPair(n, q, q_tilde).kernel_spec()
+    return _tridiagonal_top(*_beta_jacobi(stream.generator(), spec))

@@ -14,12 +14,11 @@ from jrmt.cdkernel import KernelSpec, finite_profile, kernel, soft_edge
 from jrmt.empirics import (
     EmpiricalSample,
     ExperimentSpec,
-    interval_count,
     ks_against_cdf,
     ks_distance,
     run_experiment,
 )
-from jrmt.ensembles import sample_largest, sample_spectrum
+from jrmt.ensembles import ProjectorPair, sample_largest, sample_spectrum
 from jrmt.fredholm import gauss_legendre, largest_eval_cdf, tracy_widom_cdf
 from jrmt.limits import banach_angle
 from jrmt.matalg import one_blas_thread, principal_cosines
@@ -30,12 +29,6 @@ from tests.test_limits import AI_REFERENCE, AIP_REFERENCE, BESSEL_REFERENCE
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num:02d} ({name}): {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def _jue_rank_triple(n: int, a: int, b: int) -> tuple[int, int, int]:
-    # ensemble of size n with exponents (a, b) realized by ranks
-    # (q, q_tilde) = (n, n + b) in ambient dimension a + 2n + b
-    return a + 2 * n + b, n, n + b
 
 
 def test_criterion_01_two_route_equality():
@@ -114,9 +107,9 @@ def test_criterion_05_hard_edge():
 def test_criterion_06_gap_consistency():
     spec = KernelSpec(12, 6.0, 3.0)
     prof = finite_profile(spec)
-    big_n, q, qt = _jue_rank_triple(12, 6, 3)
+    p = ProjectorPair.from_kernel_spec(spec)
     tops = np.array(
-        [sample_spectrum(SeededStream(606, t), big_n, q, qt, "wishart")[-1] for t in range(5000)]
+        [sample_spectrum(SeededStream(606, t), p.n, p.q, p.q_tilde, "wishart")[-1] for t in range(5000)]
     )
     sym_tops = 2.0 * tops - 1.0  # unit-interval draws to the symmetric convention
     details = []
@@ -135,8 +128,8 @@ def test_criterion_07_rescaled_largest_eigenvalue_law():
     n = 400
     spec = KernelSpec(n, float(n // 2), float(n // 2))  # ultraspherical a = b = n/2
     s_n, h_n = soft_edge(spec)
-    big_n, q, qt = _jue_rank_triple(n, n // 2, n // 2)
-    tops = np.array([sample_largest(SeededStream(707, t), big_n, q, qt) for t in range(2000)])
+    p = ProjectorPair.from_kernel_spec(spec)
+    tops = np.array([sample_largest(SeededStream(707, t), p.n, p.q, p.q_tilde) for t in range(2000)])
     rescaled = (2.0 * tops - 1.0 - s_n) * h_n
     sample = EmpiricalSample.from_values(rescaled)
     stat = ks_against_cdf(
@@ -156,22 +149,25 @@ def test_criterion_08_spectral_emptiness_beyond_edge():
     interior_counts = []
     for n in (16, 32, 64):
         a, b = int(alpha * n), int(beta * n)
-        prof = finite_profile(KernelSpec(n, float(a), float(b)))
-        big_n, q, qt = _jue_rank_triple(n, a, b)
+        spec = KernelSpec(n, float(a), float(b))
+        prof = finite_profile(spec)
+        p = ProjectorPair.from_kernel_spec(spec)
         with one_blas_thread():
             draws = np.concatenate(
                 [
-                    2.0 * sample_spectrum(SeededStream(808, t), big_n, q, qt, "wishart") - 1.0
+                    2.0 * sample_spectrum(SeededStream(808, t), p.n, p.q, p.q_tilde, "wishart") - 1.0
                     for t in range(500)
                 ]
             )
-        sample = EmpiricalSample.from_values(draws)
+        draws.sort()
+        # a window [w, 1] holds the draws from searchsorted(draws, w) to end
+        end = np.searchsorted(draws, 1.0, "right")
         # the offset 0.1 pushes past +1 for this profile (1 - s < 0.1), so
         # the literal window is empty and its count is 0 by convention; the
         # halfway window is the non-vacuous version of the same statement
         lo = prof.s + 0.1
-        literal_counts.append(0 if lo > 1.0 else interval_count(sample, lo, 1.0))
-        interior_counts.append(interval_count(sample, prof.s + 0.5 * (1.0 - prof.s), 1.0))
+        literal_counts.append(0 if lo > 1.0 else int(end - np.searchsorted(draws, lo)))
+        interior_counts.append(int(end - np.searchsorted(draws, prof.s + 0.5 * (1.0 - prof.s))))
     ok = (
         literal_counts[-1] == 0
         and literal_counts[0] >= literal_counts[1] >= literal_counts[2]

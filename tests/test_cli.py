@@ -336,6 +336,8 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     assert captured.err.startswith("jrmt: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    # the CLI names its ranks --qtilde and --qprime, not the library's field
+    assert "q_tilde" not in captured.err
     assert list(tmp_path.iterdir()) == []
 
 

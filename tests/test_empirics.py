@@ -6,7 +6,6 @@ import pytest
 from jrmt.empirics import (
     EmpiricalSample,
     ExperimentSpec,
-    interval_count,
     ks_against_cdf,
     ks_distance,
     run_experiment,
@@ -67,15 +66,6 @@ def test_ks_one_sample_rejects_scalar_only_cdf(cdf):
 def test_empty_sample_rejected():
     with pytest.raises(ParameterError):
         EmpiricalSample.from_values([])
-
-
-def test_interval_count():
-    s = EmpiricalSample.from_values([0.1, 0.2, 0.5, 0.9])
-    assert interval_count(s, 0.0, 1.0) == 4
-    assert interval_count(s, 0.6, 0.8) == 0
-    assert interval_count(s, 0.2, 0.5) == 2
-    with pytest.raises(ParameterError):
-        interval_count(s, 0.9, 0.1)
 
 
 def test_run_experiment_onepoint_errors_decrease():

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from jrmt import ensembles
+from jrmt.cdkernel import KernelSpec
 from jrmt.empirics import EmpiricalSample, ks_against_cdf, ks_distance
 from jrmt.ensembles import (
     ProjectorPair,
@@ -356,3 +357,49 @@ def test_reduce_ranks_rejects_bad_input():
         reduce_ranks(5, 0, 3)
     with pytest.raises(ParameterError):
         reduce_ranks(5, 2, 6)
+
+
+# ---------------------------------------------------------------------------
+# the map between projector ranks and Jacobi parameters
+
+
+def test_kernel_spec_and_from_kernel_spec_are_inverse_below_dimension_30():
+    pairs = [
+        ProjectorPair(n, q, qt) for n in range(2, 30) for q in range(1, n) for qt in range(q, n - q + 1)
+    ]
+    specs = [
+        KernelSpec(n, float(a), float(b))
+        for n in range(1, 15)
+        for a in range(30)
+        for b in range(30)
+        if a + 2 * n + b < 30
+    ]
+    assert len(pairs) == len(specs) > 0
+    for pair in pairs:
+        assert ProjectorPair.from_kernel_spec(pair.kernel_spec()) == pair
+    for spec in specs:
+        pair = ProjectorPair.from_kernel_spec(spec)
+        assert all(type(v) is int for v in (pair.n, pair.q, pair.q_tilde))
+        assert pair.kernel_spec() == spec
+
+
+def test_kernel_spec_is_the_papers_map():
+    assert ProjectorPair(33, 12, 15).kernel_spec() == KernelSpec(12, 6.0, 3.0)
+    # the benchmark's edge_law workload keeps this pair beside its spec
+    assert ProjectorPair.from_kernel_spec(KernelSpec(400, 200, 200)) == ProjectorPair(1200, 400, 600)
+
+
+def test_kernel_spec_rejects_every_non_canonical_pair_below_dimension_12():
+    for n in range(1, 12):
+        for q in range(1, n + 1):
+            for qt in range(1, n + 1):
+                if q <= qt and q + qt <= n:
+                    continue
+                with pytest.raises(ParameterError, match="q <= q_tilde and q \\+ q_tilde <= n"):
+                    ProjectorPair(n, q, qt).kernel_spec()
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 1.0), (1.0, 2.5), (1e-300, 0.0), (3.0, 1.0 + 2**-50)])
+def test_from_kernel_spec_rejects_non_integer_exponents(a, b):
+    with pytest.raises(ParameterError, match="integer a and b"):
+        ProjectorPair.from_kernel_spec(KernelSpec(5, a, b))
