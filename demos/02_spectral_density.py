@@ -8,7 +8,7 @@ diagonal, and the limit curve are compared on one grid.
 
 import numpy as np
 
-from jrmt import KernelSpec, ProjectorPair, SeededStream, edge_profile, limit_density, one_blas_thread
+from jrmt import KernelSpec, ProjectorPair, SeededStream, edge_profile, limit_density
 from jrmt import one_point_density, sample_spectra
 
 ALPHA, BETA = 0.5, 0.25
@@ -19,11 +19,7 @@ pair = ProjectorPair.from_kernel_spec(spec)  # the ranks whose block has this la
 prof = edge_profile(ALPHA, BETA)
 print(f"support of the limit density: [{prof.r:.4f}, {prof.s:.4f}]")
 
-# one BLAS thread: faster at this size, and the draws' bits do not depend
-# on the thread count
-with one_blas_thread():
-    spectra = sample_spectra([SeededStream(7, t) for t in range(400)],
-                             pair.n, pair.q, pair.q_tilde, "wishart")
+spectra = sample_spectra([SeededStream(7, t) for t in range(400)], pair.n, pair.q, pair.q_tilde, "wishart")
 draws = (2.0 * spectra - 1.0).ravel()
 
 grid = np.linspace(prof.r + 0.02, prof.s - 0.02, 13)

@@ -4,7 +4,7 @@ The package covers the full chain from sampling to universality checks:
 
 - ``randgen``: seeded streams, complex Gaussians and Haar isometries
 - ``matalg``: Hermitian eigendecomposition, principal angles and
-  ``one_blas_thread``
+  ``one_blas_thread``, which every dense draw enters
 - ``ensembles``: the projector-compression, Wishart-ratio and tridiagonal
   beta-Jacobi constructions
 - ``orthopoly``: Jacobi polynomials by one array recurrence, ``jacobi_rows``,
@@ -21,7 +21,7 @@ The package covers the full chain from sampling to universality checks:
 
 Importing the package loads numpy but no scipy submodule: ``scipy.special``
 is loaded by the first kernel, density or Fredholm call that needs a special
-function, and ``scipy.linalg`` by the first Wishart or tridiagonal draw, or
+function, and ``scipy.linalg`` by the first draw on any route or
 ``one_blas_thread``.  So each ``jrmt`` subcommand loads one of them at most.
 """
 

@@ -27,7 +27,6 @@ from .ensembles import reduce_ranks, sample_largest, sample_spectra
 from .errors import JrmtError, NumericError, ParameterError
 from .fredholm import largest_eval_cdf, tracy_widom_cdf
 from .limits import banach_angle, limit_density
-from .matalg import one_blas_thread
 from .randgen import SeededStream
 
 USAGE_EXIT = 2
@@ -129,10 +128,7 @@ def cmd_sample(args) -> str:
         vals = np.empty((args.trials, 0))
     else:
         streams = [SeededStream(args.seed, t) for t in range(args.trials)]
-        with one_blas_thread():
-            vals = sample_spectra(
-                streams, args.n, plan.canonical.q, plan.canonical.q_tilde, route=args.route
-            )
+        vals = sample_spectra(streams, args.n, plan.canonical.q, plan.canonical.q_tilde, route=args.route)
     header = [f"lambda_{i+1}" for i in range(args.q)]
     return _csv_text(config, header, plan.apply(vals))
 

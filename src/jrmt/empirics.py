@@ -35,8 +35,8 @@ _X_MARGIN = 0.1
 def worker_count() -> int:
     """Number of workers that run trials: always 1.
 
-    Trials run serially on one worker, with BLAS on one thread inside the
-    trial loop of ``jrmt sample`` (``matalg.one_blas_thread``).  The function stays only
+    Trials run serially on one worker, and every dense draw holds BLAS at
+    one thread (``matalg.one_blas_thread``).  The function stays only
     for the benchmark's environment line, which reports it.
     """
     return 1

@@ -26,9 +26,9 @@ and that one call; a 1 x 1 matrix is its own eigenvalue, as in scipy.
 
 ``sample_spectra`` draws one spectrum per ``SeededStream``: each trial takes
 all of its randomness from its own stream, and the linear algebra runs once
-per stack of trials on (trials, ., .) arrays.  The stacked LAPACK calls run
-the same routine on every slice, so at one BLAS thread a trial's bits depend
-on its ``(seed, stream_id)`` alone, not on the stack it fell in.
+per stack of trials on (trials, ., .) arrays at one BLAS thread.  The stacked
+LAPACK calls run the same routine on every slice, so a trial's bits depend on
+its ``(seed, stream_id)`` alone: not on the stack, the thread count or the caller.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import numpy as np
 
 from .cdkernel import KernelSpec
 from .errors import NumericError, ParameterError
+from .matalg import one_blas_thread
 from .randgen import SeededStream, _ginibre, _haar
 
 __all__ = [
@@ -138,11 +139,11 @@ def _projector_blocks(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
     return _hermitian(_ct(v) @ v)
 
 
-def _projector_spectra(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
+def _projector_spectra(gens: list, n: int, q: int, q_tilde: int, spec: KernelSpec) -> np.ndarray:
     return np.linalg.eigvalsh(_projector_blocks(gens, n, q, q_tilde))
 
 
-def _wishart_spectra(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
+def _wishart_spectra(gens: list, n: int, q: int, q_tilde: int, spec: KernelSpec) -> np.ndarray:
     # per generator, the middle factor first: q_tilde columns, then the
     # complementary n - q_tilde
     w1 = np.empty((len(gens), q, q_tilde), dtype=complex)
@@ -173,9 +174,11 @@ def projector_product(stream: SeededStream, pair: ProjectorPair) -> np.ndarray:
     invariance it has the law of the compression of a rotated rank-q_tilde
     projector onto a fixed rank-q one, at the cost of a QR of n x q rather
     than n x q_tilde.  The projector route of ``sample_spectra`` takes the
-    eigenvalues of exactly this matrix.
+    eigenvalues of exactly this matrix, and like it the block's bits depend
+    on ``stream`` alone: the QR and products run at one BLAS thread.
     """
-    return _projector_blocks([stream.generator()], pair.n, pair.q, pair.q_tilde)[0]
+    with one_blas_thread():
+        return _projector_blocks([stream.generator()], pair.n, pair.q, pair.q_tilde)[0]
 
 
 @dataclass(frozen=True)
@@ -279,9 +282,8 @@ def _tridiagonal_top(diag: np.ndarray, off: np.ndarray) -> float:
     return float(w[0])
 
 
-def _tridiagonal_spectra(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
+def _tridiagonal_spectra(gens: list, n: int, q: int, q_tilde: int, spec: KernelSpec) -> np.ndarray:
     # O(q) work per trial: nothing to gain from stacking
-    spec = ProjectorPair(n, q, q_tilde).kernel_spec()
     return np.array([_tridiagonal_spectrum(*_beta_jacobi(gen, spec)) for gen in gens])
 
 
@@ -307,21 +309,19 @@ def sample_spectra(
     trials: QR, matrix products and the Hermitian eigensolver on
     (trials, ., .) arrays, and one LAPACK call per slice for the Wishart
     pencil and the tridiagonal matrix.  Each slice goes through the same
-    routine it would alone, so row t does not depend on the other streams
-    or on the stack size.  The dense routes (projector and Wishart)
-    are bitwise reproducible per ``(seed, stream_id)`` only at a fixed BLAS
-    thread count: their last bits change with it.  Library code that needs
-    the same bytes whatever the thread count draws inside
-    ``matalg.one_blas_thread()``, as the CLI does.
+    routine it would alone, and every OpenBLAS is held at one thread
+    (``matalg.one_blas_thread``), so row t depends on ``streams[t]`` alone:
+    not on the other streams, the stack, ``OPENBLAS_NUM_THREADS`` or the caller.
     """
-    ProjectorPair(n, q, q_tilde).kernel_spec()  # in the canonical regime, or ParameterError
+    spec = ProjectorPair(n, q, q_tilde).kernel_spec()  # in the canonical regime, or ParameterError
     if route not in _ROUTES:
         raise ParameterError(f"unknown route {route!r}")
     draw = _ROUTES[route]
     out = np.empty((len(streams), q))
     size = max(1, _STACK_ENTRIES // (n * q))
-    for lo in range(0, len(streams), size):
-        out[lo : lo + size] = draw([s.generator() for s in streams[lo : lo + size]], n, q, q_tilde)
+    with one_blas_thread():
+        for lo in range(0, len(streams), size):
+            out[lo : lo + size] = draw([s.generator() for s in streams[lo : lo + size]], n, q, q_tilde, spec)
     return out
 
 
@@ -332,9 +332,9 @@ def sample_spectrum(
 
     The one-stream case of ``sample_spectra``, which describes the routes
     (the projector route rotates the rank-q projector) and the stacked
-    linear algebra.  Inside ``matalg.one_blas_thread()`` the result depends
-    on ``(seed, stream_id)`` alone and equals, bit for bit, the row that
-    ``sample_spectra`` draws from the same stream in any stack.
+    linear algebra.  The result depends on ``(seed, stream_id)`` alone and
+    equals, bit for bit, the row that ``sample_spectra`` draws from the same
+    stream in any stack.
     """
     return sample_spectra([stream], n, q, q_tilde, route)[0]
 

@@ -66,9 +66,10 @@ def one_blas_thread():
 
     Restores each library's previous thread count on exit, also when the
     body raises; does nothing where no OpenBLAS is found.  The bits of a
-    dense draw depend on the BLAS thread count, so inside the block they no
-    longer depend on ``OPENBLAS_NUM_THREADS`` or the CPU count; at the sizes
-    jrmt samples one thread is also faster than several.
+    dense draw depend on the BLAS thread count, so every sampler that runs
+    BLAS (``sample_spectra``, ``projector_product``, ``random_isometry``)
+    draws inside this block; one thread is also faster at jrmt's sizes.
+    Holds nest: an inner one finds one thread and restores one.
     """
     controls = _openblas_controls()
     previous = [get() for get, _ in controls]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .matalg import one_blas_thread
 
 __all__ = ["SeededStream", "random_isometry"]
 
@@ -79,8 +80,9 @@ def random_isometry(stream: SeededStream, n: int, cols: int) -> np.ndarray:
     """First ``cols`` columns of a Haar unitary: a uniform n x cols isometry.
 
     The columns span a uniformly distributed ``cols``-dimensional subspace
-    of C^n.
+    of C^n; the QR runs at one BLAS thread, so the bits depend on ``stream`` alone.
     """
     if n < 1 or cols < 1 or cols > n:
         raise ParameterError(f"need 1 <= cols <= n, got n={n}, cols={cols}")
-    return _haar(_ginibre(stream.generator(), n, cols, 1.0))
+    with one_blas_thread():
+        return _haar(_ginibre(stream.generator(), n, cols, 1.0))

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from jrmt.ensembles import (
 from jrmt.errors import NumericError, ParameterError
 from jrmt.matalg import one_blas_thread
 from jrmt.randgen import SeededStream
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_jacobi_wishart_shape_and_range():
@@ -180,6 +186,38 @@ def test_wishart_block_stacks_stay_within_memory_bound():
         finally:
             tracemalloc.stop()
     assert peak < bound
+
+
+# dense draws with no thread hold around them: one line per draw, the
+# sha256 of its bytes
+_DENSE_DRAWS = """
+import hashlib
+from jrmt import ProjectorPair, SeededStream, projector_product, random_isometry, sample_spectra
+
+streams = [SeededStream(4, t) for t in range(3)]
+draws = {
+    f"{route} {n} {q} {qt}": sample_spectra(streams, n, q, qt, route)
+    for n, q, qt, route in [(300, 100, 150, "projector"), (300, 100, 150, "wishart"), (800, 200, 200, "wishart")]
+}
+draws["projector_product"] = projector_product(SeededStream(4), ProjectorPair(300, 100, 150))
+draws["random_isometry"] = random_isometry(SeededStream(4), 200, 60)
+for name, value in draws.items():
+    print(name, hashlib.sha256(value.tobytes()).hexdigest())
+"""
+
+
+def test_dense_draws_independent_of_blas_threads():
+    # fresh processes, so OPENBLAS_NUM_THREADS sets every library's default
+    # count; the draws take the same bits at one thread and at two
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _DENSE_DRAWS], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
