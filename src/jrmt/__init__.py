@@ -7,9 +7,8 @@ The package covers the full chain from sampling to universality checks:
   ``one_blas_thread``, which every dense draw enters
 - ``ensembles``: the projector-compression, Wishart-ratio and tridiagonal
   beta-Jacobi constructions
-- ``orthopoly``: Jacobi polynomials by one array recurrence, ``jacobi_rows``,
-  which records every degree as mantissas and a power-of-two exponent per
-  abscissa; ``jacobi_pair`` is its last two rows
+- ``orthopoly``: Jacobi polynomials by one streamed array recurrence,
+  ``jacobi_rows`` (``jacobi_pair`` is its last two rows), and their norms
 - ``cdkernel``: the Christoffel-Darboux kernel and its bulk/edge rescalings,
   each defined once by ``local_scaling``
 - ``limits``: limiting densities and the sine, Airy, and Bessel kernels
@@ -20,9 +19,8 @@ The package covers the full chain from sampling to universality checks:
 - ``errors``: the exception types, which the CLI maps to its exit codes
 
 Importing the package loads numpy but no scipy submodule: ``scipy.special``
-is loaded by the first kernel, density or Fredholm call that needs a special
-function, and ``scipy.linalg`` by the first draw on any route or
-``one_blas_thread``.  So each ``jrmt`` subcommand loads one of them at most.
+is loaded by the first Airy or Bessel call, ``scipy.linalg`` by the first
+draw or ``one_blas_thread``, and the finite-n kernel loads neither.
 """
 
 __version__ = "0.1.0"

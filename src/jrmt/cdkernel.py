@@ -6,13 +6,13 @@ normalization constants, the weight halves, the polynomial values) alone
 overflows or underflows doubles once a, b grow like n, while the assembled
 value stays moderate.  So the polynomials come from one array recurrence,
 :func:`~jrmt.orthopoly.jacobi_rows`, as mantissas times exact powers of two,
-the other factors as logs, and the two meet in ``np.ldexp``.  Its last two
-rows give the Christoffel-Darboux quotient off the diagonal; all its rows
-give the exact Gram sum on the diagonal, where the quotient cancels, as a
-third node value.  Distinct pairs within ``DIAG_TOL`` take the same Gram
-sum from rows recomputed at their two ends.  The table takes 16 (n + 1)
-bytes per abscissa, so it holds at most ``NODE_BLOCK`` abscissae, or close
-pairs, at a time.  Every function here accepts scalars or numpy arrays.
+the norms as logs (:func:`~jrmt.orthopoly.log_norms`), and the two meet in
+``np.ldexp``.  The recurrence's last two rows give the Christoffel-Darboux
+quotient off the diagonal; every row, as it streams past, adds its term to
+the exact Gram sum on the diagonal, where the quotient cancels, as a third
+node value.  Distinct pairs within ``DIAG_TOL`` take the same streamed sum
+from one more recurrence over their two ends.  Every function here accepts
+scalars or numpy arrays.
 
 The local limits (sine kernel in the bulk, Airy at the soft edge, Bessel at
 the hard edge) are defined once, by :func:`local_scaling`, which maps a
@@ -39,7 +39,7 @@ from .limits import (
     limit_density,
     sine_kernel,
 )
-from .orthopoly import chi_zeros, jacobi_rows, log_gamma_n
+from .orthopoly import chi_zeros, jacobi_rows, log_gamma_n, log_norms
 
 __all__ = [
     "KernelSpec",
@@ -53,10 +53,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# most abscissae, or close pairs, whose rows one recurrence records: the
-# rows of P_0..P_400 at 10^4 abscissae in one table peaked at 290 MB, and
-# blocks of 256 keep them near 5 MB
-NODE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -79,66 +75,24 @@ def _log_weight_half(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     return 0.5 * (spec.a * np.log1p(-x) + spec.b * np.log1p(x))
 
 
-def _split(log_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, c) with exp(log_c) = c * 2**k, k the nearest integer to log_c / ln 2."""
+def _split(log_c: np.ndarray, bound: float = 2.0**62) -> tuple[np.ndarray, np.ndarray]:
+    """(k, c) with exp(log_c) = c * 2**k, k the nearest integer to log_c / ln 2, |k| < bound."""
     k = np.rint(log_c / _LN2)
-    # a Gram term adds two such k, and the polynomial exponents, in int64;
-    # a non-finite log_c fails too
-    if not (np.abs(k) < 2.0**62).all():
+    if not (np.abs(k) < bound).all():
         raise NumericError("a log-scale of the finite-n kernel leaves the range of its exponents")
     return k.astype(int), np.exp(log_c - k * _LN2)
-
-
-def _log_norms(n: int, a: float, b: float) -> np.ndarray:
-    """log h_k = log of the squared weighted L^2 norm of P_k, for k < n.
-
-    h_k = 2^{a+b+1} / (2k+a+b+1) * Gamma(k+a+1) Gamma(k+b+1) /
-    (Gamma(k+a+b+1) k!), from one vectorized log-Gamma call; a, b >= 0
-    keep every argument at 1 or above.
-    """
-    import scipy.special
-
-    k = np.arange(float(n))
-    lg = scipy.special.gammaln(np.concatenate([k + a + 1.0, k + b + 1.0, k + a + b + 1.0, k + 1.0]))
-    lg = lg.reshape(4, n)
-    return (a + b + 1.0) * _LN2 - np.log(2.0 * k + a + b + 1.0) + lg[0] + lg[1] - lg[2] - lg[3]
-
-
-def _by_blocks(fn: Callable, *zs: np.ndarray) -> np.ndarray:
-    """fn on slices of at most ``NODE_BLOCK`` entries of the 1-d arrays zs, joined on the last axis."""
-    starts = range(0, max(zs[0].size, 1), NODE_BLOCK)
-    return np.concatenate([fn(*(z[s : s + NODE_BLOCK] for z in zs)) for s in starts], axis=-1)
-
-
-def _halving_sum(t: np.ndarray) -> np.ndarray:
-    """Sum over the first axis by repeated halving.
-
-    The order of the additions depends on the length of that axis alone,
-    never on the other axes, so a pair's sum has the same bits whichever
-    pairs are summed with it.
-    """
-    while t.shape[0] > 1:
-        h = t.shape[0] // 2
-        s = t[:h] + t[h : 2 * h]
-        if t.shape[0] % 2:
-            s[-1] += t[-1]
-        t = s
-    return t[0]
 
 
 def kernel(spec: KernelSpec, x, y):
     """K_n^{a,b}(x, y) for x, y in (-1, 1), on scalars or arrays that broadcast.
 
-    One recurrence (:func:`~jrmt.orthopoly.jacobi_rows`) per block of at
-    most ``NODE_BLOCK`` distinct abscissae serves the quotient and the
-    diagonal.  Away from the diagonal the value is the Christoffel-Darboux
-    ratio (f(x) g(y) - g(x) f(y)) / (x - y) with f, g = sqrt(gamma_n w)
-    (P_n, P_{n-1}).  Within ``DIAG_TOL`` the ratio cancels catastrophically,
-    so the exact sum sqrt(w(x) w(y)) sum_{k<n} P_k(x) P_k(y) / h_k is used
-    instead: on the diagonal from the block's own rows, formed at every
-    abscissa, and at a distinct close pair from rows recomputed at its two
-    ends, in blocks of at most ``NODE_BLOCK`` pairs.  Each term is scaled on
-    its own, and the terms are added in an order fixed by n.
+    One recurrence (:func:`~jrmt.orthopoly.jacobi_rows`) over the distinct
+    abscissae gives the Christoffel-Darboux ratio (f(x) g(y) - g(x) f(y)) /
+    (x - y), f, g = sqrt(gamma_n w) (P_n, P_{n-1}), and streams the diagonal
+    beside it.  Within ``DIAG_TOL`` the ratio cancels, so the exact sum
+    sqrt(w(x) w(y)) sum_{k<n} P_k(x) P_k(y) / h_k, each term scaled on its
+    own and added in order of k, is used instead: on the diagonal, and at
+    distinct close pairs from one more recurrence over their two ends.
     """
     for z in (x, y):
         z = np.asarray(z, dtype=float)
@@ -146,34 +100,48 @@ def kernel(spec: KernelSpec, x, y):
         if bad.any():
             raise DomainError(f"argument {z[bad][0]} outside (-1, 1)")
     n, a, b = spec.n, spec.a, spec.b
-    log_gam = log_gamma_n(n, a, b)
-    # 1/h_k, k < n, split
-    kh, ch = (v[:, None] for v in _split(-_log_norms(n, a, b)))
+    log_gam, log_h = log_gamma_n(n, a, b), log_norms(n, a, b)
+    # 1/h_k = ch 2^kh / h_0, k < n: kh, like the polynomial exponents, fits int32
+    kh, ch = _split(log_h[0] - log_h, 2**28)
+    kh, ch = kh.astype(np.int32)[:, None], ch[:, None]
 
-    def rows(z):
-        m, e = jacobi_rows(n, a, b, z)
-        return m, e, _log_weight_half(spec, z)
-
-    def gram(rows_x, rows_y):
-        # the powers of two of sqrt(w(x) w(y)) and of 1/h_k join the
-        # exponents of the polynomial values term by term, and the rest of
-        # the weight factor, common to a pair, comes last
-        (mx, ex, wx), (my, ey, wy) = rows_x, rows_y
-        kw, cw = _split(wx + wy)
-        return cw * _halving_sum(np.ldexp(mx[:n] * my[:n] * ch, ex[:n] + ey[:n] + kh + kw))
+    def gram(z, left, right):
+        # the Gram sum at the pairs (z[left], z[right]), and the last rows: the
+        # powers of two of sqrt(w(s) w(t)) / h_0 (any beyond 2^30 over- or underflows
+        # a term) and h_0 / h_k join the polynomial exponents in int32, for ldexp
+        lw = _log_weight_half(spec, z)
+        kw, cw = _split(lw[left] + lw[right] - log_h[0])
+        kw = np.clip(kw, -(2**30), 2**30).astype(np.int32)
+        total, k0 = np.zeros(kw.shape), 0
+        for m, e in jacobi_rows(n, a, b, z):
+            deg, g = slice(k0, min(k0 + len(m), n)), min(len(m), n - k0)
+            k0 += len(m)
+            t = m[:g, left] * m[:g, right]
+            t *= ch[deg]
+            s = e[:g, left] + e[:g, right]
+            s += kh[deg]
+            s += kw
+            np.ldexp(t, s, out=t)
+            t[0] += total
+            if len(total) < 128:  # in order of k either way; accumulate costs a call per abscissa
+                total = np.add.accumulate(t, out=t)[-1]
+            else:
+                total = t[0]
+                for term in t[1:]:
+                    total += term
+        return cw * total, m, e, lw
 
     def nodes(z):
-        own = m, e, lw = rows(z)
+        diag, m, e, lw = gram(z, slice(None), slice(None))
         # the power of two of sqrt(gamma_n w) joins the exponents of P_n and P_{n-1}
         k, c = _split(0.5 * log_gam + lw)
-        return np.ldexp(m[n] * c, e[n] + k), np.ldexp(m[n - 1] * c, e[n - 1] + k), gram(own, own)
+        return np.ldexp(m[-1] * c, e[-1] + k), np.ldexp(m[-2] * c, e[-2] + k), diag
 
     def near(s, t):
-        # one recurrence on both ends
-        m, e, lw = rows(np.concatenate([s, t]))
-        return gram(*[(m[:, c], e[:, c], lw[c]) for c in (slice(s.size), slice(s.size, None))])
+        return gram(np.concatenate([s, t]), slice(s.size), slice(s.size, None))[0]
 
-    return _integrable_kernel(x, y, functools.partial(_by_blocks, nodes), functools.partial(_by_blocks, near))
+    with np.errstate(over="ignore", invalid="ignore"):  # a log-scale that overflows fails in _split
+        return _integrable_kernel(x, y, nodes, near)
 
 
 def one_point_density(spec: KernelSpec, x):

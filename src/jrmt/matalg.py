@@ -66,9 +66,9 @@ def one_blas_thread():
 
     Restores each library's previous thread count on exit, also when the
     body raises; does nothing where no OpenBLAS is found.  The bits of a
-    dense draw depend on the BLAS thread count, so every sampler that runs
-    BLAS (``sample_spectra``, ``projector_product``, ``random_isometry``)
-    draws inside this block; one thread is also faster at jrmt's sizes.
+    dense draw depend on the BLAS thread count, so every function that runs
+    BLAS (the samplers, ``eig_hermitian``, ``principal_cosines``) runs it
+    inside this block; one thread is also faster at jrmt's sizes.
     Holds nest: an inner one finds one thread and restores one.
     """
     controls = _openblas_controls()
@@ -95,7 +95,8 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     asym = np.abs(m - m.conj().T).max()
     if asym >= _HERM_TOL:
         raise ValidationError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    with one_blas_thread():
+        vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
@@ -113,7 +114,8 @@ def principal_cosines(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
         err = np.abs(gram - np.eye(b.shape[1])).max()
         if err >= _ORTHO_TOL:
             raise ValidationError(f"{name} columns not orthonormal: deviation {err:.3e}")
-    sv = np.linalg.svd(b1.conj().T @ b2, compute_uv=False)
+    with one_blas_thread():
+        sv = np.linalg.svd(b1.conj().T @ b2, compute_uv=False)
     if sv.size and sv[0] > 1.0 + 1e-12:
         raise ValidationError(f"cosine {sv[0]} above 1 beyond tolerance")
     return sv

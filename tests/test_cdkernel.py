@@ -10,7 +10,6 @@ import scipy.special
 
 import jrmt.cdkernel
 from jrmt.cdkernel import (
-    NODE_BLOCK,
     KernelSpec,
     finite_profile,
     hard_edge_scale,
@@ -208,13 +207,13 @@ CD_KERNEL_REFERENCE = [
     ("outside", 400, 200.0, 2.0, 0.92, 0.92001, "21.18582866130108870182331"),
 ]
 
-# per-class relative bounds.  The worst errors on this table are 2.3e-13
-# (off), 2.0e-13 (diag) and 1.9e-13 (near); the off and diag bounds also
-# admit an evaluation of the same formulas through exp/log scale factors,
-# which reaches 3.6e-12.  Just outside DIAG_TOL the difference quotient
-# cancels: 6.0e-11 at (400, 200, 2), x = 0.92, y - x = 1.1e-6, falling to
-# 3.8e-13 at 1e-5 (outside)
-CD_REL_BOUND = {"off": 4e-12, "diag": 4e-12, "near": 1e-12, "outside": 1e-10}
+# per-class relative bounds.  The worst errors on this table are 1.1e-13
+# (off), 7.1e-14 (diag) and 5.9e-14 (near), since the normalizations h_k and
+# gamma_n come from one compensated sum (2.3e-13, 2.0e-13 and 1.9e-13 when
+# four log-Gamma values of size up to 4000 gave each h_k).  Just outside
+# DIAG_TOL the difference quotient cancels: 5.0e-11 at (400, 200, 2),
+# x = 0.92, y - x = 1.1e-6, falling to 3.8e-13 at 1e-5 (outside)
+CD_REL_BOUND = {"off": 2e-13, "diag": 1.5e-13, "near": 1.5e-13, "outside": 1e-10}
 
 
 @pytest.mark.parametrize("cls,n,a,b,x,y,ref", CD_KERNEL_REFERENCE)
@@ -226,10 +225,10 @@ def test_kernel_reference_values(cls, n, a, b, x, y, ref):
 # bits of four off-diagonal rows of the table above: the quotient's value
 # must not move when its node values are produced another way
 CD_OFF_PINS = [
-    (10, 3.0, 1.5, -0.011, -0.0009999999999999992, "0x1.f06016dae34a1p+1"),
-    (100, 50.0, 50.0, 0.943, 0.9329999999999999, "0x1.4cb1af16668b4p+4"),
-    (400, 200.0, 100.0, -0.999, -0.997, "0x1.8eb8c2646228fp-250"),
-    (400, 200.0, 2.0, -0.04, -0.03, "-0x1.f9bf9fcdc4de0p+4"),
+    (10, 3.0, 1.5, -0.011, -0.0009999999999999992, "0x1.f06016dae34ccp+1"),
+    (100, 50.0, 50.0, 0.943, 0.9329999999999999, "0x1.4cb1af16669f9p+4"),
+    (400, 200.0, 100.0, -0.999, -0.997, "0x1.8eb8c26461cb3p-250"),
+    (400, 200.0, 2.0, -0.04, -0.03, "-0x1.f9bf9fcdc50d4p+4"),
 ]
 
 
@@ -302,10 +301,10 @@ CLOSE_PAIR_PINS = [
         functools.partial(kernel, KernelSpec(n, a, b)), -0.999, 0.97, digest, id=f"cd-{n}-{a:g}-{b:g}"
     )
     for n, a, b, digest in [
-        (10, 3.0, 1.5, "7f0b7812b254d0920910df5853a62256902833667425aae8d9978601d19db203"),
-        (100, 50.0, 50.0, "dff5eabfc11ac8da8aaca372961013c2986973d34678c2f89f2f32d2c921ab98"),
-        (400, 200.0, 100.0, "c7e979e227603c9d3fb9c8b4e6257869b2880ea1819fb07827132a201672af0f"),
-        (400, 200.0, 2.0, "35b4c442175fbf936777fdb7e3cdb29e035d1a453583ee099261d03a545aa133"),
+        (10, 3.0, 1.5, "12d269a804045daac4a811282add64e1827f14db5c1b0fdd49bf757481b0700f"),
+        (100, 50.0, 50.0, "5240628f34bfb29e349856ebdfffaa9c65924aaa5379261ab558966c36eac2b3"),
+        (400, 200.0, 100.0, "53cc4738092a2e1dda050c9a630c2f0b25ab2167afd1914ddace8bbd71933d78"),
+        (400, 200.0, 2.0, "70e0d79f3990fbc9ffbfe3e23a4bd65c9998c4c8937aed1b669230e9bad7a5a0"),
     ]
 ]
 
@@ -332,49 +331,47 @@ def test_limit_kernels_at_close_pairs_are_the_diagonal_at_the_midpoint(fn, lo, h
 
 
 def test_kernel_runs_one_gram_sum_per_recurrence(monkeypatch):
-    calls, sums = [], []
-    rows, halving_sum = jrmt.cdkernel.jacobi_rows, jrmt.cdkernel._halving_sum
+    calls = []
+    rows = jrmt.cdkernel.jacobi_rows
     monkeypatch.setattr(
         jrmt.cdkernel, "jacobi_rows", lambda n, a, b, x: calls.append(np.shape(x)) or rows(n, a, b, x)
     )
-    monkeypatch.setattr(jrmt.cdkernel, "_halving_sum", lambda t: sums.append(t.shape) or halving_sum(t))
     spec = KernelSpec(100, 50.0, 25.0)
     xs, ys = gauss_legendre(64, -0.9, 0.0)[0], gauss_legendre(64, 0.1, 0.9)[0]
     kernel(spec, xs[:, None], ys[None, :])
     # one recurrence on the 128 distinct abscissae gives f, g and the
-    # diagonal, a Gram sum over k < n, at each of them
-    assert (calls, sums) == ([(128,)], [(100, 128)])
+    # diagonal, a Gram sum over k < n streamed beside them, at each of them
+    assert calls == [(128,)]
     calls.clear()
-    sums.clear()
     kernel(spec, xs, xs + 0.5 * DIAG_TOL)
-    # 64 distinct close pairs: the node values of both ends, then the rows
-    # at both ends again, in one recurrence, for one Gram sum per pair
-    assert (calls, sums) == ([(128,), (128,)], [(100, 128), (100, 64)])
+    # 64 distinct close pairs: the node values of both ends, then one
+    # recurrence on both ends again, for one Gram sum per pair
+    assert calls == [(128,), (128,)]
 
 
 # ---------------------------------------------------------------------------
-# node blocks
+# large grids
 
 
 def test_values_over_several_blocks_equal_values_per_block():
-    # a grid spanning several node blocks, with near pairs off the diagonal,
-    # must hold the bits of the same values computed one block at a time
+    # a grid of 785 points, with near pairs off the diagonal, must hold the
+    # bits of the same values computed 128 entries at a time
     spec = KernelSpec(100, 50.0, 25.0)
-    xs = np.linspace(-0.9, 0.9, 3 * NODE_BLOCK + 17)
+    xs = np.linspace(-0.9, 0.9, 785)
     ys = xs + 0.5 * DIAG_TOL
     xx = np.concatenate([xs, xs])
     yy = np.concatenate([xs, ys])
-    assert np.unique(np.concatenate([xx, yy])).size > 3 * NODE_BLOCK
+    assert np.unique(np.concatenate([xx, yy])).size > 768
     whole = kernel(spec, xx, yy)
-    chunks = [slice(k, k + NODE_BLOCK // 2) for k in range(0, xx.size, NODE_BLOCK // 2)]
+    chunks = [slice(k, k + 128) for k in range(0, xx.size, 128)]
     assert np.array_equal(whole, np.concatenate([kernel(spec, xx[c], yy[c]) for c in chunks]))
     assert np.array_equal(one_point_density(spec, xs), whole[: xs.size] / spec.n)
 
 
 def test_density_on_a_large_grid_takes_bounded_memory():
-    # P_0..P_400 as mantissas and exponents take 6.4 kB per node; with the
-    # step multipliers and the Gram sum's terms one unblocked call on 10^4
-    # nodes peaked at 290 MB, and node blocks of NODE_BLOCK keep it near 5 MB
+    # P_0..P_400 as one table of mantissas and exponents would take 6.4 kB
+    # per node, 64 MB at 10^4 nodes; the recurrence holds one chunk of
+    # degrees at a time and streams the Gram sum beside it
     xs = np.linspace(-0.9, 0.9, 10_000)
     spec = KernelSpec(400, 200.0, 100.0)
     tracemalloc.start()

@@ -109,28 +109,28 @@ def test_run_experiment_rejects_unknown_regime():
     [
         (
             ExperimentSpec(regime="onepoint", ns=(50, 100, 200), alpha=0.5, beta=0.25),
-            ("0x1.0fa7c8c69f380p-6", "0x1.0ee5151431d40p-7", "0x1.0665409c85600p-8"),
+            ("0x1.0fa7c8c69f560p-6", "0x1.0ee5151433d40p-7", "0x1.0665409c83f00p-8"),
         ),
         (
             ExperimentSpec(
                 regime="bulk", ns=(100, 200, 400), alpha=0.5, beta=0.25,
                 u_grid=tuple(np.linspace(-2.0, 2.0, 9)),
             ),
-            ("0x1.65ae828668a00p-8", "0x1.01241186ee540p-9", "0x1.9c1558a14e800p-10"),
+            ("0x1.65ae828667a00p-8", "0x1.01241186faf40p-9", "0x1.9c1558a15f400p-10"),
         ),
         (
             ExperimentSpec(
                 regime="soft", ns=(100, 200, 400), alpha=0.5, beta=0.25,
                 u_grid=tuple(np.linspace(-3.0, 1.5, 7)),
             ),
-            ("0x1.1f6cc28e48d92p-3", "0x1.a6b9d53152438p-4", "0x1.29f5b899985a4p-4"),
+            ("0x1.1f6cc28e48ea0p-3", "0x1.a6b9d53151ae0p-4", "0x1.29f5b899974ccp-4"),
         ),
         (
             ExperimentSpec(
                 regime="hard", ns=(100, 200, 400), alpha=0.5, bessel_order=2,
                 u_grid=tuple(np.linspace(0.5, 16.0, 7)),
             ),
-            ("0x1.ffebb9ee1da80p-11", "0x1.fdab4e7fa28c0p-12", "0x1.fc8be96abb500p-13"),
+            ("0x1.ffebb9ee1c9c0p-11", "0x1.fdab4e7fa1e80p-12", "0x1.fc8be96ac6900p-13"),
         ),
     ],
     ids=["onepoint", "bulk", "soft", "hard"],

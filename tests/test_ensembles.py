@@ -192,7 +192,10 @@ def test_wishart_block_stacks_stay_within_memory_bound():
 # sha256 of its bytes
 _DENSE_DRAWS = """
 import hashlib
-from jrmt import ProjectorPair, SeededStream, projector_product, random_isometry, sample_spectra
+from jrmt import (
+    ProjectorPair, SeededStream, eig_hermitian, principal_cosines, projector_product, random_isometry,
+    sample_spectra,
+)
 
 streams = [SeededStream(4, t) for t in range(3)]
 draws = {
@@ -201,6 +204,10 @@ draws = {
 }
 draws["projector_product"] = projector_product(SeededStream(4), ProjectorPair(300, 100, 150))
 draws["random_isometry"] = random_isometry(SeededStream(4), 200, 60)
+bases = [random_isometry(SeededStream(s), 400, k) for s, k in ((1, 100), (2, 150))]
+draws["principal_cosines"] = principal_cosines(*bases)
+values, vectors = eig_hermitian(projector_product(SeededStream(3), ProjectorPair(600, 200, 300)))
+draws["eig_hermitian values"], draws["eig_hermitian vectors"] = values, vectors
 for name, value in draws.items():
     print(name, hashlib.sha256(value.tobytes()).hexdigest())
 """

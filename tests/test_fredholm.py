@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,8 +106,9 @@ def test_largest_eval_cdf_runs_each_recurrence_once(monkeypatch):
 
     monkeypatch.setattr(jrmt.cdkernel, "jacobi_rows", counting)
     largest_eval_cdf(KernelSpec(12, 6.0, 3.0), 0.5)
-    # one recurrence records P_0..P_n at the 64 nodes; its last two rows
-    # serve the quotient and all of them the Gram sum on the diagonal
+    # one recurrence runs P_0..P_n at the 64 nodes; its last two rows serve
+    # the quotient and all of them, as they stream past, the Gram sum on the
+    # diagonal
     assert calls == [(12, 6.0, 3.0, (64,))]
 
 
@@ -123,6 +125,48 @@ def test_tracy_widom_cdf_evaluates_airy_once(monkeypatch):
         sizes.clear()
         tracy_widom_cdf(t)
         assert sizes == [(64,)]
+
+
+# mpmath reference values (tests/make_special_refs.py, 40 digits) of the TW
+# law: Nystrom determinants of the Airy kernel at 96 Gauss-Legendre nodes on
+# [t, t + 16], which at t = -2 agree with 192 nodes to 1.5e-40
+TW_REFERENCE = [
+    (-8.0, "1.98590042576410000902768238308969025289e-19"),
+    (-7.5, "3.657651092562851601937505247278667515814e-16"),
+    (-7.0, "2.639614767246062449415408247778563848522e-13"),
+    (-6.5, "7.946076630727341693710197548670611647838e-11"),
+    (-6.0, "1.062254674124451068798905451565911252268e-8"),
+    (-5.5, "6.713838789865410167677305541272398753615e-7"),
+    (-5.0, "2.135996984741115769872315434538435502732e-5"),
+    (-4.5, "0.0003642223896787062398689016295149603999081"),
+    (-4.0, "0.003544553595509200296340396512749004708658"),
+    (-3.5, "0.02096769149276654325127495407537829770611"),
+    (-3.0, "0.08031955293933454808137189279886653259818"),
+    (-2.5, "0.2123514258195901062911634358606370359916"),
+    (-2.0, "0.4132241425051225546880807613717183050262"),
+    (-1.5, "0.6313808764207260466233171117108128091498"),
+    (-1.0, "0.8072142419992852924789582879966889286514"),
+    (-0.5, "0.916065189009287196501235455443806497912"),
+    (0.0, "0.9693728283552626683498782494508137827306"),
+    (0.5, "0.9905446073837164221162418432591923570578"),
+    (1.0, "0.9975054381493892493791531188651485010146"),
+    (1.5, "0.9994322343111556701096197865896634495197"),
+    (2.0, "0.9998875536983091729250301355236344800716"),
+    (2.5, "0.9999804720350555626267688982241826531766"),
+    (3.0, "0.999997005956607648307776021886671834916"),
+    (3.5, "0.9999995922779405975651171503267316062734"),
+    (4.0, "0.9999999504208784666895298126865050024747"),
+    (4.5, "0.9999999945907759441154306480723487349708"),
+    (5.0, "0.999999999468220673666757360366341245545"),
+    (5.5, "0.9999999999527106296655209623015988718392"),
+    (6.0, "0.9999999999961827673409905410085589529912"),
+]
+
+
+def test_tracy_widom_cdf_matches_the_mpmath_reference():
+    # the default 64 nodes on [t, t + 12] err by at most 3.0e-15 here
+    for t, ref in TW_REFERENCE:
+        assert abs(Fraction(tracy_widom_cdf(t)) - Fraction(ref)) <= Fraction(5e-15), t
 
 
 def test_gap_rejects_kernel_that_does_not_broadcast():
@@ -307,7 +351,8 @@ def test_mutating_a_mapped_rule_leaves_later_determinants_unchanged():
 
 # values taken with a rule rebuilt by leggauss on every call: sharing the
 # cached rule must not move a bit.  The finite-n values were re-pinned when
-# the kernel's diagonal became the exact Gram sum (moves of at most 8.9e-15),
+# the kernel's diagonal became the exact Gram sum (moves of at most 8.9e-15)
+# and when h_k and gamma_n came from one compensated sum (at most 1.2e-14),
 # the mass when it became 1 minus the atoms (exact 0.3 is 0x1.3333333333333p-2)
 @pytest.mark.parametrize(
     "value, expected",
@@ -317,10 +362,10 @@ def test_mutating_a_mapped_rule_leaves_later_determinants_unchanged():
         (lambda: tracy_widom_cdf(0.0), "0x1.f051a2a6d570ep-1"),
         (lambda: tracy_widom_cdf(2.5), "0x1.fffd70c00ef44p-1"),
         (lambda: tracy_widom_cdf(-1.0, m=96), "0x1.9d4b2f6481383p-1"),
-        (lambda: largest_eval_cdf(KernelSpec(12, 6.0, 3.0), 0.6), "0x1.8293baed81751p-16"),
-        (lambda: largest_eval_cdf(KernelSpec(12, 6.0, 3.0), 0.9), "0x1.b33bba06f6190p-1"),
-        (lambda: largest_eval_cdf(KernelSpec(100, 50.0, 50.0), 0.9), "0x1.7a3bd3bf5fdc7p-18"),
-        (lambda: largest_eval_cdf(KernelSpec(100, 50.0, 50.0), 0.93), "0x1.05628d83d29cfp-1"),
+        (lambda: largest_eval_cdf(KernelSpec(12, 6.0, 3.0), 0.6), "0x1.8293baed78b06p-16"),
+        (lambda: largest_eval_cdf(KernelSpec(12, 6.0, 3.0), 0.9), "0x1.b33bba06f6193p-1"),
+        (lambda: largest_eval_cdf(KernelSpec(100, 50.0, 50.0), 0.9), "0x1.7a3bd3be99a02p-18"),
+        (lambda: largest_eval_cdf(KernelSpec(100, 50.0, 50.0), 0.93), "0x1.05628d83d296ap-1"),
         (lambda: free_product_density(0.3, 0.4).continuous_mass(), "0x1.3333333333334p-2"),
     ],
     ids=["tw-3", "tw-1.8", "tw0", "tw2.5", "tw-1-m96", "n12-0.6", "n12-0.9", "n100-0.9", "n100-0.93", "mass"],

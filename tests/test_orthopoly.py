@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from jrmt.cdkernel import KernelSpec, _log_weight_half, soft_edge
 from jrmt.errors import DomainError, ParameterError
-from jrmt.orthopoly import chi_numerator, chi_zeros, jacobi_pair, log_gamma_n
+from jrmt.orthopoly import chi_numerator, chi_zeros, jacobi_pair, log_gamma_n, log_norms
 from tests.wkb_oracle import chi, interior_asymptotic, log_gamma_n_stirling, oscillation_angles
 
 
@@ -215,6 +215,45 @@ def test_gamma_n_positive():
 def test_gamma_n_rejects_degree_zero():
     with pytest.raises(ParameterError):
         log_gamma_n(0, 1.0, 1.0)
+
+
+def _log_norms_50_digits(n, a, b):
+    """log h_k, k < n, and log gamma_n from mpmath's log-Gamma at 50 digits."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        lg = mpmath.loggamma
+        log_h = [
+            (a + b + 1) * mpmath.log(2) - mpmath.log(2 * k + a + b + 1)
+            + lg(k + a + 1) + lg(k + b + 1) - lg(k + a + b + 1) - lg(k + 1)
+            for k in range(n)
+        ]
+        log_gam = (
+            -(a + b) * mpmath.log(2) - mpmath.log(2 * n + a + b)
+            + lg(n + 1) + lg(n + a + b + 1) - lg(n + a) - lg(n + b)
+        )
+        return log_h, log_gam
+
+
+@pytest.mark.parametrize(
+    "n,a,b", [(10, 3.0, 1.5), (100, 50.0, 50.0), (400, 200.0, 100.0), (400, 200.0, 2.0), (400, 0.5, 1.5)]
+)
+def test_normalizations_match_a_50_digit_reference(n, a, b):
+    # every log h_k, k < n, and log gamma_n to 1e-13 absolute; four
+    # log-Gamma values of size up to 4000 per h_k erred by up to 1.8e-12
+    log_h, log_gam = _log_norms_50_digits(n, a, b)
+    got = log_norms(n, a, b)
+    assert got.shape == (n,)
+    with mpmath.workdps(50):
+        worst = max(abs(mpmath.mpf(float(v)) - ref) for v, ref in zip(got, log_h))
+        assert worst <= 1e-13
+        assert abs(mpmath.mpf(log_gamma_n(n, a, b)) - log_gam) <= 1e-13
+
+
+def test_norms_are_read_only_and_built_once():
+    first = log_norms(30, 4.0, 2.5)
+    assert log_norms(30, 4.0, 2.5) is first
+    with pytest.raises(ValueError):
+        first[0] = 0.0
 
 
 @pytest.mark.parametrize("n", [50, 100])
