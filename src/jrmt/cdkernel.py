@@ -109,8 +109,9 @@ def kernel(spec: KernelSpec, x, y):
         # the Gram sum at the pairs (z[left], z[right]), and the last rows: the
         # powers of two of sqrt(w(s) w(t)) / h_0 (any beyond 2^30 over- or underflows
         # a term) and h_0 / h_k join the polynomial exponents in int32, for ldexp
-        lw = _log_weight_half(spec, z)
-        kw, cw = _split(lw[left] + lw[right] - log_h[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # a log-scale that overflows fails in _split
+            lw = _log_weight_half(spec, z)
+            kw, cw = _split(lw[left] + lw[right] - log_h[0])
         kw = np.clip(kw, -(2**30), 2**30).astype(np.int32)
         total, k0 = np.zeros(kw.shape), 0
         for m, e in jacobi_rows(n, a, b, z):
@@ -122,13 +123,8 @@ def kernel(spec: KernelSpec, x, y):
             s += kh[deg]
             s += kw
             np.ldexp(t, s, out=t)
-            t[0] += total
-            if len(total) < 128:  # in order of k either way; accumulate costs a call per abscissa
-                total = np.add.accumulate(t, out=t)[-1]
-            else:
-                total = t[0]
-                for term in t[1:]:
-                    total += term
+            for term in t:  # in order of k at every abscissa
+                total += term
         return cw * total, m, e, lw
 
     def nodes(z):
@@ -140,8 +136,7 @@ def kernel(spec: KernelSpec, x, y):
     def near(s, t):
         return gram(np.concatenate([s, t]), slice(s.size), slice(s.size, None))[0]
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a log-scale that overflows fails in _split
-        return _integrable_kernel(x, y, nodes, near)
+    return _integrable_kernel(x, y, nodes, near)
 
 
 def one_point_density(spec: KernelSpec, x):
