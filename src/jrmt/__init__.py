@@ -18,9 +18,12 @@ The package covers the full chain from sampling to universality checks:
 - ``cli``: the ``jrmt`` command-line tool
 - ``errors``: the exception types, which the CLI maps to its exit codes
 
-Importing the package loads numpy but no scipy submodule: ``scipy.special``
-is loaded by the first Airy or Bessel call, ``scipy.linalg`` by the first
-draw or ``one_blas_thread``, and the finite-n kernel loads neither.
+Importing the package loads numpy but no scipy module.  jrmt calls five
+scipy functions, and ``_scipy`` loads the two compiled modules that define
+them from their files, without the ``scipy.special`` and ``scipy.linalg``
+packages (whose imports took half of a command's cold start): the special
+functions at the first Airy or Bessel call, LAPACK at the first draw or
+``one_blas_thread``.  The finite-n kernel loads neither.
 """
 
 __version__ = "0.1.0"

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._scipy import load
 from .errors import DomainError, ParameterError, RegimeError
 
 __all__ = [
@@ -224,9 +225,7 @@ def free_product_density(alpha: float, beta: float) -> FreeDensity:
 
 
 def _airy_nodes(z):
-    import scipy.special
-
-    ai, aip = scipy.special.airy(z)[:2]
+    ai, aip = load("scipy.special").airy(z)[:2]
     return ai, aip, aip * aip - z * ai * ai
 
 
@@ -264,10 +263,9 @@ def bessel_kernel(b: int, u, v):
         raise DomainError("hard-edge kernel needs u, v > 0")
 
     def nodes(z):
-        import scipy.special
-
+        jv = load("scipy.special").jv
         s = np.sqrt(z)
-        jb, jb1 = scipy.special.jv(b, s), scipy.special.jv(b + 1, s)
+        jb, jb1 = jv(b, s), jv(b + 1, s)
         return 0.5 * s * jb1, jb, (jb * jb + jb1 * jb1 - 2.0 * b / s * jb * jb1) / 4.0
 
     return _integrable_kernel(u, v, nodes)

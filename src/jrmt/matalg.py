@@ -8,6 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ._scipy import load
 from .errors import ValidationError
 
 __all__ = ["eig_hermitian", "one_blas_thread", "principal_cosines"]
@@ -31,12 +32,13 @@ def _openblas_controls() -> tuple:
     """(get, set) thread-count functions of every OpenBLAS mapped into the process.
 
     Reads the mapped library paths from /proc/self/maps; empty where there is
-    no /proc or no OpenBLAS.  Importing ``jrmt`` loads neither scipy.linalg
-    nor its OpenBLAS, so this loads scipy.linalg first: otherwise a draw that
+    no /proc or no OpenBLAS.  Importing ``jrmt`` does not map scipy's
+    OpenBLAS, so this loads scipy's compiled LAPACK module first, which maps
+    it (the ``scipy.linalg`` package stays unloaded): otherwise a draw that
     reaches LAPACK after the first call would map scipy's library unseen, at
     its default thread count.
     """
-    import scipy.linalg  # maps scipy's OpenBLAS before the scan below
+    load("scipy.linalg.lapack")  # maps scipy's OpenBLAS before the scan below
 
     try:
         with open("/proc/self/maps", encoding="utf-8") as f:

@@ -515,34 +515,38 @@ def test_output_independent_of_blas_threads(argv):
     assert outs[0] == outs[1]
 
 
+_SPECIAL, _LAPACK = ["scipy.special._special_ufuncs"], ["scipy.linalg._flapack"]
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
         (None, []),
-        (["tw", "--t", "0", "--quad", "16"], ["scipy.special"]),
+        (["tw", "--t", "0", "--quad", "16"], _SPECIAL),
         (["gap", "--n", "12", "--a", "6", "--b", "3", "--x", "0.5", "--quad", "16"], []),
         (["density", "--n", "12", "--a", "6", "--b", "3", "--grid=-0.5:0.5:3"], []),
-        (["kernel", "--regime", "hard", "--n", "40", "--a", "20", "--b", "2", "--ugrid=1:2:2"],
-         ["scipy.special"]),
-        (["sample", "--n", "20", "--q", "5", "--qtilde", "8", "--route", "wishart", "--trials", "2"],
-         ["scipy.linalg"]),
+        (["kernel", "--regime", "hard", "--n", "40", "--a", "20", "--b", "2", "--ugrid=1:2:2"], _SPECIAL),
+        (["sample", "--n", "20", "--q", "5", "--qtilde", "8", "--route", "wishart", "--trials", "2"], _LAPACK),
         (["sample", "--n", "20", "--q", "5", "--qtilde", "8", "--route", "tridiagonal", "--trials", "2"],
-         ["scipy.linalg"]),
-        (["angles", "--n", "20", "--q", "4", "--qprime", "5", "--trials", "3"], ["scipy.linalg"]),
+         _LAPACK),
+        (["sample", "--n", "20", "--q", "5", "--qtilde", "8", "--route", "projector", "--trials", "2"], _LAPACK),
+        (["angles", "--n", "20", "--q", "4", "--qprime", "5", "--trials", "3"], _LAPACK),
     ],
-    ids=["import", "tw", "gap", "density", "kernel", "sample-wishart", "sample-tridiagonal", "angles"],
+    ids=["import", "tw", "gap", "density", "kernel", "sample-wishart", "sample-tridiagonal", "sample-projector",
+         "angles"],
 )
 def test_each_entry_point_loads_only_the_scipy_submodule_it_uses(argv, loaded):
-    # a fresh process: importing jrmt loads neither submodule, the finite-n
-    # kernel neither, the limit kernels special functions alone and the
-    # sampling side LAPACK alone
+    # a fresh process: no entry point loads the scipy package, scipy.special
+    # or scipy.linalg; importing jrmt and the finite-n kernel load no scipy
+    # module, the limit kernels the compiled special functions alone, and
+    # every draw (the projector route through its BLAS hold) LAPACK alone
     script = "import contextlib, io, json, sys\nimport jrmt\n"
     if argv is not None:
         script += (
             "from jrmt.cli import main\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
         )
-    script += "print(json.dumps([m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules]))\n"
+    script += "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

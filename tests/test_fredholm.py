@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.special
 
 import jrmt.cdkernel
 import jrmt.fredholm
+from jrmt import _scipy
 from jrmt.cdkernel import KernelSpec, finite_profile, kernel
 from jrmt.errors import NumericError, ParameterError
 from jrmt.fredholm import GapQuery, gap_probability, gauss_legendre, largest_eval_cdf, tracy_widom_cdf
@@ -114,13 +114,14 @@ def test_largest_eval_cdf_runs_each_recurrence_once(monkeypatch):
 
 def test_tracy_widom_cdf_evaluates_airy_once(monkeypatch):
     sizes = []
-    airy = scipy.special.airy
+    special = _scipy.load("scipy.special")
+    airy = special.airy
 
     def counting(z):
         sizes.append(np.shape(z))
         return airy(z)
 
-    monkeypatch.setattr(scipy.special, "airy", counting)
+    monkeypatch.setattr(special, "airy", counting)
     for t in (-3.0, 0.0, 2.5):
         sizes.clear()
         tracy_widom_cdf(t)
