@@ -26,7 +26,7 @@ from .cdkernel import KernelSpec, finite_profile, local_scaling, one_point_densi
 from .ensembles import reduce_ranks, sample_largest, sample_spectra
 from .errors import JrmtError, NumericError, ParameterError
 from .fredholm import largest_eval_cdf, tracy_widom_cdf
-from .limits import banach_angle, limit_density
+from .limits import banach_angle, free_product_density, limit_density
 from .randgen import SeededStream
 
 USAGE_EXIT = 2
@@ -173,8 +173,10 @@ def cmd_tw(args) -> str:
 def cmd_angles(args) -> str:
     _check_trials(args.trials)
     pair = reduce_ranks(args.n, args.q, args.qprime).canonical
-    # banach_angle admits only q + q' < n, where the plan only orders the ranks
-    theta = banach_angle(args.q / args.n, args.qprime / args.n)
+    # banach_angle admits only q + q' < n, where the plan only orders the ranks;
+    # cos^2 is the law's top edge itself, not cos(theta)**2 an ulp off it
+    alpha, beta = args.q / args.n, args.qprime / args.n
+    theta = banach_angle(alpha, beta)
     streams = (SeededStream(args.seed, t) for t in range(args.trials))
     cos2 = np.array([sample_largest(s, args.n, pair.q, pair.q_tilde) for s in streams])
     config = _config(
@@ -183,7 +185,7 @@ def cmd_angles(args) -> str:
         "drawn from the tridiagonal beta = 2 model on streams (seed, t)",
     )
     result = {
-        "predicted_cos2": math.cos(theta) ** 2,
+        "predicted_cos2": free_product_density(alpha, beta).support[1],
         "predicted_angle": theta,
         "max_cos2": {
             "mean": float(cos2.mean()),

@@ -22,7 +22,11 @@ The tridiagonal route builds its matrix from the Beta variables and hands
 it straight to LAPACK, with the arguments ``scipy.linalg.eigvalsh_tridiagonal``
 would pass: ``dstevd`` for the whole spectrum, and ``dstebz`` bisecting for
 eigenvalue q of q in ``sample_largest``.  A draw costs its random variables
-and that one call; a 1 x 1 matrix is its own eigenvalue, as in scipy.
+and that one call, which skips the wrapper's argument checks and lookups
+(about 60 us a draw); a 1 x 1 matrix is its own eigenvalue, as in scipy.
+The Wishart and tridiagonal routes read their routines from
+``load("scipy.linalg.lapack")``, so no draw loads the scipy.linalg package
+and importing jrmt loads no LAPACK.
 
 ``sample_spectra`` draws one spectrum per ``SeededStream``: each trial takes
 all of its randomness from its own stream, and the linear algebra runs once
@@ -33,7 +37,6 @@ its ``(seed, stream_id)`` alone: not on the stack, the thread count or the calle
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -98,23 +101,6 @@ class ProjectorPair:
 _STACK_ENTRIES = 2**17
 
 
-@functools.cache
-def _lapack() -> dict:
-    """The LAPACK routines of the Wishart and tridiagonal routes, by name.
-
-    ``hegvd`` is what scipy.linalg.eigh picks for a complex Hermitian pencil,
-    ``stevd`` and ``stebz`` what scipy.linalg.eigvalsh_tridiagonal picks for
-    the whole spectrum and for one eigenvalue by index.  Called directly they
-    skip those wrappers' argument checks and lookups (about 60 us a
-    tridiagonal draw).  Fetched once, at the first draw that needs one, from
-    scipy's compiled ``_flapack`` module (the same objects that
-    scipy.linalg.lapack exports), so that no draw loads the scipy.linalg
-    package (about 0.23 s and 25 MB) and importing jrmt loads no LAPACK.
-    """
-    lapack = load("scipy.linalg.lapack")
-    return {"hegvd": lapack.zhegvd, "stebz": lapack.dstebz, "stevd": lapack.dstevd}
-
-
 def _check_info(info: int, routine: str) -> None:
     if info != 0:
         raise NumericError(f"{routine} failed with info={info}")
@@ -157,7 +143,7 @@ def _wishart_spectra(gens: list, n: int, q: int, q_tilde: int, spec: KernelSpec)
     # and its batch wrapper, about 40 us a call
     y = x + xp
     out = np.empty((len(gens), q))
-    hegvd = _lapack()["hegvd"]
+    hegvd = load("scipy.linalg.lapack").zhegvd
     for i in range(len(gens)):
         out[i], _, info = hegvd(x[i], y[i], jobz="N")
         _check_info(info, "hegvd")
@@ -266,7 +252,7 @@ def _beta_jacobi(gen, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
 def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     if diag.size == 1:
         return diag
-    w, _, info = _lapack()["stevd"](diag, off, compute_v=False)
+    w, _, info = load("scipy.linalg.lapack").dstevd(diag, off, compute_v=False)
     _check_info(info, "stevd")
     return w
 
@@ -277,7 +263,7 @@ def _tridiagonal_top(diag: np.ndarray, off: np.ndarray) -> float:
         return float(diag[0])
     # eigenvalue q of q by bisection, with scipy's arguments: range 2 (by
     # index), vl and vu unused, il = iu = q, tol 0 (dstebz's default), order 'E'
-    _, w, _, _, info = _lapack()["stebz"](diag, off, 2, 0.0, 1.0, q, q, 0.0, "E")
+    _, w, _, _, info = load("scipy.linalg.lapack").dstebz(diag, off, 2, 0.0, 1.0, q, q, 0.0, "E")
     _check_info(info, "stebz")
     return float(w[0])
 

@@ -236,6 +236,14 @@ def test_angles_output(capsys):
     assert 0.0 < payload["predicted_cos2"] < 1.0
 
 
+def test_angles_prints_the_free_law_edge_itself(capsys):
+    # at ratios (0.1, 0.2) the top edge r+ is exactly 1/2; cos(acos(sqrt(r+)))**2
+    # would print 0.5000000000000001
+    assert main(["angles", "--n", "10", "--q", "1", "--qprime", "2", "--trials", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["predicted_cos2"] == 0.5
+
+
 def test_angles_is_symmetric_in_the_two_ranks(capsys):
     payloads = []
     for q, qp in [("50", "60"), ("60", "50")]:
@@ -606,6 +614,7 @@ def test_gap_never_prints_a_negative_probability(capsys):
         ["gap", "--n", "3", "--a", "1e20", "--b", "0", "--x", "0.5"],
         ["density", "--n", "3", "--a", "1e20", "--b", "0", "--grid=-0.5:0.5:3"],
         ["density", "--n", "3", "--a", "2e305", "--b", "0", "--grid=-0.5:0.5:3"],
+        ["density", "--n", "3", "--a", "1e308", "--b", "1e308", "--grid=-0.5:0.5:3"],
     ],
     ids=[
         "density-a-3e305",
@@ -614,13 +623,15 @@ def test_gap_never_prints_a_negative_probability(capsys):
         "gap-a-1e20",
         "density-a-1e20",
         "density-a-2e305",
+        "density-sum-overflows",
     ],
 )
 def test_huge_finite_parameters_are_numeric_failures(argv, capsys):
-    # finite, so past the parameter checks, but log-Gamma of n + a
-    # overflows, or the log-scales of the finite-n kernel leave the range of
-    # their integer exponents; the finite-n density fails before the regime
-    # check, whose A + B rounds to 1 at such ratios
+    # finite, so past the parameter checks, but the parameter sum a + b of
+    # the norm table overflows, or the recurrence coefficients do, or the
+    # log-scales of the finite-n kernel leave the range of _split's integer
+    # exponents; the finite-n density fails before the regime check, whose
+    # A + B rounds to 1 at such ratios
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

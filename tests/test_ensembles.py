@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -279,11 +280,11 @@ def test_sample_largest_matches_wishart_top_in_law():
 
 
 def test_tridiagonal_lapack_failure_is_a_numeric_error(monkeypatch):
-    routines = {
-        "stebz": lambda *args: (0, np.empty(1), None, None, 3),
-        "stevd": lambda d, e, compute_v: (d, None, -2),
-    }
-    monkeypatch.setattr(ensembles, "_lapack", lambda: routines)
+    lapack = SimpleNamespace(
+        dstebz=lambda *args: (0, np.empty(1), None, None, 3),
+        dstevd=lambda d, e, compute_v: (d, None, -2),
+    )
+    monkeypatch.setattr(ensembles, "load", lambda public: lapack)
     with pytest.raises(NumericError, match="stebz failed with info=3"):
         sample_largest(SeededStream(0), 40, 10, 12)
     with pytest.raises(NumericError, match="stevd failed with info=-2"):
@@ -291,8 +292,8 @@ def test_tridiagonal_lapack_failure_is_a_numeric_error(monkeypatch):
 
 
 def test_wishart_lapack_failure_is_a_numeric_error(monkeypatch):
-    routines = {"hegvd": lambda x, y, jobz: (np.zeros(x.shape[0]), None, 5)}
-    monkeypatch.setattr(ensembles, "_lapack", lambda: routines)
+    lapack = SimpleNamespace(zhegvd=lambda x, y, jobz: (np.zeros(x.shape[0]), None, 5))
+    monkeypatch.setattr(ensembles, "load", lambda public: lapack)
     with pytest.raises(NumericError, match="hegvd failed with info=5"):
         sample_spectrum(SeededStream(0), 40, 10, 12, "wishart")
 

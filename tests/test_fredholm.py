@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from jrmt.errors import NumericError, ParameterError
 from jrmt.fredholm import GapQuery, gap_probability, gauss_legendre, largest_eval_cdf, tracy_widom_cdf
 from jrmt.limits import free_product_density
 from jrmt.orthopoly import gauss_legendre_unit, jacobi_rows
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_zero_kernel_gives_one():
@@ -373,3 +379,29 @@ def test_mutating_a_mapped_rule_leaves_later_determinants_unchanged():
 )
 def test_values_are_bitwise_pinned(value, expected):
     assert value().hex() == expected
+
+
+_DETERMINANTS = """
+from jrmt.cdkernel import KernelSpec
+from jrmt.fredholm import largest_eval_cdf, tracy_widom_cdf
+
+print(tracy_widom_cdf(-1.8).hex())
+print(largest_eval_cdf(KernelSpec(12, 6.0, 3.0), 0.9).hex())
+print(largest_eval_cdf(KernelSpec(100, 50.0, 50.0), 0.93).hex())
+"""
+
+
+def test_default_rule_determinants_independent_of_blas_threads():
+    # fresh processes, so OPENBLAS_NUM_THREADS sets every library's default
+    # count; at the default 64 nodes np.linalg.det takes the same bits at one
+    # thread and at two (larger rules need not, see the README)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _DETERMINANTS], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].split()) == 3
