@@ -4,7 +4,7 @@ The package covers the full chain from sampling to universality checks:
 
 - ``randgen``: seeded streams, complex Gaussians and Haar isometries
 - ``matalg``: Hermitian eigendecomposition, principal angles and
-  ``one_blas_thread``, which every dense draw enters
+  ``one_blas_thread``, which holds every dense draw's BLAS at one thread
 - ``ensembles``: the projector-compression, Wishart-ratio and tridiagonal
   beta-Jacobi constructions
 - ``orthopoly``: Jacobi polynomials by one streamed array recurrence,
@@ -21,9 +21,9 @@ The package covers the full chain from sampling to universality checks:
 Importing the package loads numpy but no scipy module.  jrmt calls five
 scipy functions, and ``_scipy`` loads the two compiled modules that define
 them from their files, without the ``scipy.special`` and ``scipy.linalg``
-packages (whose imports took half of a command's cold start): the special
-functions at the first Airy or Bessel call, LAPACK at the first draw or
-``one_blas_thread``.  The finite-n kernel loads neither.
+packages (half of a command's cold start): the special functions at the
+first Airy or Bessel call, LAPACK at the first draw or ``one_blas_thread``.
+The finite-n kernel and the determinants' BLAS hold load neither.
 """
 
 __version__ = "0.1.0"

@@ -3,15 +3,15 @@
 The integral operator is discretized at Gauss-Legendre nodes with the
 symmetric square-root weighting W^{1/2} K W^{1/2}, which keeps the
 discretized operator symmetric, and the determinant comes from a pivoted
-dense LU factorization.  The rule on [-1, 1] is built once per node count
-and reused, read-only (:func:`jrmt.orthopoly.gauss_legendre_unit`); each
-call only maps it to its interval.  Kernels are callables that broadcast
-over numpy arrays, so the m x m matrix comes from one call on a column and
-a row of the m nodes, never their meshgrid, and I - W^{1/2} K W^{1/2} is
-formed in one m x m array beside the kernel's.  The alternating Fredholm
-series expansion is kept out of production (it converges too slowly); the
-test suite uses a short truncation of it as an independent oracle on
-low-rank toy kernels.
+dense LU factorization on one BLAS thread.  Each call maps the rule on
+[-1, 1], built once per node count and shared read-only
+(:func:`jrmt.orthopoly.gauss_legendre_unit`), to its interval.  Kernels are
+callables that broadcast over numpy arrays, so the m x m matrix comes from
+one call on a column and a row of the m nodes, never their meshgrid, and
+I - W^{1/2} K W^{1/2} is formed in one m x m array beside the kernel's.
+The alternating Fredholm series expansion is kept out of production (it
+converges too slowly); the test suite uses a short truncation of it as an
+independent oracle on low-rank toy kernels.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from .cdkernel import KernelSpec, kernel
 from .errors import DomainError, NumericError, ParameterError
 from .limits import airy_kernel
+from .matalg import _controls_of, _held
 from .orthopoly import gauss_legendre_unit
 
 __all__ = ["GapQuery", "gauss_legendre", "gap_probability", "largest_eval_cdf", "tracy_widom_cdf"]
@@ -70,8 +71,8 @@ def gap_probability(query: GapQuery) -> float:
     further out raises.  Below 0 means the kernel fed in was inconsistent;
     above 1 means the quadrature is too coarse for the kernel on the
     interval: the discretized operator then has eigenvalues far above 1,
-    which a projection kernel cannot have.  The kernel matrix comes from one
-    call on a column and a row of the nodes.
+    which a projection kernel cannot have.  numpy's OpenBLAS runs the
+    determinant on one thread, so its bits do not depend on the thread count.
     """
     lo, hi = query.interval
     m = query.quad_points
@@ -88,7 +89,8 @@ def gap_probability(query: GapQuery) -> float:
     a *= k
     np.subtract(0.0, a, out=a)
     a.flat[:: m + 1] += 1.0
-    det = float(np.linalg.det(a))
+    with _held(_controls_of(np.linalg._umath_linalg)):
+        det = float(np.linalg.det(a))
     if det < -1e-8:
         raise NumericError(f"determinant {det:.3e} below 0 beyond tolerance")
     if det > 1.0 + 1e-8:

@@ -1,9 +1,10 @@
-"""Dense Hermitian helpers: eigendecomposition, principal angles, BLAS threads."""
+"""Dense Hermitian helpers: eigendecomposition, principal angles, the BLAS thread hold."""
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -28,52 +29,36 @@ _THREAD_SYMBOLS = (
 
 
 @functools.cache
-def _openblas_controls() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS mapped into the process.
+def _controls_of(module) -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS that ``module`` links.
 
-    Reads the mapped library paths from /proc/self/maps; empty where there is
-    no /proc or no OpenBLAS.  Importing ``jrmt`` does not map scipy's
-    OpenBLAS, so this loads scipy's compiled LAPACK module first, which maps
-    it (the ``scipy.linalg`` package stays unloaded): otherwise a draw that
-    reaches LAPACK after the first call would map scipy's library unseen, at
-    its default thread count.
+    A handle on the extension module's file also resolves symbols in the
+    libraries it links; empty where no ``_THREAD_SYMBOLS`` pair resolves.
     """
-    load("scipy.linalg.lapack")  # maps scipy's OpenBLAS before the scan below
+    lib = ctypes.CDLL(module.__file__)
+    for get, set_ in _THREAD_SYMBOLS:
+        if hasattr(lib, get) and hasattr(lib, set_):
+            getter, setter = getattr(lib, get), getattr(lib, set_)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return ((getter, setter),)
+    return ()
 
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            fields = [line.split(maxsplit=5) for line in f]
-    except OSError:
-        return ()
-    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get, set_ in _THREAD_SYMBOLS:
-            if hasattr(lib, get) and hasattr(lib, set_):
-                getter, setter = getattr(lib, get), getattr(lib, set_)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                controls.append((getter, setter))
-                break
-    return tuple(controls)
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(get, set) of the OpenBLAS behind numpy's and scipy's LAPACK modules.
+
+    All of jrmt's BLAS runs in those two.  Importing jrmt loads no scipy
+    module, so this loads scipy's first; ``load``'s fallback loads it too.
+    """
+    load("scipy.linalg.lapack")
+    return _controls_of(np.linalg._umath_linalg) + _controls_of(sys.modules["scipy.linalg._flapack"])
 
 
 @contextmanager
-def one_blas_thread():
-    """Run the body with every loaded OpenBLAS on one thread.
-
-    Restores each library's previous thread count on exit, also when the
-    body raises; does nothing where no OpenBLAS is found.  The bits of a
-    dense draw depend on the BLAS thread count, so every function that runs
-    BLAS (the samplers, ``eig_hermitian``, ``principal_cosines``) runs it
-    inside this block; one thread is also faster at jrmt's sizes.
-    Holds nest: an inner one finds one thread and restores one.
-    """
-    controls = _openblas_controls()
+def _held(controls):
+    """Run the body with each (get, set) pair in ``controls`` at one thread."""
     previous = [get() for get, _ in controls]
     for _, set_ in controls:
         set_(1)
@@ -82,6 +67,19 @@ def one_blas_thread():
     finally:
         for (_, set_), count in zip(controls, previous):
             set_(count)
+
+
+def one_blas_thread():
+    """Run the body with the OpenBLAS behind numpy's and scipy's LAPACK on one thread.
+
+    Restores each previous thread count on exit, also when the body raises;
+    does nothing where no thread-count symbol is found.  The bits of a dense
+    draw depend on the BLAS thread count, so every function that runs BLAS
+    (the samplers, ``eig_hermitian``, ``principal_cosines``) runs it held,
+    and ``fredholm`` holds numpy's library alone around each determinant.
+    Holds nest: an inner one finds one thread and restores one.
+    """
+    return _held(_openblas_controls())
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

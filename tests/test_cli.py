@@ -531,7 +531,9 @@ _SPECIAL, _LAPACK = ["scipy.special._special_ufuncs"], ["scipy.linalg._flapack"]
     [
         (None, []),
         (["tw", "--t", "0", "--quad", "16"], _SPECIAL),
+        (["tw", "--t", "0", "--quad", "256"], _SPECIAL),
         (["gap", "--n", "12", "--a", "6", "--b", "3", "--x", "0.5", "--quad", "16"], []),
+        (["gap", "--n", "12", "--a", "6", "--b", "3", "--x", "0.5", "--quad", "256"], []),
         (["density", "--n", "12", "--a", "6", "--b", "3", "--grid=-0.5:0.5:3"], []),
         (["kernel", "--regime", "hard", "--n", "40", "--a", "20", "--b", "2", "--ugrid=1:2:2"], _SPECIAL),
         (["sample", "--n", "20", "--q", "5", "--qtilde", "8", "--route", "wishart", "--trials", "2"], _LAPACK),
@@ -540,14 +542,15 @@ _SPECIAL, _LAPACK = ["scipy.special._special_ufuncs"], ["scipy.linalg._flapack"]
         (["sample", "--n", "20", "--q", "5", "--qtilde", "8", "--route", "projector", "--trials", "2"], _LAPACK),
         (["angles", "--n", "20", "--q", "4", "--qprime", "5", "--trials", "3"], _LAPACK),
     ],
-    ids=["import", "tw", "gap", "density", "kernel", "sample-wishart", "sample-tridiagonal", "sample-projector",
-         "angles"],
+    ids=["import", "tw", "tw-quad256", "gap", "gap-quad256", "density", "kernel", "sample-wishart",
+         "sample-tridiagonal", "sample-projector", "angles"],
 )
 def test_each_entry_point_loads_only_the_scipy_submodule_it_uses(argv, loaded):
     # a fresh process: no entry point loads the scipy package, scipy.special
     # or scipy.linalg; importing jrmt and the finite-n kernel load no scipy
     # module, the limit kernels the compiled special functions alone, and
-    # every draw (the projector route through its BLAS hold) LAPACK alone
+    # every draw (the projector route through its BLAS hold) LAPACK alone;
+    # a determinant's hold on numpy's BLAS loads none
     script = "import contextlib, io, json, sys\nimport jrmt\n"
     if argv is not None:
         script += (

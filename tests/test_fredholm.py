@@ -388,13 +388,16 @@ from jrmt.fredholm import largest_eval_cdf, tracy_widom_cdf
 print(tracy_widom_cdf(-1.8).hex())
 print(largest_eval_cdf(KernelSpec(12, 6.0, 3.0), 0.9).hex())
 print(largest_eval_cdf(KernelSpec(100, 50.0, 50.0), 0.93).hex())
+print(largest_eval_cdf(KernelSpec(100, 50.0, 50.0), 0.9, m=256).hex())
+print(tracy_widom_cdf(-1.8, m=256).hex())
 """
 
 
 def test_default_rule_determinants_independent_of_blas_threads():
     # fresh processes, so OPENBLAS_NUM_THREADS sets every library's default
-    # count; at the default 64 nodes np.linalg.det takes the same bits at one
-    # thread and at two (larger rules need not, see the README)
+    # count; gap_probability holds numpy's OpenBLAS at one thread, so the
+    # determinant keeps its bits at the default 64 nodes and at 256, where an
+    # unheld np.linalg.det gives the (100, 50, 50) value other bits at two
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
@@ -404,4 +407,4 @@ def test_default_rule_determinants_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr[-2000:]
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
-    assert len(outs[0].split()) == 3
+    assert len(outs[0].split()) == 5

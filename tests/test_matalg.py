@@ -171,3 +171,38 @@ def test_one_blas_thread_entered_before_any_lapack_call_holds_every_openblas():
     if not counts:
         pytest.skip("no OpenBLAS loaded")
     assert counts == {path: 1 for path in counts}
+
+
+# refuses every read under /proc before jrmt is imported, then reads each
+# found library's thread count inside a hold and after it
+_HOLD_WITHOUT_PROC = """
+import builtins, json
+
+real_open = builtins.open
+
+def refuse_proc(file, *args, **kwargs):
+    if str(file).startswith("/proc"):
+        raise PermissionError(13, "Permission denied", file)
+    return real_open(file, *args, **kwargs)
+
+builtins.open = refuse_proc
+from jrmt import matalg
+
+controls = matalg._openblas_controls()
+with matalg.one_blas_thread():
+    inside = [get() for get, _ in controls]
+print(json.dumps({"inside": inside, "after": [get() for get, _ in controls]}))
+"""
+
+
+def test_one_blas_thread_holds_both_openblas_without_proc():
+    # a fresh process, so OPENBLAS_NUM_THREADS sets every library's default;
+    # the lookup goes through numpy's and scipy's LAPACK modules, not /proc
+    if not sys.platform.startswith("linux"):
+        pytest.skip("the module-handle lookup is checked on Linux")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run(
+        [sys.executable, "-c", _HOLD_WITHOUT_PROC], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {"inside": [1, 1], "after": [2, 2]}
