@@ -14,7 +14,8 @@ The package covers the full chain from sampling to universality checks:
 - ``limits``: limiting densities and the sine, Airy, and Bessel kernels
   (Airy and Bessel functions from ``scipy.special``)
 - ``fredholm``: gap probabilities det(I - K) by Nystrom quadrature
-- ``empirics``: Monte Carlo harness and convergence reports
+- ``empirics``: empirical samples, KS statistics and deterministic
+  convergence reports
 - ``cli``: the ``jrmt`` command-line tool
 - ``errors``: the exception types, which the CLI maps to its exit codes
 

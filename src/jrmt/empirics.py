@@ -1,10 +1,12 @@
-"""Monte Carlo harness: empirical spectra, KS statistics, convergence reports.
+"""Empirical samples, KS statistics and deterministic convergence reports.
 
-Trials are keyed by stream_id and run serially, one after another, on one
-worker; aggregation is order-independent (sorted merges).  A convergence
-report on a grid regime takes its centre, scale and limit kernel from
-:func:`~jrmt.cdkernel.local_scaling` and its kernel values from
-:func:`~jrmt.cdkernel.rescaled`; it defines no rescaling of its own.
+The module draws nothing.  An ``EmpiricalSample`` holds values drawn
+elsewhere, sorted, so a KS statistic does not depend on the order of the
+draws.  A convergence report compares the finite-n kernel or density with
+its limit and involves no randomness.  A report on a grid regime takes its
+centre, scale and limit kernel from :func:`~jrmt.cdkernel.local_scaling` and
+its kernel values from :func:`~jrmt.cdkernel.rescaled`; it defines no
+rescaling of its own.
 """
 
 from __future__ import annotations

@@ -4,11 +4,7 @@ import hashlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +16,7 @@ from jrmt.empirics import EmpiricalSample, ks_distance
 from jrmt.ensembles import sample_largest
 from jrmt.matalg import principal_cosines
 from jrmt.randgen import SeededStream, random_isometry
-
-ROOT = Path(__file__).resolve().parent.parent
+from tests.fresh import run_python, same_at_one_and_two_threads
 
 
 def _read_csv(path):
@@ -512,15 +507,7 @@ def test_main_calls_share_one_parser_and_keep_their_output(monkeypatch, capsys):
     ids=["sample", "angles"],
 )
 def test_output_independent_of_blas_threads(argv):
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "jrmt", *argv], env=env, capture_output=True, text=True, timeout=600
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    same_at_one_and_two_threads("-m", "jrmt", *argv)
 
 
 _SPECIAL, _LAPACK = ["scipy.special._special_ufuncs"], ["scipy.linalg._flapack"]
@@ -558,10 +545,7 @@ def test_each_entry_point_loads_only_the_scipy_submodule_it_uses(argv, loaded):
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
         )
     script += "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout) == loaded
+    assert json.loads(run_python("-c", script).stdout) == loaded
 
 
 _small = st.integers(min_value=-2, max_value=12)

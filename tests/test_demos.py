@@ -1,21 +1,13 @@
 """Every demo script runs to completion against the package in src/."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from tests.fresh import ROOT, run_python
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=600
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    proc = run_python(str(demo), timeout=600, cwd=ROOT)
     assert "Traceback" not in proc.stderr

@@ -1,10 +1,6 @@
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,8 +21,7 @@ from jrmt.ensembles import (
 from jrmt.errors import NumericError, ParameterError
 from jrmt.matalg import one_blas_thread
 from jrmt.randgen import SeededStream
-
-ROOT = Path(__file__).resolve().parent.parent
+from tests.fresh import same_at_one_and_two_threads
 
 
 def test_jacobi_wishart_shape_and_range():
@@ -217,15 +212,7 @@ for name, value in draws.items():
 def test_dense_draws_independent_of_blas_threads():
     # fresh processes, so OPENBLAS_NUM_THREADS sets every library's default
     # count; the draws take the same bits at one thread and at two
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-c", _DENSE_DRAWS], env=env, capture_output=True, text=True, timeout=600
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    same_at_one_and_two_threads("-c", _DENSE_DRAWS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +12,7 @@ from jrmt.errors import NumericError, ParameterError
 from jrmt.fredholm import GapQuery, gap_probability, gauss_legendre, largest_eval_cdf, tracy_widom_cdf
 from jrmt.limits import free_product_density
 from jrmt.orthopoly import gauss_legendre_unit, jacobi_rows
-
-ROOT = Path(__file__).resolve().parent.parent
+from tests.fresh import same_at_one_and_two_threads
 
 
 def test_zero_kernel_gives_one():
@@ -398,13 +393,4 @@ def test_default_rule_determinants_independent_of_blas_threads():
     # count; gap_probability holds numpy's OpenBLAS at one thread, so the
     # determinant keeps its bits at the default 64 nodes and at 256, where an
     # unheld np.linalg.det gives the (100, 50, 50) value other bits at two
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-c", _DETERMINANTS], env=env, capture_output=True, text=True, timeout=600
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-    assert len(outs[0].split()) == 5
+    assert len(same_at_one_and_two_threads("-c", _DETERMINANTS).split()) == 5

@@ -2,19 +2,28 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from jrmt.empirics import ExperimentSpec, run_experiment
 from jrmt.ensembles import ProjectorPair, reduce_ranks
-from jrmt.errors import DomainError, NumericError, ParameterError, RegimeError
+from jrmt.errors import DomainError, NumericError, ParameterError, RegimeError, ValidationError
 from jrmt.fredholm import GapQuery, gap_probability
 from jrmt.limits import LimitProfile, banach_angle, bessel_kernel, limit_density
+from jrmt.matalg import eig_hermitian, principal_cosines
 from jrmt.orthopoly import jacobi_pair
 from tests.wkb_oracle import chi
 
 
 def _constant_two(x, y):
     return 2.0 + 0.0 * (x - y)
+
+
+def _cosines_of_a_scaled_basis():
+    # a QR basis scaled by 1 + 3e-11 passes the 1e-10 orthonormality check,
+    # yet its cosine with itself, 1 + 6e-11, lies past the 1e-12 bound
+    b = np.linalg.qr(np.arange(1.0, 7.0).reshape(3, 2))[0] * (1 + 3e-11)
+    return principal_cosines(b, b)
 
 
 @pytest.mark.parametrize(
@@ -35,6 +44,8 @@ def _constant_two(x, y):
         (DomainError, lambda: chi(5, 1.0, 1.0, 1.0)),
         (ParameterError, lambda: run_experiment(ExperimentSpec("bulk", (20,), 0.5, 0.25))),
         (ParameterError, lambda: run_experiment(ExperimentSpec("onepoint", (), 0.5, 0.25))),
+        (ValidationError, lambda: eig_hermitian(np.zeros((2, 3)))),
+        (ValidationError, _cosines_of_a_scaled_basis),
     ],
     ids=[
         "gap-below-zero",
@@ -49,6 +60,8 @@ def _constant_two(x, y):
         "chi-at-one",
         "experiment-empty-grid",
         "experiment-no-n",
+        "eig-not-square",
+        "cosines-above-one",
     ],
 )
 def test_guard_raises(error, call):

@@ -1,8 +1,6 @@
 import json
 import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +9,7 @@ from jrmt import matalg
 from jrmt.errors import ValidationError
 from jrmt.matalg import eig_hermitian, one_blas_thread, principal_cosines
 from jrmt.randgen import SeededStream, _ginibre
-
-ROOT = Path(__file__).resolve().parent.parent
+from tests.fresh import run_python
 
 
 def _random_hermitian(seed, n):
@@ -131,6 +128,16 @@ def test_one_blas_thread_is_a_no_op_without_openblas(monkeypatch, two_blas_threa
     assert [get() for get, _ in two_blas_threads] == before
 
 
+def test_lookup_that_finds_no_openblas_holds_nothing(two_blas_threads):
+    # the real lookup, not a patched one: a compiled module that links no
+    # OpenBLAS yields no controls, and a hold over none changes no count
+    before = [get() for get, _ in two_blas_threads]
+    assert matalg._controls_of(np.random._pcg64) == ()
+    with matalg._held(()):
+        assert [get() for get, _ in two_blas_threads] == before
+    assert [get() for get, _ in two_blas_threads] == before
+
+
 # reads the thread count of every OpenBLAS in /proc/self/maps without
 # matalg's cached list, so a library mapped after that list was built counts
 _THREADS_INSIDE_THE_BLOCK = """
@@ -162,12 +169,7 @@ def test_one_blas_thread_entered_before_any_lapack_call_holds_every_openblas():
     # maps scipy's OpenBLAS
     if not os.path.exists("/proc/self/maps"):
         pytest.skip("no /proc")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="2")
-    proc = subprocess.run(
-        [sys.executable, "-c", _THREADS_INSIDE_THE_BLOCK], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    counts = json.loads(proc.stdout)
+    counts = json.loads(run_python("-c", _THREADS_INSIDE_THE_BLOCK, threads=2).stdout)
     if not counts:
         pytest.skip("no OpenBLAS loaded")
     assert counts == {path: 1 for path in counts}
@@ -200,9 +202,5 @@ def test_one_blas_thread_holds_both_openblas_without_proc():
     # the lookup goes through numpy's and scipy's LAPACK modules, not /proc
     if not sys.platform.startswith("linux"):
         pytest.skip("the module-handle lookup is checked on Linux")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="2")
-    proc = subprocess.run(
-        [sys.executable, "-c", _HOLD_WITHOUT_PROC], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout) == {"inside": [1, 1], "after": [2, 2]}
+    out = run_python("-c", _HOLD_WITHOUT_PROC, threads=2).stdout
+    assert json.loads(out) == {"inside": [1, 1], "after": [2, 2]}

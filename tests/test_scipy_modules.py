@@ -1,14 +1,10 @@
 """jrmt._scipy: scipy's compiled modules, loaded from their files."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from tests.fresh import run_python
 
 _HANDLES = """
 import json, sys
@@ -53,12 +49,7 @@ print(json.dumps({
 
 
 def run(script: str, arg: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, arg], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return json.loads(proc.stdout)
+    return json.loads(run_python("-c", script, arg).stdout)
 
 
 @pytest.mark.parametrize("order", ["jrmt-first", "scipy-first"])
