@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .cdkernel import KernelSpec, finite_profile, local_scaling, one_point_density, rescaled
-from .ensembles import reduce_ranks, sample_largest, sample_spectra
+from .ensembles import _DEFAULT_ROUTE, _ROUTES, reduce_ranks, sample_largest, sample_spectra
 from .errors import JrmtError, NumericError, ParameterError
-from .fredholm import largest_eval_cdf, tracy_widom_cdf
+from .fredholm import QUAD_POINTS, TW_TAIL, largest_eval_cdf, tracy_widom_cdf
 from .limits import banach_angle, free_product_density, limit_density
 from .randgen import SeededStream
 
@@ -218,13 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     nab.add_argument("--a", type=float, required=True)
     nab.add_argument("--b", type=float, required=True)
     quad = argparse.ArgumentParser(add_help=False)
-    quad.add_argument("--quad", type=int, default=64)
+    quad.add_argument("--quad", type=int, default=QUAD_POINTS)
 
     ps = sub.add_parser("sample", parents=[out], help="draw ensemble spectra (CSV, one row per trial)")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--q", type=int, required=True)
     ps.add_argument("--qtilde", type=int, required=True)
-    ps.add_argument("--route", choices=["projector", "wishart", "tridiagonal"], default="projector")
+    ps.add_argument("--route", choices=list(_ROUTES), default=_DEFAULT_ROUTE)
     ps.add_argument("--trials", type=int, default=1)
     ps.add_argument("--seed", type=int, default=0)
     ps.set_defaults(func=cmd_sample)
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("tw", parents=[out, quad], help="limiting edge distribution at t")
     pt.add_argument("--t", type=float, required=True)
-    pt.add_argument("--tail", type=float, default=12.0)
+    pt.add_argument("--tail", type=float, default=TW_TAIL)
     pt.set_defaults(func=cmd_tw)
 
     pa = sub.add_parser("angles", parents=[out], help="principal angles between random subspaces")

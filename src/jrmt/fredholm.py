@@ -5,9 +5,9 @@ symmetric square-root weighting W^{1/2} K W^{1/2}, which keeps the
 discretized operator symmetric, and the determinant comes from a pivoted
 dense LU factorization on one BLAS thread.  Each call maps the rule on
 [-1, 1], built once per node count and shared read-only
-(:func:`jrmt.orthopoly.gauss_legendre_unit`), to its interval.  Kernels are
-callables that broadcast over numpy arrays, so the m x m matrix comes from
-one call on a column and a row of the m nodes, never their meshgrid, and
+(:func:`gauss_legendre_unit`), to its interval.  Kernels are callables that
+broadcast over numpy arrays, so the m x m matrix comes from one call on a
+column and a row of the m nodes, never their meshgrid, and
 I - W^{1/2} K W^{1/2} is formed in one m x m array beside the kernel's.
 The alternating Fredholm series expansion is kept out of production (it
 converges too slowly); the test suite uses a short truncation of it as an
@@ -16,6 +16,7 @@ independent oracle on low-rank toy kernels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,9 +27,12 @@ from .cdkernel import KernelSpec, kernel
 from .errors import DomainError, NumericError, ParameterError
 from .limits import airy_kernel
 from .matalg import _controls_of, _held
-from .orthopoly import gauss_legendre_unit
 
-__all__ = ["GapQuery", "gauss_legendre", "gap_probability", "largest_eval_cdf", "tracy_widom_cdf"]
+__all__ = ["GapQuery", "gauss_legendre_unit", "gauss_legendre", "gap_probability", "largest_eval_cdf",
+           "tracy_widom_cdf"]
+
+QUAD_POINTS = 64  # default node count of every determinant, and of the CLI's --quad
+TW_TAIL = 12.0  # default length of the Tracy-Widom interval [t, t + tail], and of --tail
 
 
 @dataclass
@@ -43,7 +47,7 @@ class GapQuery:
 
     kernel: Callable
     interval: tuple[float, float]
-    quad_points: int = 64
+    quad_points: int = QUAD_POINTS
 
     def __post_init__(self):
         lo, hi = self.interval
@@ -53,6 +57,21 @@ class GapQuery:
             raise ParameterError(f"need lo < hi, got {self.interval}")
         if self.quad_points < 8:
             raise ParameterError(f"need at least 8 quadrature points, got {self.quad_points}")
+
+
+@functools.lru_cache(maxsize=32)
+def gauss_legendre_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]: the Gauss rule of Jacobi (0, 0).
+
+    The rule depends on m alone, and building it (``leggauss``) costs far
+    more than a small Nystrom determinant, so each m is built once and kept;
+    the cache is bounded, since a sweep over sizes must not grow memory
+    without limit.  Every caller shares the arrays, so they are read-only.
+    """
+    t, w = np.polynomial.legendre.leggauss(m)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 def gauss_legendre(m: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +120,7 @@ def gap_probability(query: GapQuery) -> float:
     return min(1.0, max(0.0, det))
 
 
-def largest_eval_cdf(params: KernelSpec, x: float, m: int = 64) -> float:
+def largest_eval_cdf(params: KernelSpec, x: float, m: int = QUAD_POINTS) -> float:
     """P(largest point <= x) = det(I - K_n) on [x, 1] for the finite-n kernel.
 
     The weight vanishes at the right endpoint, and Gauss-Legendre nodes are
@@ -113,7 +132,7 @@ def largest_eval_cdf(params: KernelSpec, x: float, m: int = 64) -> float:
     return gap_probability(GapQuery(fn, (x, 1.0), quad_points=m))
 
 
-def tracy_widom_cdf(t: float, m: int = 64, tail: float = 12.0) -> float:
+def tracy_widom_cdf(t: float, m: int = QUAD_POINTS, tail: float = TW_TAIL) -> float:
     """Distribution of the rescaled largest point: det(I - Airy) on [t, t + tail].
 
     Accuracy is guaranteed on t in [-8, 6] with the default truncation

@@ -13,9 +13,6 @@ without scipy (:func:`log_norms`).
 
 Polynomial normalization: P_n(1) equals the binomial coefficient C(n+a, n).
 
-:func:`gauss_legendre_unit` is the Gauss rule of the (0, 0) weight: built
-once per size and shared, read-only, by the Fredholm determinants alone.
-
 The weighted polynomial g_n = (1-x)^{(a+1)/2} (1+x)^{(b+1)/2} P_n obeys
 g_n'' = -chi g_n, and the soft edge is the upper zero of chi.  Only chi's
 numerator lives here (:func:`chi_numerator`); :func:`chi_zeros` takes its
@@ -33,8 +30,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 
-__all__ = ["gauss_legendre_unit", "jacobi_rows", "jacobi_pair", "log_norms", "log_gamma_n", "chi_numerator",
-           "chi_zeros"]
+__all__ = ["jacobi_rows", "jacobi_pair", "log_norms", "log_gamma_n", "chi_numerator", "chi_zeros"]
 
 _LN2 = math.log(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -125,21 +121,6 @@ def jacobi_pair(n: int, a: float, b: float, x) -> tuple[np.ndarray, np.ndarray, 
     *_, (m, e) = jacobi_rows(n, a, b, x)
     pm = np.ldexp(m[-2], e[-2] - e[-1]) if n else np.zeros_like(m[0])
     return pm, m[-1], e[-1]
-
-
-@functools.lru_cache(maxsize=32)
-def gauss_legendre_unit(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]: the Gauss rule of Jacobi (0, 0).
-
-    The rule depends on m alone, and building it (``leggauss``) costs far
-    more than a small Nystrom determinant, so each m is built once and kept;
-    the cache is bounded, since a sweep over sizes must not grow memory
-    without limit.  Every caller shares the arrays, so they are read-only.
-    """
-    t, w = np.polynomial.legendre.leggauss(m)
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
 
 
 def _stirling_rest(z: float) -> float:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -11,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jrmt.cdkernel import KernelSpec
 from jrmt.cli import build_parser, main
 from jrmt.empirics import EmpiricalSample, ks_distance
 from jrmt.ensembles import sample_largest
+from jrmt.fredholm import largest_eval_cdf, tracy_widom_cdf
 from jrmt.matalg import principal_cosines
 from jrmt.randgen import SeededStream, random_isometry
 from tests.fresh import run_python, same_at_one_and_two_threads
@@ -219,6 +222,26 @@ def test_tw_tail(capsys):
     assert main(["tw", "--t", "6"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["tw_cdf"] > 0.9999
+
+
+@pytest.mark.parametrize(
+    "argv, key, fn, value, options",
+    [
+        (["tw", "--t", "-1.8"], "tw_cdf", tracy_widom_cdf, lambda: tracy_widom_cdf(-1.8),
+         {"quad": "m", "tail": "tail"}),
+        (["gap", "--n", "12", "--a", "6", "--b", "3", "--x", "0.9"], "gap", largest_eval_cdf,
+         lambda: largest_eval_cdf(KernelSpec(12, 6.0, 3.0), 0.9), {"quad": "m"}),
+    ],
+    ids=["tw", "gap"],
+)
+def test_default_quad_and_tail_are_the_librarys(argv, key, fn, value, options, capsys):
+    # the CLI reads the library's defaults rather than copying them, so the two cannot drift apart
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert f'"{key}": {value()!r}' in out
+    config = json.loads(out)["config"]
+    params = inspect.signature(fn).parameters
+    assert {k: config[k] for k in options} == {k: params[p].default for k, p in options.items()}
 
 
 def test_angles_output(capsys):

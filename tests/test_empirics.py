@@ -27,6 +27,7 @@ def test_ks_disjoint_supports():
 def test_ks_hand_value():
     s1 = EmpiricalSample.from_values([1.0, 3.0])
     s2 = EmpiricalSample.from_values([2.0])
+    assert (len(s1), len(s2)) == (2, 1)
     assert ks_distance(s1, s2) == pytest.approx(0.5)
 
 

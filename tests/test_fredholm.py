@@ -9,9 +9,11 @@ import jrmt.fredholm
 from jrmt import _scipy
 from jrmt.cdkernel import KernelSpec, finite_profile, kernel
 from jrmt.errors import NumericError, ParameterError
-from jrmt.fredholm import GapQuery, gap_probability, gauss_legendre, largest_eval_cdf, tracy_widom_cdf
+from jrmt.fredholm import (
+    GapQuery, gap_probability, gauss_legendre, gauss_legendre_unit, largest_eval_cdf, tracy_widom_cdf
+)
 from jrmt.limits import free_product_density
-from jrmt.orthopoly import gauss_legendre_unit, jacobi_rows
+from jrmt.orthopoly import jacobi_rows
 from tests.fresh import same_at_one_and_two_threads
 
 
