@@ -33,6 +33,9 @@ all of its randomness from its own stream, and the linear algebra runs once
 per stack of trials on (trials, ., .) arrays at one BLAS thread.  The stacked
 LAPACK calls run the same routine on every slice, so a trial's bits depend on
 its ``(seed, stream_id)`` alone: not on the stack, the thread count or the caller.
+Stacks are small enough for the heap to reuse their pages, and the Wishart
+route allocates its arrays once per call and refills them for every stack,
+so a call's memory is mapped once, not once per stack (see ``_STACK_ENTRIES``).
 """
 
 from __future__ import annotations
@@ -96,9 +99,15 @@ class ProjectorPair:
 
 
 # complex Gaussian entries drawn for one stack of trials; a dense-route trial
-# draws n * q of them, so a stack holds max(1, _STACK_ENTRIES // (n * q)) trials
-# and its arrays stay a few MB whatever the trial count
-_STACK_ENTRIES = 2**17
+# draws n * q of them, so a stack holds max(1, _STACK_ENTRIES // (n * q))
+# trials.  At 2**15 (512 KB) the arrays a stack frees stay below glibc's trim
+# threshold, so the heap keeps their pages for the next stack instead of
+# returning them and faulting them in afresh.  With the Wishart workspace, a
+# `spectra_mc` benchmark pass (perfbench/) took 1.7k minor faults and 4 ms of
+# system time at 2**13 to 2**16, and 11.8k faults and 18-30 ms at 2**17;
+# before the workspace, at 2**17, it took 25.5k and 40 ms (2-vCPU x86-64 VM,
+# glibc 2.36)
+_STACK_ENTRIES = 2**15
 
 
 def _check_info(info: int, routine: str) -> None:
@@ -110,8 +119,17 @@ def _ct(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _hermitian(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + _ct(m))
+def _ct_into(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    # _ct(a) with its conjugate held in the front of the flat ``scratch``
+    c = scratch[: a.size].reshape(a.shape)
+    np.conjugate(a, out=c)
+    return c.swapaxes(-1, -2)
+
+
+def _hermitian_into(m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    # 0.5 (m + m^H) written over m and returned, its conjugate held in ``scratch``
+    np.add(m, _ct_into(m, scratch), out=m)
+    return np.multiply(0.5, m, out=m)
 
 
 def _projector_blocks(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
@@ -122,32 +140,49 @@ def _projector_blocks(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
     for i, gen in enumerate(gens):
         _ginibre(gen, n, q, 1.0, out=z[i])
     v = _haar(z)[:, :q_tilde, :]
-    return _hermitian(_ct(v) @ v)
+    return _hermitian_into(_ct(v) @ v, np.empty(len(gens) * q * q, dtype=complex))
 
 
-def _projector_spectra(gens: list, n: int, q: int, q_tilde: int, spec: KernelSpec) -> np.ndarray:
-    return np.linalg.eigvalsh(_projector_blocks(gens, n, q, q_tilde))
+def _projector_route(n: int, q: int, q_tilde: int, spec: KernelSpec, size: int):
+    return lambda gens: np.linalg.eigvalsh(_projector_blocks(gens, n, q, q_tilde))
 
 
-def _wishart_spectra(gens: list, n: int, q: int, q_tilde: int, spec: KernelSpec) -> np.ndarray:
-    # per generator, the middle factor first: q_tilde columns, then the
-    # complementary n - q_tilde
-    w1 = np.empty((len(gens), q, q_tilde), dtype=complex)
-    w2 = np.empty((len(gens), q, n - q_tilde), dtype=complex)
-    for i, gen in enumerate(gens):
-        _ginibre(gen, q, q_tilde, 1.0 / q, out=w1[i])
-        _ginibre(gen, q, n - q_tilde, 1.0 / q, out=w2[i])
-    x, xp = _hermitian(w1 @ _ct(w1)), _hermitian(w2 @ _ct(w2))
-    # scipy.linalg.eigh(x[i], y[i], eigvals_only=True) calls hegvd with these
-    # arguments; calling it per slice keeps those bits and skips eigh's checks
-    # and its batch wrapper, about 40 us a call
-    y = x + xp
-    out = np.empty((len(gens), q))
+def _wishart_route(n: int, q: int, q_tilde: int, spec: KernelSpec, size: int):
+    # one workspace per call, refilled by every stack of at most ``size``
+    # trials: the two Ginibre factors, the Hermitian parts x and x' (x' then
+    # x + x'), and one scratch for every conjugate.  x' and x + x' share a
+    # buffer: at (800, 200, 200) the traced peak is 7.07 MB, and another
+    # q x q buffer (0.64 MB) would pass the memory-bound test's 7.68 MB
+    w1 = np.empty((size, q, q_tilde), dtype=complex)
+    w2 = np.empty((size, q, n - q_tilde), dtype=complex)
+    x = np.empty((size, q, q), dtype=complex)
+    y = np.empty((size, q, q), dtype=complex)
+    scratch = np.empty(size * q * max(q_tilde, n - q_tilde), dtype=complex)
     hegvd = load("scipy.linalg.lapack").zhegvd
-    for i in range(len(gens)):
-        out[i], _, info = hegvd(x[i], y[i], jobz="N")
-        _check_info(info, "hegvd")
-    return out
+
+    def draw(gens: list) -> np.ndarray:
+        k = len(gens)
+        a, b, xk, yk = w1[:k], w2[:k], x[:k], y[:k]
+        # per generator, the middle factor first: q_tilde columns, then the
+        # complementary n - q_tilde
+        for i, gen in enumerate(gens):
+            _ginibre(gen, q, q_tilde, 1.0 / q, out=a[i])
+            _ginibre(gen, q, n - q_tilde, 1.0 / q, out=b[i])
+        np.matmul(a, _ct_into(a, scratch), out=xk)
+        _hermitian_into(xk, scratch)
+        np.matmul(b, _ct_into(b, scratch), out=yk)
+        _hermitian_into(yk, scratch)
+        np.add(xk, yk, out=yk)
+        # scipy.linalg.eigh(x[i], y[i], eigvals_only=True) calls hegvd with these
+        # arguments; calling it per slice keeps those bits and skips eigh's checks
+        # and its batch wrapper, about 40 us a call
+        out = np.empty((k, q))
+        for i in range(k):
+            out[i], _, info = hegvd(xk[i], yk[i], jobz="N")
+            _check_info(info, "hegvd")
+        return out
+
+    return draw
 
 
 def projector_product(stream: SeededStream, pair: ProjectorPair) -> np.ndarray:
@@ -268,12 +303,14 @@ def _tridiagonal_top(diag: np.ndarray, off: np.ndarray) -> float:
     return float(w[0])
 
 
-def _tridiagonal_spectra(gens: list, n: int, q: int, q_tilde: int, spec: KernelSpec) -> np.ndarray:
+def _tridiagonal_route(n: int, q: int, q_tilde: int, spec: KernelSpec, size: int):
     # O(q) work per trial: nothing to gain from stacking
-    return np.array([_tridiagonal_spectrum(*_beta_jacobi(gen, spec)) for gen in gens])
+    return lambda gens: np.array([_tridiagonal_spectrum(*_beta_jacobi(gen, spec)) for gen in gens])
 
 
-_ROUTES = {"projector": _projector_spectra, "wishart": _wishart_spectra, "tridiagonal": _tridiagonal_spectra}
+# each route builds, once per sample_spectra call, the function that draws
+# one stack of at most ``size`` trials from their generators
+_ROUTES = {"projector": _projector_route, "wishart": _wishart_route, "tridiagonal": _tridiagonal_route}
 _DEFAULT_ROUTE = next(iter(_ROUTES))  # _ROUTES names every route of sample_spectra, the default first
 
 
@@ -303,12 +340,12 @@ def sample_spectra(
     spec = ProjectorPair(n, q, q_tilde).kernel_spec()  # in the canonical regime, or ParameterError
     if route not in _ROUTES:
         raise ParameterError(f"unknown route {route!r}")
-    draw = _ROUTES[route]
     out = np.empty((len(streams), q))
     size = max(1, _STACK_ENTRIES // (n * q))
+    draw = _ROUTES[route](n, q, q_tilde, spec, min(size, len(streams)))
     with one_blas_thread():
         for lo in range(0, len(streams), size):
-            out[lo : lo + size] = draw([s.generator() for s in streams[lo : lo + size]], n, q, q_tilde, spec)
+            out[lo : lo + size] = draw([s.generator() for s in streams[lo : lo + size]])
     return out
 
 

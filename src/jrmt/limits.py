@@ -190,11 +190,13 @@ def _free_edges(alpha: float, beta: float) -> tuple[float, float]:
     """Support ends r-, r+ = alpha + beta - 2 alpha beta -+ sqrt(4 alpha beta (1-alpha)(1-beta)).
 
     Every term keeps its relative accuracy as min(alpha, beta) -> 0, where
-    :func:`edge_profile` at the matching Jacobi ratios would lose it.
+    :func:`edge_profile` at the matching Jacobi ratios would lose it.  r-
+    comes from r- r+ = (alpha - beta)^2, not from the subtraction, which
+    cancels as alpha -> beta (nearly square blocks).
     """
     root = math.sqrt(4.0 * alpha * beta * (1.0 - alpha) * (1.0 - beta))
-    base = alpha + beta - 2.0 * alpha * beta
-    return base - root, base + root
+    r_plus = alpha + beta - 2.0 * alpha * beta + root
+    return ((alpha - beta) ** 2 / r_plus if r_plus > 0.0 else 0.0), r_plus
 
 
 def free_product_density(alpha: float, beta: float) -> FreeDensity:

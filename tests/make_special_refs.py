@@ -2,8 +2,8 @@
 
 Independent arbitrary-precision evaluation (mpmath: 40 significant digits
 for the special functions and the Tracy-Widom law, 50 for the Bessel-kernel
-diagonal and the free product's top edge, 60 for the finite-n kernel, 80 for
-the soft edge); run manually when a spot-point list changes, and paste the
+diagonal and the free product's top edge, 60 for the finite-n kernel and the
+free product's lower edge, 80 for the soft edge); run manually when a spot-point list changes, and paste the
 output over the tables:
 
     python tests/make_special_refs.py
@@ -179,6 +179,21 @@ def _banach_table():
     print("]\n")
 
 
+# trace ratios (0.3, beta) of the free product's lower edge, beta -> 0.3
+FREE_LOWER_PAIRS = [(0.3, 0.4), (0.3, 0.3 + 1e-6), (0.3, 0.3 + 1e-9), (0.3, 0.3 + 1e-12)]
+
+
+def _free_lower_edge_table():
+    """r- = al + be - 2 al be - sqrt(4 al be (1-al)(1-be)), the cancelling form, at 60 digits."""
+    print("FREE_LOWER_EDGE_REFERENCE = [")
+    with mp.workdps(60):
+        for alpha, beta in FREE_LOWER_PAIRS:
+            al, be = mp.mpf(alpha), mp.mpf(beta)
+            r_minus = al + be - 2 * al * be - mp.sqrt(4 * al * be * (1 - al) * (1 - be))
+            print(f'    ({alpha!r}, {beta!r}, "{mp.nstr(r_minus, 25)}"),')
+    print("]\n")
+
+
 # Tracy-Widom arguments: [-8, 6] in steps of 1/2; each value is the Nystrom
 # determinant of the Airy kernel at 96 Gauss-Legendre nodes on [t, t + 16]
 # (mpmath's rule of degree 6), which at t = -2 agrees with 192 nodes to
@@ -227,6 +242,7 @@ def main():
     _cd_table()
     _soft_edge_table()
     _banach_table()
+    _free_lower_edge_table()
     _tw_table()
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import platform
 import tracemalloc
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from jrmt.ensembles import (
 from jrmt.errors import NumericError, ParameterError
 from jrmt.matalg import one_blas_thread
 from jrmt.randgen import SeededStream
-from tests.fresh import same_at_one_and_two_threads
+from tests.fresh import run_python, same_at_one_and_two_threads
 
 
 def test_jacobi_wishart_shape_and_range():
@@ -100,7 +101,7 @@ def _stack_size(n, q):
 
 
 @pytest.mark.parametrize("route", ["projector", "wishart", "tridiagonal"])
-@pytest.mark.parametrize("n,q,qt,trials,stacks", [(10, 3, 6, 7, 1), (200, 50, 60, 30, 3)])
+@pytest.mark.parametrize("n,q,qt,trials,stacks", [(10, 3, 6, 7, 1), (200, 50, 60, 31, 11)])
 def test_sample_spectra_rows_equal_single_stream_draws_bitwise(route, n, q, qt, trials, stacks):
     assert -(-trials // _stack_size(n, q)) == stacks
     streams = [SeededStream(61, t) for t in range(trials)]
@@ -182,6 +183,33 @@ def test_wishart_block_stacks_stay_within_memory_bound():
         finally:
             tracemalloc.stop()
     assert peak < bound
+
+
+# minor page faults of a second call: the (800, 200, 200) Wishart block,
+# one trial a stack, then 400 projector draws at (48, 12, 18)
+_FAULTS = """
+import resource
+from jrmt import SeededStream, sample_spectra
+
+def draws():
+    sample_spectra([SeededStream(76, t) for t in range(10)], 800, 200, 200, "wishart")
+    sample_spectra([SeededStream(77, t) for t in range(400)], 48, 12, 18, "projector")
+
+draws()  # warm up LAPACK, imports and the heap
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+draws()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="fault counts measured under glibc's malloc")
+def test_dense_stacks_reuse_their_pages():
+    # a stack's arrays stay below glibc's trim threshold and the Wishart
+    # route reuses one workspace, so the second call maps about 1.7k fresh
+    # pages, its workspace; with 2**17-entry stacks and fresh arrays per
+    # stack the block alone took about 15k and the projector draws 2.8k
+    faults = int(run_python("-c", _FAULTS).stdout)
+    assert faults < 3000
 
 
 # dense draws with no thread hold around them: one line per draw, the

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from jrmt.errors import NumericError, ParameterError
 from jrmt.fredholm import (
     GapQuery, gap_probability, gauss_legendre, gauss_legendre_unit, largest_eval_cdf, tracy_widom_cdf
 )
-from jrmt.limits import free_product_density
+from jrmt.limits import bessel_kernel, free_product_density
 from jrmt.orthopoly import jacobi_rows
 from tests.fresh import same_at_one_and_two_threads
 
@@ -310,6 +311,37 @@ def test_tw_median_location():
 def test_tw_tail_truncation_self_check():
     for t in (-4.0, -1.0, 1.0):
         assert abs(tracy_widom_cdf(t, tail=12.0) - tracy_widom_cdf(t, tail=24.0, m=128)) < 1e-8
+
+
+def _hard_to_soft_error(b):
+    """sup over 21 points t in [-3.5, 1.5] of |P(no point of the order-b
+    Bessel process in (0, b^2 - 2^(2/3) b^(4/3) t)) - F_TW(t)|.
+
+    The smallest point sits at b^2 - 2^(2/3) b^(4/3) t with t Tracy-Widom
+    distributed as b -> infinity (Borodin and Forrester, J. Phys. A 36,
+    2003). The gap's interval stops TW_TAIL rescaled units below, as the TW
+    interval does above t, and above 1e-12, where the kernel is defined; an
+    empty interval (b = 2 and t >= 1) has gap probability 1.
+    """
+    scale = 2 ** (2 / 3) * b ** (4 / 3)
+    errors = []
+    for t in np.linspace(-3.5, 1.5, 21):
+        x = b * b - scale * t
+        lo = max(b * b - scale * (t + jrmt.fredholm.TW_TAIL), 1e-12)
+        gap = gap_probability(GapQuery(functools.partial(bessel_kernel, b), (lo, x))) if x > lo else 1.0
+        errors.append(abs(gap - tracy_widom_cdf(t)))
+    return max(errors)
+
+
+def test_hard_edge_crosses_over_to_the_soft_edge_as_the_bessel_order_grows():
+    # measured: 5.1e-1, 2.7e-1, 1.2e-1, 5.0e-2 and 2.0e-2, at a rate that
+    # tends to b^(-2/3); 128 nodes agree with the default 64 to 1e-14
+    orders = [2, 8, 32, 128, 512]
+    errors = [_hard_to_soft_error(b) for b in orders]
+    assert all(later < earlier for earlier, later in zip(errors, errors[1:]))
+    assert errors[-1] <= 2.5e-2
+    slope = np.polyfit(np.log(orders[2:]), np.log(errors[2:]), 1)[0]
+    assert -0.75 <= slope <= -0.55
 
 
 # ---------------------------------------------------------------------------

@@ -373,10 +373,27 @@ def test_free_product_density_keeps_its_accuracy_near_zero(ratio, bound):
 
 @pytest.mark.parametrize(
     "x, expected",
-    [(0.2, "0x1.74dda27ac3cfbp-2"), (0.4, "0x1.2e29c1928fa1cp-2"), (0.6, "0x1.21b2865177194p-2")],
+    [(0.2, "0x1.74dda27ac3cfap-2"), (0.4, "0x1.2e29c1928fa1cp-2"), (0.6, "0x1.21b2865177193p-2")],
 )
 def test_free_product_density_is_bitwise_pinned(x, expected):
     assert float(free_product_density(0.3, 0.4).density(x)).hex() == expected
+
+
+# mpmath reference values (tests/make_special_refs.py, 60 digits) of the
+# lower edge at (0.3, beta), beta -> 0.3, where the edge is about
+# 1.19 (beta - 0.3)^2 and the subtraction r+ - 2 sqrt(...) cancels
+FREE_LOWER_EDGE_REFERENCE = [
+    (0.3, 0.4, "0.01100111358712704098472747"),
+    (0.3, 0.30000099999999996, "1.190475056628405953969926e-12"),
+    (0.3, 0.300000001, "1.190476254173880083795412e-18"),
+    (0.3, 0.30000000000099997, "1.190423520295446662441184e-24"),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,ref", FREE_LOWER_EDGE_REFERENCE)
+def test_free_product_lower_edge_keeps_its_accuracy_as_the_ratios_meet(alpha, beta, ref):
+    r_minus = free_product_density(alpha, beta).support[0]
+    assert abs(Fraction(r_minus) - Fraction(ref)) <= 2 * Fraction(math.ulp(float(ref)))
 
 
 def test_free_product_density_is_zero_at_zero_and_one():
