@@ -18,7 +18,7 @@ import os
 import sys
 from types import ModuleType
 
-__all__ = ["load"]
+__all__ = ["compiled", "load"]
 
 
 # public module -> the compiled module that defines what jrmt calls of it
@@ -48,3 +48,10 @@ def load(public: str) -> ModuleType:
     loader.exec_module(module)
     sys.modules[name] = module
     return module
+
+
+def compiled(public: str) -> ModuleType:
+    """``load(public)`` if it is compiled, else the extension module that the public module imported."""
+    module = load(public)
+    ext = importlib.machinery.ExtensionFileLoader
+    return next(m for m in (module, *vars(module).values()) if isinstance(getattr(m, "__loader__", None), ext))

@@ -110,17 +110,16 @@ class ProjectorPair:
 _STACK_ENTRIES = 2**15
 
 
-def _check_info(info: int, routine: str) -> None:
+def _lapack(routine: str, *args, **kwargs) -> list:
+    # one call of load("scipy.linalg.lapack").<routine>: its outputs before info, which must be 0
+    *out, info = getattr(load("scipy.linalg.lapack"), routine)(*args, **kwargs)
     if info != 0:
         raise NumericError(f"{routine} failed with info={info}")
-
-
-def _ct(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
+    return out
 
 
 def _ct_into(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    # _ct(a) with its conjugate held in the front of the flat ``scratch``
+    # the conjugate transpose of a, its conjugate held in the front of the flat ``scratch``
     c = scratch[: a.size].reshape(a.shape)
     np.conjugate(a, out=c)
     return c.swapaxes(-1, -2)
@@ -140,7 +139,8 @@ def _projector_blocks(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
     for i, gen in enumerate(gens):
         _ginibre(gen, n, q, 1.0, out=z[i])
     v = _haar(z)[:, :q_tilde, :]
-    return _hermitian_into(_ct(v) @ v, np.empty(len(gens) * q * q, dtype=complex))
+    scratch = np.empty(len(gens) * q * max(q, q_tilde), dtype=complex)  # v's conjugate, then the block's
+    return _hermitian_into(_ct_into(v, scratch) @ v, scratch)
 
 
 def _projector_route(n: int, q: int, q_tilde: int, spec: KernelSpec, size: int):
@@ -158,7 +158,6 @@ def _wishart_route(n: int, q: int, q_tilde: int, spec: KernelSpec, size: int):
     x = np.empty((size, q, q), dtype=complex)
     y = np.empty((size, q, q), dtype=complex)
     scratch = np.empty(size * q * max(q_tilde, n - q_tilde), dtype=complex)
-    hegvd = load("scipy.linalg.lapack").zhegvd
 
     def draw(gens: list) -> np.ndarray:
         k = len(gens)
@@ -178,8 +177,7 @@ def _wishart_route(n: int, q: int, q_tilde: int, spec: KernelSpec, size: int):
         # and its batch wrapper, about 40 us a call
         out = np.empty((k, q))
         for i in range(k):
-            out[i], _, info = hegvd(xk[i], yk[i], jobz="N")
-            _check_info(info, "hegvd")
+            out[i], _ = _lapack("zhegvd", xk[i], yk[i], jobz="N")
         return out
 
     return draw
@@ -287,9 +285,7 @@ def _beta_jacobi(gen, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
 def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     if diag.size == 1:
         return diag
-    w, _, info = load("scipy.linalg.lapack").dstevd(diag, off, compute_v=False)
-    _check_info(info, "stevd")
-    return w
+    return _lapack("dstevd", diag, off, compute_v=False)[0]
 
 
 def _tridiagonal_top(diag: np.ndarray, off: np.ndarray) -> float:
@@ -298,9 +294,7 @@ def _tridiagonal_top(diag: np.ndarray, off: np.ndarray) -> float:
         return float(diag[0])
     # eigenvalue q of q by bisection, with scipy's arguments: range 2 (by
     # index), vl and vu unused, il = iu = q, tol 0 (dstebz's default), order 'E'
-    _, w, _, _, info = load("scipy.linalg.lapack").dstebz(diag, off, 2, 0.0, 1.0, q, q, 0.0, "E")
-    _check_info(info, "stebz")
-    return float(w[0])
+    return float(_lapack("dstebz", diag, off, 2, 0.0, 1.0, q, q, 0.0, "E")[1][0])
 
 
 def _tridiagonal_route(n: int, q: int, q_tilde: int, spec: KernelSpec, size: int):

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import sys
 from contextlib import contextmanager
 
 import numpy as np
 
-from ._scipy import load
+from ._scipy import compiled
 from .errors import ValidationError
 
 __all__ = ["eig_hermitian", "one_blas_thread", "principal_cosines"]
@@ -50,10 +49,9 @@ def _openblas_controls() -> tuple:
     """(get, set) of the OpenBLAS behind numpy's and scipy's LAPACK modules.
 
     All of jrmt's BLAS runs in those two.  Importing jrmt loads no scipy
-    module, so this loads scipy's first; ``load``'s fallback loads it too.
+    module, so this loads scipy's first, through ``load``'s fallback if need be.
     """
-    load("scipy.linalg.lapack")
-    return _controls_of(np.linalg._umath_linalg) + _controls_of(sys.modules["scipy.linalg._flapack"])
+    return _controls_of(np.linalg._umath_linalg) + _controls_of(compiled("scipy.linalg.lapack"))
 
 
 @contextmanager

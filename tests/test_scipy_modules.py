@@ -48,8 +48,8 @@ print(json.dumps({
 """
 
 
-def run(script: str, arg: str) -> dict:
-    return json.loads(run_python("-c", script, arg).stdout)
+def run(script: str, *args: str, threads=None) -> dict:
+    return json.loads(run_python("-c", script, *args, threads=threads).stdout)
 
 
 @pytest.mark.parametrize("order", ["jrmt-first", "scipy-first"])
@@ -69,3 +69,30 @@ def test_missing_compiled_file_falls_back_to_the_public_module():
     assert hit.pop("modules") == ["scipy.special._special_ufuncs", "scipy.linalg._flapack"]
     assert miss.pop("modules") == ["scipy.special", "scipy.linalg.lapack"]
     assert miss == hit
+
+
+_RENAMED = """
+import contextlib, io, json, sys
+import scipy.linalg.lapack
+from jrmt import _scipy, matalg
+from jrmt.cli import main
+# a scipy whose compiled LAPACK module goes by a name that _COMPILED does not know
+sys.modules["scipy.linalg._flapack_renamed"] = sys.modules.pop("scipy.linalg._flapack")
+_scipy._COMPILED = {public: name + "_absent" for public, name in _scipy._COMPILED.items()}
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+with matalg.one_blas_thread():
+    held = [get() for get, _ in matalg._openblas_controls()]
+print(json.dumps({"code": code, "stdout": out.getvalue(), "held": held}))
+"""
+
+
+def test_a_renamed_compiled_module_falls_back_to_the_public_module():
+    # the BLAS hold finds scipy's OpenBLAS through the extension module that
+    # scipy.linalg.lapack imported, whatever its name, and holds it and
+    # numpy's at one thread; the draw keeps the bytes of a normal run
+    argv = ["sample", "--n", "40", "--q", "10", "--qtilde", "12", "--route", "wishart"]
+    normal = run_python("-m", "jrmt", *argv).stdout
+    out = run(_RENAMED, *argv, threads=2)
+    assert out == {"code": 0, "stdout": normal, "held": [1, 1]}
