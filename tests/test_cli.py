@@ -375,6 +375,13 @@ def test_failure_contract(argv, code, expect, tmp_path, capsys):
     assert err == expect if expect.endswith("\n") else expect in err
 
 
+def test_angles_rejects_bad_ranks(capsys):
+    # the table covers --q; --qprime is held to the same range 1..n
+    for q, qprime in [(11, 2), (2, 11), (2, 0)]:
+        assert main(["angles", "--n", "10", "--q", str(q), "--qprime", str(qprime)]) == 2
+        assert capsys.readouterr().err == f"jrmt: ranks must lie in 1..n, got n=10 and ranks {q}, {qprime}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
