@@ -37,9 +37,9 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # B_2k / (2k (2k - 1)), k = 7..1: Stirling's series for log Gamma(z) in 1/z^13,
 # ..., 1/z^3, 1/z; the next term is below 3e-17 at z >= 10
 _STIRLING = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
-# steps of the array recurrence between rescalings: one step grows
-# max(|P_{k-1}|, |P_k|) by at most about (a + b)/2 + 3, so four steps stay
-# far from overflow
+# steps of the array recurrence between rescalings: at |x| <= 1 one step grows
+# max(|P_{k-1}|, |P_k|) by at most about (a + b)/2 + 3, so four steps stay clear
+# of overflow while (a + b)/2 < 2^256; past that a row is inf and jacobi_rows raises
 _RESCALE_EVERY = 4
 # entries per chunk of :func:`jacobi_rows`, held to 8..64 degrees: long chunks
 # cost fewer calls, short ones stay in cache.  On a 2-vCPU VM a fixed 64 degrees
@@ -66,7 +66,8 @@ def jacobi_rows(n: int, a: float, b: float, x):
     arrays of the one before, so memory is one chunk whatever n.  Every
     operation is elementwise: a node's rows depend on no other node and on
     no chunk size.  Coefficients that overflow doubles (a + b beyond about
-    1e102), or exponents beyond 2^28, raise ``NumericError``.
+    1e102), a row that does (a + b beyond about 2e77 at |x| <= 1, a large
+    |x|, or x NaN), or exponents beyond 2^28, raise ``NumericError``.
     """
     _validate_params(n, a, b)
     x = np.asarray(x, dtype=float)
@@ -92,22 +93,24 @@ def jacobi_rows(n: int, a: float, b: float, x):
     for hi in range(n % chunk + 1, n + 2, chunk):
         m, e, first = buf_m[: hi - lo], buf_e[: hi - lo], max(lo, 1)
         m[0], e[:_RESCALE_EVERY] = p, ep  # m[0] is P_0 in the first chunk, overwritten in the others
-        mult = np.multiply.outer(slope[first - 1 : hi - 1], x, out=buf_mult[: hi - first])
-        mult += offset[first - 1 : hi - 1].reshape((-1,) + (1,) * x.ndim)
-        for deg, mu, dr in zip(range(first, hi), mult, drag[first - 1 : hi - 1]):
-            row = mu * p
-            row -= dr * pm
-            if deg % _RESCALE_EVERY == 2:
-                # the row becomes its frexp mantissa, exactly, and P_{deg-1} is
-                # divided by the same power of two; a zero row keeps its exponent
-                row, step = np.frexp(row)
-                p = np.ldexp(p, -step)
-                ep = ep + step
-                e[deg - lo : deg - lo + _RESCALE_EVERY] = ep
-            m[deg - lo] = row
-            pm, p = p, row
-        if not (np.abs(ep) < 2**28).all():  # a chunk moves ep by under 2^16, so nothing wrapped
-            raise NumericError(f"polynomial exponents leave their range by degree {hi - 1}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            mult = np.multiply.outer(slope[first - 1 : hi - 1], x, out=buf_mult[: hi - first])
+            mult += offset[first - 1 : hi - 1].reshape((-1,) + (1,) * x.ndim)
+            for deg, mu, dr in zip(range(first, hi), mult, drag[first - 1 : hi - 1]):
+                row = mu * p
+                row -= dr * pm
+                if deg % _RESCALE_EVERY == 2:
+                    # the row becomes its frexp mantissa, exactly, and P_{deg-1} is
+                    # divided by the same power of two; a zero row keeps its exponent
+                    row, step = np.frexp(row)
+                    p = np.ldexp(p, -step)
+                    ep = ep + step
+                    e[deg - lo : deg - lo + _RESCALE_EVERY] = ep
+                m[deg - lo] = row
+                pm, p = p, row
+        # an inf or NaN row makes every later one so; a chunk moves ep by under 2^16, so nothing wrapped
+        if not (np.isfinite(p).all() and (np.abs(ep) < 2**28).all()):
+            raise NumericError(f"polynomial values overflow or are NaN by degree {hi - 1}")
         yield m, e
         lo = hi
 

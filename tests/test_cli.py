@@ -302,6 +302,9 @@ _FAILURES = [
     ("kernel-hard-u-rounds-out", "kernel --regime hard --n 100 --a 1e20 --b 1 --ugrid=1:2:2", 2,
      "jrmt: u=1.0 is inside the hard window (0, 4e+22), but its abscissa -1 + u/2e+22 rounds to -1, "
      "outside (-1, 1)\n"),
+    # r of the band rounds to -1.0000000000000002, so x = -1 lies inside it, where the density is 0
+    ("kernel-bulk-density-vanishes",
+     "kernel --regime bulk --n 10 --a 0.7218045112781954 --b 0 --x -1 --ugrid 0:1:2", 2, "density vanishes"),
     # an --out that cannot be written: no file is left behind; the kernel
     # resolves missing/.. only if missing exists, and a name longer than the
     # file system allows fails at the rename

@@ -9,7 +9,6 @@ import jrmt.cdkernel
 import jrmt.fredholm
 from jrmt import _scipy
 from jrmt.cdkernel import KernelSpec, finite_profile, kernel
-from jrmt.errors import NumericError, ParameterError
 from jrmt.fredholm import (
     GapQuery, gap_probability, gauss_legendre, gauss_legendre_unit, largest_eval_cdf, tracy_widom_cdf
 )
@@ -174,11 +173,6 @@ def test_tracy_widom_cdf_matches_the_mpmath_reference():
         assert abs(Fraction(tracy_widom_cdf(t)) - Fraction(ref)) <= Fraction(5e-15), t
 
 
-def test_gap_rejects_kernel_that_does_not_broadcast():
-    with pytest.raises(ParameterError):
-        gap_probability(GapQuery(lambda x, y: 0.0, (0.0, 1.0)))
-
-
 def test_quadrature_convergence():
     spec = KernelSpec(12, 6.0, 3.0)
     for x in (0.5, 0.8):
@@ -222,29 +216,6 @@ def test_no_spectrum_beyond_edge_geometric_decay():
     assert survival[2] < 0.6 * survival[1]
 
 
-def test_gap_rejects_bad_query():
-    with pytest.raises(ParameterError):
-        GapQuery(lambda x, y: 0.0, (1.0, 0.0))
-    with pytest.raises(ParameterError):
-        GapQuery(lambda x, y: 0.0, (0.0, 1.0), quad_points=4)
-
-
-def test_gap_flags_determinant_above_one():
-    # two eigenvalues 3: det(I - K) = (1 - 3)^2 = 4, which no projection kernel gives
-    def kern(x, y):
-        return 3.0 + 9.0 * (2.0 * x - 1.0) * (2.0 * y - 1.0)
-
-    with pytest.raises(NumericError, match="above 1"):
-        gap_probability(GapQuery(kern, (0.0, 1.0)))
-
-
-def test_unresolved_finite_kernel_raises_instead_of_returning_above_one():
-    # about 300 eigenvalues on [-0.5, 1] are more than 64 nodes resolve; the
-    # determinant is near 4e20
-    with pytest.raises(NumericError, match="--quad"):
-        largest_eval_cdf(KernelSpec(400, 200.0, 2.0), -0.5)
-
-
 def test_nystrom_matrix_keeps_the_bits_of_eye_minus_weighted_kernel(monkeypatch):
     # a banded kernel whose entries off the band are exact zeros of both
     # signs: the matrix handed to det, and the determinant, must be those of
@@ -264,12 +235,6 @@ def test_nystrom_matrix_keeps_the_bits_of_eye_minus_weighted_kernel(monkeypatch)
     assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
     assert value.hex() == float(det(expected)).hex()
     assert 0.0 < value < 1.0
-
-
-def test_gap_flags_nonfinite_kernel():
-    q = GapQuery(lambda x, y: np.inf * np.ones_like(x * y), (0.0, 1.0))
-    with pytest.raises(NumericError):
-        gap_probability(q)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from jrmt.empirics import EmpiricalSample, ks_distance
-from jrmt.errors import ParameterError
 from jrmt.randgen import SeededStream, _ginibre, random_isometry
 
 
@@ -90,10 +89,3 @@ def test_projector_structure():
 def test_projector_full_rank_is_identity():
     p = _projector(SeededStream(2), 5, 5)
     assert np.abs(p - np.eye(5)).max() < 1e-12
-
-
-def test_projector_rejects_bad_rank():
-    with pytest.raises(ParameterError):
-        random_isometry(SeededStream(0), 4, 5)
-    with pytest.raises(ParameterError):
-        random_isometry(SeededStream(0), 4, 0)
