@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -23,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .cdkernel import KernelSpec, finite_profile, local_scaling, one_point_density, rescaled
-from .ensembles import _DEFAULT_ROUTE, _ROUTES, reduce_ranks, sample_largest, sample_spectra
+from .ensembles import _DEFAULT_ROUTE, _ROUTES, _largest, reduce_ranks, sample_spectra
 from .errors import JrmtError, NumericError, ParameterError
 from .fredholm import QUAD_POINTS, TW_TAIL, largest_eval_cdf, tracy_widom_cdf
 from .limits import banach_angle, free_product_density, limit_density
-from .randgen import SeededStream
+from .randgen import SeededStream, generators
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -58,10 +59,9 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _csv_text(config: dict, header: list[str], rows: np.ndarray) -> str:
-    row_format = ",".join(["%.17g"] * len(header))  # the bytes of f"{v:.17g}" per value
-    lines = ["# " + json.dumps(config, sort_keys=True), ",".join(header)]
-    lines.extend(row_format % tuple(row) for row in rows.tolist())
-    return "\n".join(lines) + "\n"
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"  # the bytes of f"{v:.17g}" per value
+    head = "# " + json.dumps(config, sort_keys=True) + "\n" + ",".join(header) + "\n"
+    return head + "".join([row_format] * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def _json_text(config: dict, result: dict) -> str:
@@ -177,8 +177,8 @@ def cmd_angles(args) -> str:
     # cos^2 is the law's top edge itself, not cos(theta)**2 an ulp off it
     alpha, beta = args.q / args.n, args.qprime / args.n
     theta = banach_angle(alpha, beta)
-    streams = (SeededStream(args.seed, t) for t in range(args.trials))
-    cos2 = np.array([sample_largest(s, args.n, pair.q, pair.q_tilde) for s in streams])
+    spec, streams = pair.kernel_spec(), [SeededStream(args.seed, t) for t in range(args.trials)]
+    cos2 = np.array([_largest(gen, spec) for gen in generators(streams)])  # sample_largest per stream
     config = _config(
         args,
         note="max cos^2 is the top eigenvalue of the compressed projector block, "
@@ -261,6 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--seed", type=int, default=0)
     pa.set_defaults(func=cmd_angles)
 
+    # a value may start with "-" and a digit, "." or "inf" (--t -1e1): no jrmt option starts so
+    for parser in sub.choices.values():
+        parser._negative_number_matcher = re.compile(r"-(\d|\.|inf)")
     return p
 
 

@@ -29,19 +29,22 @@ The Wishart and tridiagonal routes read their routines from
 and importing jrmt loads no LAPACK.
 
 ``sample_spectra`` draws one spectrum per ``SeededStream``: each trial takes
-all of its randomness from its own stream, and the linear algebra runs once
-per stack of trials on (trials, ., .) arrays at one BLAS thread.  The stacked
-LAPACK calls run the same routine on every slice, so a trial's bits depend on
-its ``(seed, stream_id)`` alone: not on the stack, the thread count or the caller.
-Stacks are small enough for the heap to reuse their pages, and the Wishart
-route allocates its arrays once per call and refills them for every stack,
-so a call's memory is mapped once, not once per stack (see ``_STACK_ENTRIES``).
+all of its randomness from its own stream, whose generator one batch hash per
+call derives (``randgen.generators``: the generators ``SeededStream.generator()``
+gives), and the linear algebra runs once per stack of trials on (trials, ., .)
+arrays at one BLAS thread.  The stacked LAPACK calls run the same routine on
+every slice, so a trial's bits depend on its ``(seed, stream_id)`` alone: not
+on the stack, the thread count or the caller.  Stacks are small enough for the
+heap to reuse their pages, and the Wishart route allocates its arrays once per
+call and refills them for every stack, so a call's memory is mapped once, not
+once per stack (see ``_STACK_ENTRIES``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -49,7 +52,7 @@ from ._scipy import load
 from .cdkernel import KernelSpec
 from .errors import NumericError, ParameterError
 from .matalg import one_blas_thread
-from .randgen import SeededStream, _ginibre, _haar
+from .randgen import SeededStream, _ginibre, _haar, generators
 
 __all__ = [
     "ProjectorPair",
@@ -136,8 +139,9 @@ def _projector_blocks(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
     # V[:q_tilde]^H V[:q_tilde], the compression of the coordinate projector
     # of rank q_tilde onto the rotated rank-q subspace
     z = np.empty((len(gens), n, q), dtype=complex)
+    work = np.empty(2 * n * q)  # one factor's real, then imaginary, parts
     for i, gen in enumerate(gens):
-        _ginibre(gen, n, q, 1.0, out=z[i])
+        _ginibre(gen, n, q, 1.0, out=z[i], work=work)
     v = _haar(z)[:, :q_tilde, :]
     scratch = np.empty(len(gens) * q * max(q, q_tilde), dtype=complex)  # v's conjugate, then the block's
     return _hermitian_into(_ct_into(v, scratch) @ v, scratch)
@@ -150,9 +154,9 @@ def _projector_route(n: int, q: int, q_tilde: int, spec: KernelSpec, size: int):
 def _wishart_route(n: int, q: int, q_tilde: int, spec: KernelSpec, size: int):
     # one workspace per call, refilled by every stack of at most ``size``
     # trials: the two Ginibre factors, the Hermitian parts x and x' (x' then
-    # x + x'), and one scratch for every conjugate.  x' and x + x' share a
-    # buffer: at (800, 200, 200) the traced peak is 7.07 MB, and another
-    # q x q buffer (0.64 MB) would pass the memory-bound test's 7.68 MB
+    # x + x'), and one scratch for the normals and every conjugate.  At
+    # (800, 200, 200) the traced peak is 5.91 MB, 0.15 MB above the workspace;
+    # another q x q buffer (0.64 MB) would pass the one-trial test's 0.32 MB
     w1 = np.empty((size, q, q_tilde), dtype=complex)
     w2 = np.empty((size, q, n - q_tilde), dtype=complex)
     x = np.empty((size, q, q), dtype=complex)
@@ -164,9 +168,10 @@ def _wishart_route(n: int, q: int, q_tilde: int, spec: KernelSpec, size: int):
         a, b, xk, yk = w1[:k], w2[:k], x[:k], y[:k]
         # per generator, the middle factor first: q_tilde columns, then the
         # complementary n - q_tilde
+        work = scratch.view(float)  # a factor's normals, before scratch holds conjugates
         for i, gen in enumerate(gens):
-            _ginibre(gen, q, q_tilde, 1.0 / q, out=a[i])
-            _ginibre(gen, q, n - q_tilde, 1.0 / q, out=b[i])
+            _ginibre(gen, q, q_tilde, 1.0 / q, out=a[i], work=work)
+            _ginibre(gen, q, n - q_tilde, 1.0 / q, out=b[i], work=work)
         np.matmul(a, _ct_into(a, scratch), out=xk)
         _hermitian_into(xk, scratch)
         np.matmul(b, _ct_into(b, scratch), out=yk)
@@ -174,10 +179,11 @@ def _wishart_route(n: int, q: int, q_tilde: int, spec: KernelSpec, size: int):
         np.add(xk, yk, out=yk)
         # scipy.linalg.eigh(x[i], y[i], eigvals_only=True) calls hegvd with these
         # arguments; calling it per slice keeps those bits and skips eigh's checks
-        # and its batch wrapper, about 40 us a call
+        # and its batch wrapper, about 40 us a call.  The F-contiguous transposes, the conjugate
+        # pencil with the same eigenvalue bits, go to LAPACK as they are, where f2py copies x[i], y[i]
         out = np.empty((k, q))
         for i in range(k):
-            out[i], _ = _lapack("zhegvd", xk[i], yk[i], jobz="N")
+            out[i], _ = _lapack("zhegvd", xk[i].T, yk[i].T, jobz="N", overwrite_a=1, overwrite_b=1)
         return out
 
     return draw
@@ -337,9 +343,10 @@ def sample_spectra(
     out = np.empty((len(streams), q))
     size = max(1, _STACK_ENTRIES // (n * q))
     draw = _ROUTES[route](n, q, q_tilde, spec, min(size, len(streams)))
+    gens = generators(streams)  # one seed hash per call, a generator built per trial as it is drawn
     with one_blas_thread():
         for lo in range(0, len(streams), size):
-            out[lo : lo + size] = draw([s.generator() for s in streams[lo : lo + size]])
+            out[lo : lo + size] = draw(list(islice(gens, size)))
     return out
 
 
@@ -366,4 +373,8 @@ def sample_largest(stream: SeededStream, n: int, q: int, q_tilde: int) -> float:
     route costs O(n q^2).
     """
     spec = ProjectorPair(n, q, q_tilde).kernel_spec()
-    return _tridiagonal_top(*_beta_jacobi(stream.generator(), spec))
+    return _largest(stream.generator(), spec)
+
+
+def _largest(gen: np.random.Generator, spec: KernelSpec) -> float:
+    return _tridiagonal_top(*_beta_jacobi(gen, spec))

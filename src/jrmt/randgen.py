@@ -4,11 +4,13 @@ Every operation takes a :class:`SeededStream` value and is a pure function of
 it: the same (seed, stream_id) pair always reproduces the same draw, and
 distinct stream_ids give statistically independent streams.  Monte Carlo
 drivers give each trial its own stream_id, so a trial's draw does not depend
-on which other trials run or in what order.
+on which other trials run or in what order.  ``generators`` hashes a batch
+of streams at once and gives the same generators as ``SeededStream.generator()``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,9 @@ import numpy as np
 from .errors import ParameterError
 from .matalg import one_blas_thread
 
-__all__ = ["SeededStream", "random_isometry"]
+__all__ = ["SeededStream", "generators", "random_isometry"]
+
+_BATCH_MIN = 8  # below this many streams, generator() per stream costs less than the batch hash
 
 
 @dataclass(frozen=True)
@@ -51,15 +55,57 @@ class SeededStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
+def _hashes(value: np.ndarray, init: int, mult: int, start: int) -> np.ndarray:
+    # SeedSequence's hashmix of row i of ``value`` (uint32) with hash constants start + i and start + i + 1
+    c = np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(start, start + len(value) + 1)], np.uint32)
+    value = (value ^ c[:-1, None]) * c[1:, None]
+    return value ^ value >> 16
+
+
+def _pcg64_states(seed: int, ids: np.ndarray) -> np.ndarray:
+    # SeedSequence(seed, spawn_key=(id,)).generate_state(4, np.uint64) per uint32 id: the pool of the
+    # seed's words (at least four, four hashes each), each pool word mixed with the id, 8 words off it
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    done = 4 * max(4, -(-int(seed).bit_length() // 32))
+    mixed = 0xCA01F9DD * pool - 0x4973F715 * _hashes(np.tile(ids, (4, 1)), 0x43B0D7E5, 0x931E8875, done)
+    state = _hashes(np.tile(mixed ^ mixed >> 16, (2, 1)), 0x8B51F9DD, 0x58F38DED, 0)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@dataclass
+class _GivenState:  # the SeedSequence stand-in that hands PCG64 its precomputed state words
+    state: np.ndarray
+
+    def generate_state(self, n_words, dtype=None):
+        return self.state
+
+
+def generators(streams: Sequence[SeededStream]) -> Iterator[np.random.Generator]:
+    """``s.generator()`` for each of ``streams`` in turn, built as it is taken.
+
+    Eight or more streams of one non-negative seed, with integer stream_ids
+    in [0, 2**32), share one batch hash; any other call takes ``generator()``.
+    """
+    ids, seeds = np.array([s.stream_id for s in streams]), {s.seed for s in streams}
+    batch = len(ids) >= _BATCH_MIN and len(seeds) == 1 and min(seeds) >= 0 and ids.dtype.kind == "i"
+    if not (batch and 0 <= ids.min() and ids.max() < 2**32):
+        return (s.generator() for s in streams)
+    np.random.bit_generator.ISeedSequence.register(_GivenState)  # loads numpy.random here, not at import
+    states = _pcg64_states(seeds.pop(), ids.astype(np.uint32))
+    return (np.random.Generator(np.random.PCG64(_GivenState(state))) for state in states)
+
+
 def _ginibre(
-    gen: np.random.Generator, rows: int, cols: int, variance: float, out: np.ndarray | None = None
+    gen: np.random.Generator, rows: int, cols: int, variance: float, out=None, work=None
 ) -> np.ndarray:
-    # real and imaginary parts independent N(0, variance/2), the real part
-    # drawn first; written into ``out`` (rows x cols complex) when given
+    # real and imaginary parts independent N(0, variance/2): the real parts, then the imaginary
+    # ones, drawn in one call into the front of the flat float ``work``, then written by one
+    # multiply into ``out`` (rows x cols complex, C-contiguous); each allocated when not given
     z = np.empty((rows, cols), dtype=complex) if out is None else out
-    scale = np.sqrt(variance / 2.0)
-    np.multiply(gen.standard_normal((rows, cols)), scale, out=z.real)
-    np.multiply(gen.standard_normal((rows, cols)), scale, out=z.imag)
+    parts = np.empty(2 * rows * cols) if work is None else work[: 2 * rows * cols]
+    gen.standard_normal(out=parts)
+    re_im = z.view(float).reshape(rows, cols, 2).transpose(2, 0, 1)
+    np.multiply(parts.reshape(2, rows, cols), np.sqrt(variance / 2.0), out=re_im)
     return z
 
 

@@ -185,6 +185,27 @@ def test_angles_stdout_pinned(capsys):
     assert digest == "3fa7dd73ae70a62001c4662ac73a4ef07f4256bb0520b38b69b398a06d68d985"
 
 
+@pytest.mark.parametrize(
+    "option, value, command",
+    [
+        ("--t", "-1e1", "tw"),
+        ("--t", "-inf", "tw"),
+        ("--t", "-.5", "tw --quad 16"),
+        ("--grid", "-0.9:0.9:9", "density --n 12 --a 6 --b 3"),
+        ("--ugrid", "-3:1.5:4", "kernel --regime soft --n 100 --a 50 --b 25"),
+        ("--x", "-1E-1", "kernel --regime bulk --n 40 --a 20 --b 10 --ugrid=-1:1:2"),
+        ("--x", "-0.5", "gap --n 12 --a 6 --b 3 --quad 16"),
+    ],
+)
+def test_dash_led_value_after_a_space_reads_as_after_equals(option, value, command, capsys):
+    # a value that starts with "-" and a digit, "." or "inf" is no option
+    outputs = []
+    for argv in (command.split() + [option, value], command.split() + [f"{option}={value}"]):
+        code = main(argv)
+        outputs.append((code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1] and outputs[0][0] in (0, 2) and outputs[0][1] + outputs[0][2]
+
+
 def test_gap_json(tmp_path, capsys):
     assert main(["gap", "--n", "12", "--a", "6", "--b", "3", "--x", "0.95", "--quad", "64"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -178,6 +178,25 @@ def test_wishart_block_stacks_stay_within_memory_bound():
     assert peak < bound
 
 
+def test_wishart_block_trial_draws_into_its_workspace():
+    # one (800, 200, 200) trial: the normals are drawn into the route's
+    # scratch and zhegvd takes the F-contiguous transposes of the pencil as
+    # they are, so the traced peak stays within the workspace and half a q x q
+    # matrix; a fresh array of one factor's normals (0.96 MB) or f2py's copies
+    # of the pencil (1.28 MB) pass that bound
+    n, q, qt = 800, 200, 200
+    workspace = 16 * q * (qt + (n - qt) + 2 * q + max(qt, n - qt))
+    with one_blas_thread():
+        sample_spectra([SeededStream(75, 0)], n, q, qt, "wishart")  # warm up LAPACK and imports
+        tracemalloc.start()
+        try:
+            sample_spectra([SeededStream(75, 1)], n, q, qt, "wishart")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < workspace + 16 * q * q // 2
+
+
 # minor page faults of a second call: the (800, 200, 200) Wishart block,
 # one trial a stack, then 400 projector draws at (48, 12, 18)
 _FAULTS = """
@@ -300,7 +319,7 @@ def test_tridiagonal_lapack_failure_is_a_numeric_error(monkeypatch):
 
 
 def test_wishart_lapack_failure_is_a_numeric_error(monkeypatch):
-    lapack = SimpleNamespace(zhegvd=lambda x, y, jobz: (np.zeros(x.shape[0]), None, 5))
+    lapack = SimpleNamespace(zhegvd=lambda x, y, **kwargs: (np.zeros(x.shape[0]), None, 5))
     monkeypatch.setattr(ensembles, "load", lambda public: lapack)
     with pytest.raises(NumericError, match="hegvd failed with info=5"):
         sample_spectrum(SeededStream(0), 40, 10, 12, "wishart")

@@ -22,7 +22,7 @@ from jrmt.limits import (
 )
 from jrmt.matalg import eig_hermitian, principal_cosines
 from jrmt.orthopoly import jacobi_pair, log_gamma_n
-from jrmt.randgen import SeededStream, random_isometry
+from jrmt.randgen import SeededStream, generators, random_isometry
 from tests.fresh import ROOT
 from tests.wkb_oracle import chi, interior_asymptotic
 
@@ -125,6 +125,12 @@ _GUARDS = [
     ("plan-q-zero", ParameterError, lambda: reduce_ranks(5, 0, 3), ""),
     ("plan-qtilde-above-n", ParameterError, lambda: reduce_ranks(5, 2, 6), ""),
     ("plan-wrong-count", ParameterError, lambda: reduce_ranks(48, 12, 18).apply([0.5] * 11), ""),
+    # eight streams, enough for the batch hash, which leaves these values to generator()
+    ("generators-negative-seed", ParameterError,
+     lambda: list(generators([SeededStream(-1, t) for t in range(8)])), "must be >= 0"),
+    ("generators-negative-stream-id", ParameterError,
+     lambda: list(generators([SeededStream(3, t) for t in range(7, -1, -1)] + [SeededStream(3, -2)])),
+     "must be >= 0"),
     ("isometry-rank-above-n", ParameterError, lambda: random_isometry(SeededStream(0), 4, 5), ""),
     ("isometry-rank-zero", ParameterError, lambda: random_isometry(SeededStream(0), 4, 0), ""),
     ("jacobi-negative-degree", ParameterError, lambda: jacobi_pair(-1, 1.0, 1.0, 0.3), ""),

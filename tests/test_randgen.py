@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jrmt.empirics import EmpiricalSample, ks_distance
-from jrmt.randgen import SeededStream, _ginibre, random_isometry
+from jrmt.randgen import SeededStream, _ginibre, generators, random_isometry
+from tests.fresh import run_python
 
 
 def _complex_gaussian(stream, rows, cols):
@@ -89,3 +92,43 @@ def test_projector_structure():
 def test_projector_full_rank_is_identity():
     p = _projector(SeededStream(2), 5, 5)
     assert np.abs(p - np.eye(5)).max() < 1e-12
+
+
+def _states(gens):
+    return [g.bit_generator.state for g in gens]
+
+
+# seeds of one to seven 32-bit words, and stream ids about the 2**32 boundary
+_SEEDS = st.one_of(
+    st.integers(0, 2**64), st.integers(2**128 - 8, 2**200), st.sampled_from([0, 2**32 - 1, 2**32, 2**128])
+)
+_IDS = st.one_of(st.integers(0, 40), st.sampled_from([2**32 - 1, 2**32, 2**33 + 5]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=_SEEDS, ids=st.lists(_IDS, max_size=24), other=st.none() | _SEEDS)
+def test_generators_equal_generator_one_by_one(seed, ids, other):
+    # duplicate and unsorted ids; with ``other`` set, every third stream takes that seed
+    streams = [SeededStream(seed if other is None or i % 3 else other, t) for i, t in enumerate(ids)]
+    assert _states(generators(streams)) == _states(s.generator() for s in streams)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**97 + 3, 2**128 - 1, 2**128, 2**200 + 1])
+def test_batch_of_one_seed_equals_generator_one_by_one(seed):
+    # 3000 streams of one seed: the batch hash, with its ids at both ends of the uint32 range
+    streams = [SeededStream(seed, t) for t in [*range(2999), 2**32 - 1]]
+    assert _states(generators(streams)) == _states(s.generator() for s in streams)
+    first = next(generators(streams))
+    assert first.standard_normal(4).tobytes() == streams[0].generator().standard_normal(4).tobytes()
+
+
+def test_non_integer_stream_ids_fail_as_in_generator():
+    streams = [SeededStream(0, t + 0.5) for t in range(8)]
+    with pytest.raises(TypeError, match="seed must be integer"):
+        list(generators(streams))
+
+
+def test_import_loads_no_numpy_random():
+    # a fresh process: numpy.random loads at the first draw, not with jrmt
+    script = "import sys\nimport jrmt\nprint(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    assert run_python("-c", script).stdout == "[]\n"
