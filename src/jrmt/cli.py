@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .cdkernel import KernelSpec, finite_profile, local_scaling, one_point_density, rescaled
-from .ensembles import _DEFAULT_ROUTE, _ROUTES, _largest, reduce_ranks, sample_spectra
+from .ensembles import _DEFAULT_ROUTE, _ROUTES, reduce_ranks, sample_largest, sample_spectra
 from .errors import JrmtError, NumericError, ParameterError
 from .fredholm import QUAD_POINTS, TW_TAIL, largest_eval_cdf, tracy_widom_cdf
 from .limits import banach_angle, free_product_density, limit_density
-from .randgen import SeededStream, generators
+from .randgen import SeededStream
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -177,8 +177,8 @@ def cmd_angles(args) -> str:
     # cos^2 is the law's top edge itself, not cos(theta)**2 an ulp off it
     alpha, beta = args.q / args.n, args.qprime / args.n
     theta = banach_angle(alpha, beta)
-    spec, streams = pair.kernel_spec(), [SeededStream(args.seed, t) for t in range(args.trials)]
-    cos2 = np.array([_largest(gen, spec) for gen in generators(streams)])  # sample_largest per stream
+    streams = [SeededStream(args.seed, t) for t in range(args.trials)]
+    cos2 = np.array([sample_largest(s, pair.n, pair.q, pair.q_tilde) for s in streams])
     config = _config(
         args,
         note="max cos^2 is the top eigenvalue of the compressed projector block, "

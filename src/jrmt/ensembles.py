@@ -179,8 +179,9 @@ def _wishart_route(n: int, q: int, q_tilde: int, spec: KernelSpec, size: int):
         np.add(xk, yk, out=yk)
         # scipy.linalg.eigh(x[i], y[i], eigvals_only=True) calls hegvd with these
         # arguments; calling it per slice keeps those bits and skips eigh's checks
-        # and its batch wrapper, about 40 us a call.  The F-contiguous transposes, the conjugate
-        # pencil with the same eigenvalue bits, go to LAPACK as they are, where f2py copies x[i], y[i]
+        # and its batch wrapper, about 40 us a call.  Given the F-contiguous transposes (the conjugate
+        # pencil, same eigenvalue bits), f2py copies neither matrix, which
+        # test_wishart_block_trial_draws_into_its_workspace checks
         out = np.empty((k, q))
         for i in range(k):
             out[i], _ = _lapack("zhegvd", xk[i].T, yk[i].T, jobz="N", overwrite_a=1, overwrite_b=1)
@@ -370,11 +371,7 @@ def sample_largest(stream: SeededStream, n: int, q: int, q_tilde: int) -> float:
     Agrees with ``sample_spectrum(stream, n, q, q_tilde, "tridiagonal")[-1]``
     for the same stream up to rounding, but bisects for the top eigenvalue
     alone, in one LAPACK ``dstebz`` call: O(q) work per draw, where a dense
-    route costs O(n q^2).
+    route costs O(n q^2).  ``jrmt angles`` draws each of its trials here.
     """
     spec = ProjectorPair(n, q, q_tilde).kernel_spec()
-    return _largest(stream.generator(), spec)
-
-
-def _largest(gen: np.random.Generator, spec: KernelSpec) -> float:
-    return _tridiagonal_top(*_beta_jacobi(gen, spec))
+    return _tridiagonal_top(*_beta_jacobi(stream.generator(), spec))

@@ -288,6 +288,20 @@ def test_angles_draws_match_the_geometric_principal_angles_in_law(n, q, qp, caps
     assert d < math.sqrt(math.log(2 / 1e-6) / 2) * math.sqrt(2 / trials)
 
 
+def test_angles_draws_each_trial_with_sample_largest(monkeypatch):
+    # one draw path: trial t is sample_largest on stream (seed, t) with the
+    # canonical ranks, here (20, 6, 5) ordered to (20, 5, 6)
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return sample_largest(*args)
+
+    monkeypatch.setattr("jrmt.cli.sample_largest", recording)
+    assert main(["angles", "--n", "20", "--q", "6", "--qprime", "5", "--trials", "7", "--seed", "9"]) == 0
+    assert calls == [(SeededStream(9, t), 20, 5, 6) for t in range(7)]
+
+
 # The CLI's failure contract, one row per argv: (id, argv, exit code, stderr).
 # Exit 2 is a usage or parameter error, 3 a numeric failure.  Every row
 # leaves stdout empty and writes one stderr line that starts "jrmt: ", and
@@ -305,6 +319,7 @@ _FAILURES = [
     ("angles-trials-zero", "angles --n 200 --q 50 --qprime 60 --trials 0", 2, ""),
     ("angles-q-zero", "angles --n 10 --q 0 --qprime 2", 2, ""),
     ("angles-q-above-n", "angles --n 10 --q 11 --qprime 2", 2, ""),
+    ("angles-seed-negative", "angles --n 200 --q 50 --qprime 60 --seed -1", 2, "must be >= 0"),
     ("gap-quad-100000", "gap --n 12 --a 6 --b 3 --x 0.9 --quad 100000", 2, ""),
     ("tw-quad-2049", "tw --t 0 --quad 2049", 2, ""),
     ("density-grid-two-fields", "density --n 10 --a 1 --b 1 --grid 0.5:0.1", 2, ""),

@@ -9,7 +9,7 @@ import pytest
 
 from jrmt.cdkernel import KernelSpec, kernel, local_scaling, rescaled, soft_edge
 from jrmt.empirics import EmpiricalSample, ExperimentSpec, ks_against_cdf, run_experiment
-from jrmt.ensembles import ProjectorPair, reduce_ranks, sample_spectrum
+from jrmt.ensembles import ProjectorPair, reduce_ranks, sample_largest, sample_spectrum
 from jrmt.errors import DomainError, JrmtError, NumericError, ParameterError, RegimeError, ValidationError
 from jrmt.fredholm import GapQuery, gap_probability, largest_eval_cdf
 from jrmt.limits import (
@@ -131,6 +131,8 @@ _GUARDS = [
     ("generators-negative-stream-id", ParameterError,
      lambda: list(generators([SeededStream(3, t) for t in range(7, -1, -1)] + [SeededStream(3, -2)])),
      "must be >= 0"),
+    ("largest-negative-seed", ParameterError,
+     lambda: sample_largest(SeededStream(-1), 10, 2, 4), "must be >= 0"),
     ("isometry-rank-above-n", ParameterError, lambda: random_isometry(SeededStream(0), 4, 5), ""),
     ("isometry-rank-zero", ParameterError, lambda: random_isometry(SeededStream(0), 4, 0), ""),
     ("jacobi-negative-degree", ParameterError, lambda: jacobi_pair(-1, 1.0, 1.0, 0.3), ""),
