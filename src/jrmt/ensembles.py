@@ -138,11 +138,7 @@ def _projector_blocks(gens: list, n: int, q: int, q_tilde: int) -> np.ndarray:
     # V = first q columns of a Haar unitary per generator; the block is
     # V[:q_tilde]^H V[:q_tilde], the compression of the coordinate projector
     # of rank q_tilde onto the rotated rank-q subspace
-    z = np.empty((len(gens), n, q), dtype=complex)
-    work = np.empty(2 * n * q)  # one factor's real, then imaginary, parts
-    for i, gen in enumerate(gens):
-        _ginibre(gen, n, q, 1.0, out=z[i], work=work)
-    v = _haar(z)[:, :q_tilde, :]
+    v = _haar(gens, n, q)[:, :q_tilde, :]
     scratch = np.empty(len(gens) * q * max(q, q_tilde), dtype=complex)  # v's conjugate, then the block's
     return _hermitian_into(_ct_into(v, scratch) @ v, scratch)
 

@@ -292,7 +292,7 @@ def banach_angle(alpha: float, beta: float) -> float:
     in closed form: theta = acos(sqrt(r+)), good to a few ulps even as
     min(alpha, beta) -> 0.
     """
-    if alpha <= 0 or beta <= 0:
+    if not (alpha > 0 and beta > 0):
         raise ParameterError("dimension ratios must be positive")
     if alpha + beta >= 1.0:
         raise RegimeError(f"needs alpha + beta < 1, got {alpha + beta}")

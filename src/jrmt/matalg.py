@@ -101,19 +101,20 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def principal_cosines(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """Cosines of the principal angles between two column spans.
 
-    Inputs must have orthonormal columns (checked to ``_ORTHO_TOL``).  The
-    cosines are the singular values of B1* B2, returned sorted descending;
-    all lie in [0, 1] up to rounding.
+    Inputs must be n x k bases, k >= 1 and n shared, with orthonormal columns
+    (checked to ``_ORTHO_TOL``).  The cosines are the singular values of
+    B1* B2, returned sorted descending and clipped at 1, past which a basis
+    within that tolerance can round them.
     """
     b1 = np.asarray(b1)
     b2 = np.asarray(b2)
-    for name, b in (("B1", b1), ("B2", b2)):
-        gram = b.conj().T @ b
-        err = np.abs(gram - np.eye(b.shape[1])).max()
-        if err >= _ORTHO_TOL:
-            raise ValidationError(f"{name} columns not orthonormal: deviation {err:.3e}")
+    if b1.ndim != 2 or b2.ndim != 2 or b1.shape[0] != b2.shape[0] or min(b1.shape[1], b2.shape[1]) < 1:
+        raise ValidationError(f"expected two n x k bases with k >= 1, got shapes {b1.shape} and {b2.shape}")
     with one_blas_thread():
+        for name, b in (("B1", b1), ("B2", b2)):
+            gram = b.conj().T @ b
+            err = np.abs(gram - np.eye(b.shape[1])).max()
+            if not err < _ORTHO_TOL:
+                raise ValidationError(f"{name} columns not orthonormal: deviation {err:.3e}")
         sv = np.linalg.svd(b1.conj().T @ b2, compute_uv=False)
-    if sv.size and sv[0] > 1.0 + 1e-12:
-        raise ValidationError(f"cosine {sv[0]} above 1 beyond tolerance")
-    return sv
+    return np.minimum(sv, 1.0)

@@ -97,28 +97,29 @@ def generators(streams: Sequence[SeededStream]) -> Iterator[np.random.Generator]
     return (np.random.Generator(np.random.PCG64(_GivenState(state))) for state in states)
 
 
-def _ginibre(
-    gen: np.random.Generator, rows: int, cols: int, variance: float, out=None, work=None
-) -> np.ndarray:
+def _ginibre(gen: np.random.Generator, rows: int, cols: int, variance: float, out, work) -> np.ndarray:
     # real and imaginary parts independent N(0, variance/2): the real parts, then the imaginary
     # ones, drawn in one call into the front of the flat float ``work``, then written by one
-    # multiply into ``out`` (rows x cols complex, C-contiguous); each allocated when not given
-    z = np.empty((rows, cols), dtype=complex) if out is None else out
-    parts = np.empty(2 * rows * cols) if work is None else work[: 2 * rows * cols]
+    # multiply into ``out`` (rows x cols complex, C-contiguous)
+    parts = work[: 2 * rows * cols]
     gen.standard_normal(out=parts)
-    re_im = z.view(float).reshape(rows, cols, 2).transpose(2, 0, 1)
+    re_im = out.view(float).reshape(rows, cols, 2).transpose(2, 0, 1)
     np.multiply(parts.reshape(2, rows, cols), np.sqrt(variance / 2.0), out=re_im)
-    return z
+    return out
 
 
-def _haar(z: np.ndarray) -> np.ndarray:
-    """Haar isometries from a stack of n x cols Ginibre matrices: QR of each
-    with the R-diagonal phase correction.
+def _haar(gens: list, n: int, cols: int) -> np.ndarray:
+    """Haar isometries, one n x cols per generator: QR of an n x cols Ginibre
+    matrix drawn from each, with the R-diagonal phase correction.
 
     Plain QR output is not Haar distributed: the factorization is only unique
     up to phases.  Dividing column j of Q by the phase of R_jj fixes the
     convention R_jj > 0 and makes the law exactly the Haar measure.
     """
+    z = np.empty((len(gens), n, cols), dtype=complex)
+    work = np.empty(2 * n * cols)  # one factor's real, then imaginary, parts
+    for i, gen in enumerate(gens):
+        _ginibre(gen, n, cols, 1.0, out=z[i], work=work)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
@@ -133,4 +134,4 @@ def random_isometry(stream: SeededStream, n: int, cols: int) -> np.ndarray:
     if n < 1 or cols < 1 or cols > n:
         raise ParameterError(f"need 1 <= cols <= n, got n={n}, cols={cols}")
     with one_blas_thread():
-        return _haar(_ginibre(stream.generator(), n, cols, 1.0))
+        return _haar([stream.generator()], n, cols)[0]

@@ -21,7 +21,7 @@ from jrmt.ensembles import (
 )
 from jrmt.errors import NumericError, ParameterError
 from jrmt.matalg import one_blas_thread
-from jrmt.randgen import SeededStream
+from jrmt.randgen import SeededStream, random_isometry
 from tests.fresh import run_python, same_at_one_and_two_threads
 
 
@@ -54,6 +54,19 @@ def test_projector_product_mean_trace():
 def test_projector_product_full_rotated_rank_is_identity():
     m = projector_product(SeededStream(9), ProjectorPair(6, 3, 6))
     assert np.abs(m - np.eye(3)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,q,qt", [(48, 12, 18), (10, 5, 3), (9, 7, 5), (200, 50, 60)])
+def test_projector_product_is_the_random_isometrys_block_bitwise(n, q, qt):
+    # ties the geometric route's draw to the projector route, whose stdout
+    # test_sample_stdout_pinned pins
+    for t in range(3):
+        s = SeededStream(4, t)
+        v = random_isometry(s, n, q)[:qt]
+        with one_blas_thread():
+            b = v.conj().T @ v
+        block = projector_product(s, ProjectorPair(n, q, qt))
+        assert block.tobytes() == (0.5 * (b + b.conj().T)).tobytes()
 
 
 def test_two_route_distributional_equality_small():

@@ -36,13 +36,6 @@ def _two_eigenvalues_three(x, y):
     return 3.0 + 9.0 * (2.0 * x - 1.0) * (2.0 * y - 1.0)
 
 
-def _cosines_of_a_scaled_basis():
-    # a QR basis scaled by 1 + 3e-11 passes the 1e-10 orthonormality check,
-    # yet its cosine with itself, 1 + 6e-11, lies past the 1e-12 bound
-    b = np.linalg.qr(np.arange(1.0, 7.0).reshape(3, 2))[0] * (1 + 3e-11)
-    return principal_cosines(b, b)
-
-
 def _ks_of_three_points(cdf):
     return ks_against_cdf(EmpiricalSample.from_values([-0.3, 0.1, 0.8]), cdf)
 
@@ -83,6 +76,8 @@ _GUARDS = [
     ("bessel-negative-offset", DomainError, lambda: bessel_kernel(0, -1.0, 2.0), ""),
     ("banach-zero-ratio", ParameterError, lambda: banach_angle(0.0, 0.3), ""),
     ("banach-oversized-ratios", RegimeError, lambda: banach_angle(0.6, 0.5), ""),
+    ("banach-alpha-nan", ParameterError, lambda: banach_angle(math.nan, 0.3), ""),
+    ("banach-beta-nan", ParameterError, lambda: banach_angle(0.3, math.nan), ""),
     # with a < 1 the turning point leaves (-1, 1): no square-root edge; with
     # a <= 1 the upper zero of chi lies at or past 1 while the lower one stays
     # inside (-1, 1), and the lower one is no soft edge
@@ -165,9 +160,14 @@ _GUARDS = [
      lambda: run_experiment(ExperimentSpec("wat", (10,), 0.5, u_grid=(0.5,))), ""),
     ("eig-not-square", ValidationError, lambda: eig_hermitian(np.zeros((2, 3))), ""),
     ("eig-not-hermitian", ValidationError, lambda: eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]])), ""),
-    ("cosines-above-one", ValidationError, _cosines_of_a_scaled_basis, ""),
     ("cosines-skew-basis", ValidationError,
      lambda: principal_cosines(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]), np.eye(3)[:, :2]), ""),
+    ("cosines-nan-basis", ValidationError,
+     lambda: principal_cosines(np.full((3, 1), math.nan), np.eye(3)), ""),
+    ("cosines-one-dimensional", ValidationError, lambda: principal_cosines(np.eye(3)[0], np.eye(3)), ""),
+    ("cosines-row-mismatch", ValidationError,
+     lambda: principal_cosines(np.eye(3)[:, :2], np.eye(4)[:, :2]), ""),
+    ("cosines-no-columns", ValidationError, lambda: principal_cosines(np.eye(3)[:, :0], np.eye(3)), ""),
 ]
 
 

@@ -12,7 +12,7 @@ from tests.fresh import run_python
 
 
 def _random_hermitian(seed, n):
-    a = _ginibre(SeededStream(seed).generator(), n, n, 1.0)
+    a = _ginibre(SeededStream(seed).generator(), n, n, 1.0, np.empty((n, n), complex), np.empty(2 * n * n))
     return 0.5 * (a + a.conj().T)
 
 
@@ -55,6 +55,13 @@ def test_principal_cosines_hand_value():
     e1 = np.eye(2)[:, :1]
     diag = np.array([[1.0], [1.0]]) / np.sqrt(2)
     assert principal_cosines(e1, diag)[0] == pytest.approx(0.7071067812, rel=1e-9)
+
+
+def test_principal_cosines_clip_rounding_above_one():
+    # a QR basis scaled by 1 + 3e-11 passes the 1e-10 orthonormality check;
+    # its cosines with itself, 1 + 6e-11, come back as 1
+    b = np.linalg.qr(np.arange(1.0, 7.0).reshape(3, 2))[0] * (1 + 3e-11)
+    assert principal_cosines(b, b).tolist() == [1.0, 1.0]
 
 
 def test_cosines_match_compressed_projector_spectrum():

@@ -10,7 +10,8 @@ from tests.fresh import run_python
 
 def _complex_gaussian(stream, rows, cols):
     # the entries the Wishart route and every Haar draw start from
-    return _ginibre(stream.generator(), rows, cols, 1.0)
+    out, work = np.empty((rows, cols), complex), np.empty(2 * rows * cols)
+    return _ginibre(stream.generator(), rows, cols, 1.0, out, work)
 
 
 def test_determinism_bit_identical():
